@@ -53,7 +53,7 @@ use commsense_workloads::sparse::IccgParams;
 use commsense_workloads::unstruct::UnstrucParams;
 
 /// Workload scale for harnesses that sweep the whole application suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Seconds-per-figure profiles (default for `repro` and `cargo bench`).
     Bench,

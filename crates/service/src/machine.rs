@@ -13,14 +13,20 @@
 //! job (from any client) wanting a point that is already running simply
 //! subscribes to the existing run and is reported `inflight` when it
 //! completes.
+//!
+//! A resubmitted plan costs one hash-map lookup per point: each spec's
+//! resolution and request keys are computed once and shared by every
+//! later job with the same spec, and a job leaves the job table as soon
+//! as it finishes, so the table holds only active jobs.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use commsense_core::engine::{RunOutcome, RunRequest};
 use commsense_core::store::ResultStore;
 
 use crate::plan::{self, JobPlan};
-use crate::protocol::{ClientMsg, JobStats, ServerMsg, ServiceStats, Source};
+use crate::protocol::{ClientMsg, JobStats, PlanSpec, ServerMsg, ServiceStats, Source};
 
 /// Identifies a client connection (assigned by the shell).
 pub type ClientId = u64;
@@ -77,28 +83,32 @@ struct RunSlot {
     state: RunState,
 }
 
+/// A resolved plan and the [`ResultStore::request_key`] of each of its
+/// requests, shared by every job submitted with the same spec.
+type Resolved = Arc<(JobPlan, Vec<u128>)>;
+
 #[derive(Debug)]
 struct Job {
     client: ClientId,
     id: String,
-    plan: JobPlan,
-    /// Per-request run ids, parallel to `plan.requests`.
+    plan: Resolved,
+    /// Per-request run ids, parallel to `plan.0.requests`.
     runs: Vec<RunId>,
     /// Whether this job created the run (false = in-flight dedup hit).
     started_here: Vec<bool>,
     outcomes: Vec<Option<RunOutcome>>,
     done: usize,
-    cancelled: bool,
+    /// Set when the last point is recorded; the job then leaves the table.
     finished: bool,
 }
 
 impl Job {
     fn stats(&self) -> JobStats {
         let mut s = JobStats {
-            total: self.plan.requests.len(),
+            total: self.runs.len(),
             ..JobStats::default()
         };
-        for i in 0..self.plan.requests.len() {
+        for i in 0..self.runs.len() {
             match (&self.outcomes[i], self.started_here[i]) {
                 (Some(RunOutcome::Failed { .. }), _) | (None, _) => s.failed += 1,
                 (Some(_), false) => s.inflight_hits += 1,
@@ -117,6 +127,9 @@ pub struct ServiceMachine {
     clients: Vec<ClientId>,
     runs: Vec<RunSlot>,
     by_key: HashMap<u128, RunId>,
+    /// Successful resolutions by spec (rejected specs are not kept).
+    resolved: HashMap<PlanSpec, Resolved>,
+    /// Active jobs only: a job is removed once it finishes.
     jobs: Vec<Job>,
     draining: bool,
     stopped: bool,
@@ -142,7 +155,7 @@ impl ServiceMachine {
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             clients: self.clients.len(),
-            jobs_active: self.jobs.iter().filter(|j| !j.finished).count(),
+            jobs_active: self.jobs.len(),
             jobs_done: self.jobs_done,
             unique_runs: self.runs.len(),
             runs_running: self
@@ -169,14 +182,9 @@ impl ServiceMachine {
             Event::Disconnected(c) => {
                 self.clients.retain(|&x| x != c);
                 // A vanished client can't receive progress or results:
-                // cancel its jobs. Runs it started keep executing — other
+                // drop its jobs. Runs it started keep executing — other
                 // jobs may be subscribed, and the store keeps the result.
-                for j in self.jobs.iter_mut().filter(|j| j.client == c) {
-                    if !j.finished {
-                        j.cancelled = true;
-                        j.finished = true;
-                    }
-                }
+                self.jobs.retain(|j| j.client != c);
             }
             Event::Line(c, line) => match ClientMsg::parse(&line) {
                 Ok(msg) => self.handle_msg(c, msg, &mut actions),
@@ -187,6 +195,7 @@ impl ServiceMachine {
             },
             Event::RunDone { run, outcome } => self.handle_run_done(run, outcome, &mut actions),
         }
+        self.jobs.retain(|j| !j.finished);
         self.maybe_stop(&mut actions);
         actions
     }
@@ -208,26 +217,30 @@ impl ServiceMachine {
                     actions.push(reject("daemon is shutting down".to_string()));
                     return;
                 }
-                if self
-                    .jobs
-                    .iter()
-                    .any(|j| j.client == c && j.id == id && !j.finished)
-                {
+                if self.jobs.iter().any(|j| j.client == c && j.id == id) {
                     actions.push(reject(format!("job id {id:?} is already active")));
                     return;
                 }
-                let plan = match plan::resolve(&plan) {
-                    Ok(p) => p,
-                    Err(message) => {
-                        actions.push(reject(message));
-                        return;
-                    }
+                let resolved = match self.resolved.get(&plan) {
+                    Some(r) => r.clone(),
+                    None => match plan::resolve(&plan) {
+                        Ok(p) => {
+                            let keys = p.requests.iter().map(ResultStore::request_key).collect();
+                            let r = Arc::new((p, keys));
+                            self.resolved.insert(plan, r.clone());
+                            r
+                        }
+                        Err(message) => {
+                            actions.push(reject(message));
+                            return;
+                        }
+                    },
                 };
-                let total = plan.requests.len();
+                let (requests, keys) = (&resolved.0.requests, &resolved.1);
+                let total = requests.len();
                 let mut runs = Vec::with_capacity(total);
                 let mut started_here = Vec::with_capacity(total);
-                for req in &plan.requests {
-                    let key = ResultStore::request_key(req);
+                for (req, &key) in requests.iter().zip(keys) {
                     match self.by_key.get(&key) {
                         Some(&run) => {
                             self.inflight_hits += 1;
@@ -252,12 +265,11 @@ impl ServiceMachine {
                 self.jobs.push(Job {
                     client: c,
                     id: id.clone(),
-                    plan,
+                    plan: resolved,
                     runs,
                     started_here,
                     outcomes: vec![None; total],
                     done: 0,
-                    cancelled: false,
                     finished: false,
                 });
                 actions.push(Action::Send(c, ServerMsg::Accepted { id, total }.line()));
@@ -275,16 +287,11 @@ impl ServiceMachine {
                 }
             }
             ClientMsg::Cancel { id } => {
-                match self
-                    .jobs
-                    .iter_mut()
-                    .find(|j| j.client == c && j.id == id && !j.finished)
-                {
-                    Some(j) => {
+                match self.jobs.iter().position(|j| j.client == c && j.id == id) {
+                    Some(job) => {
                         // The job stops reporting immediately; runs it
                         // started keep executing and stay sharable.
-                        j.cancelled = true;
-                        j.finished = true;
+                        self.jobs.remove(job);
                         actions.push(Action::Send(c, ServerMsg::Cancelled { id }.line()));
                     }
                     None => actions.push(Action::Send(
@@ -341,59 +348,51 @@ impl ServiceMachine {
         let j = &mut self.jobs[job];
         j.outcomes[i] = Some(outcome);
         j.done += 1;
-        let total = j.plan.requests.len();
+        let total = j.runs.len();
         let last = j.done == total;
-        // A cancelled (or disconnected) job still tracks completion so
-        // its bookkeeping stays consistent, but reports nothing.
-        if !j.cancelled {
-            let meta = &j.plan.meta[i];
-            let source = if !j.started_here[i] {
-                Source::Inflight
-            } else if j.outcomes[i].as_ref().is_some_and(|o| o.is_cached()) {
-                Source::Store
-            } else {
-                Source::Simulated
-            };
-            let msg = match j.outcomes[i].as_ref().expect("just recorded") {
-                RunOutcome::Done { result, .. } => ServerMsg::Progress {
+        let meta = &j.plan.0.meta[i];
+        let source = if !j.started_here[i] {
+            Source::Inflight
+        } else if j.outcomes[i].as_ref().is_some_and(|o| o.is_cached()) {
+            Source::Store
+        } else {
+            Source::Simulated
+        };
+        let msg = match j.outcomes[i].as_ref().expect("just recorded") {
+            RunOutcome::Done { result, .. } => ServerMsg::Progress {
+                id: j.id.clone(),
+                done: j.done,
+                total,
+                app: meta.app.to_string(),
+                mech: meta.mechanism.label().to_string(),
+                x: meta.x,
+                runtime_cycles: result.runtime_cycles,
+                source,
+            },
+            RunOutcome::Failed { message, .. } => ServerMsg::PointFailed {
+                id: j.id.clone(),
+                done: j.done,
+                total,
+                app: meta.app.to_string(),
+                mech: meta.mechanism.label().to_string(),
+                x: meta.x,
+                message: message.clone(),
+            },
+        };
+        actions.push(Action::Send(j.client, msg.line()));
+        if last {
+            let csvs = plan::assemble_csvs(&j.plan.0, &j.outcomes);
+            actions.push(Action::Send(
+                j.client,
+                ServerMsg::Done {
                     id: j.id.clone(),
-                    done: j.done,
-                    total,
-                    app: meta.app.to_string(),
-                    mech: meta.mechanism.label().to_string(),
-                    x: meta.x,
-                    runtime_cycles: result.runtime_cycles,
-                    source,
-                },
-                RunOutcome::Failed { message, .. } => ServerMsg::PointFailed {
-                    id: j.id.clone(),
-                    done: j.done,
-                    total,
-                    app: meta.app.to_string(),
-                    mech: meta.mechanism.label().to_string(),
-                    x: meta.x,
-                    message: message.clone(),
-                },
-            };
-            actions.push(Action::Send(j.client, msg.line()));
-            if last {
-                let csvs = plan::assemble_csvs(&j.plan, &j.outcomes);
-                actions.push(Action::Send(
-                    j.client,
-                    ServerMsg::Done {
-                        id: j.id.clone(),
-                        stats: j.stats(),
-                        csvs,
-                    }
-                    .line(),
-                ));
-            }
-        }
-        if last && !self.jobs[job].finished {
-            self.jobs[job].finished = true;
-            if !self.jobs[job].cancelled {
-                self.jobs_done += 1;
-            }
+                    stats: j.stats(),
+                    csvs,
+                }
+                .line(),
+            ));
+            j.finished = true;
+            self.jobs_done += 1;
         }
     }
 
@@ -414,5 +413,173 @@ impl ServiceMachine {
         }
         self.clients.clear();
         actions.push(Action::Stop);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::OnceLock;
+
+    use commsense_apps::{AppSpec, RunResult, Scale};
+    use commsense_core::engine::Runner;
+    use commsense_machine::{MachineConfig, Mechanism};
+    use commsense_workloads::bipartite::Em3dParams;
+
+    use super::*;
+    use crate::protocol::Figure;
+
+    /// One successful outcome from a single tiny simulation; the machine
+    /// treats outcomes as opaque, so every completion can share it.
+    fn sim_ok() -> RunOutcome {
+        static RESULT: OnceLock<RunResult> = OnceLock::new();
+        let result = RESULT.get_or_init(|| {
+            let mut p = Em3dParams::small();
+            p.iterations = 1;
+            let spec = AppSpec::Em3d(p);
+            let cfg = MachineConfig::alewife().with_mechanism(Mechanism::SharedMem);
+            let w = spec.prepare(cfg.nodes);
+            let req = RunRequest {
+                spec,
+                mechanism: Mechanism::SharedMem,
+                cfg,
+            };
+            Runner::serial()
+                .run_one(&req, &w)
+                .result()
+                .expect("seed simulation")
+                .clone()
+        });
+        RunOutcome::Done {
+            result: result.clone(),
+            cached: false,
+        }
+    }
+
+    fn spec(apps: &[&str]) -> PlanSpec {
+        PlanSpec {
+            figure: Figure::Fig4,
+            scale: Scale::Small,
+            apps: apps.iter().map(|s| s.to_string()).collect(),
+            mechanisms: Vec::new(),
+        }
+    }
+
+    fn submit(m: &mut ServiceMachine, c: ClientId, id: &str, plan: &PlanSpec) -> Vec<Action> {
+        let line = ClientMsg::Submit {
+            id: id.to_string(),
+            plan: plan.clone(),
+        }
+        .line();
+        m.handle(Event::Line(c, line))
+    }
+
+    /// Completes every run `actions` started.
+    fn finish_runs(m: &mut ServiceMachine, actions: &[Action]) -> Vec<Action> {
+        let runs: Vec<RunId> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Start { run, .. } => Some(*run),
+                _ => None,
+            })
+            .collect();
+        runs.into_iter()
+            .flat_map(|run| {
+                m.handle(Event::RunDone {
+                    run,
+                    outcome: sim_ok(),
+                })
+            })
+            .collect()
+    }
+
+    fn lines_to(actions: &[Action], client: ClientId) -> Vec<String> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send(c, line) if *c == client => Some(line.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn is_error(line: &str, needle: &str) -> bool {
+        matches!(ServerMsg::parse(line), Ok(ServerMsg::Error { message, .. }) if message.contains(needle))
+    }
+
+    #[test]
+    fn finished_jobs_leave_the_job_table() {
+        let mut m = ServiceMachine::new();
+        let plan = spec(&["EM3D"]);
+        for c in 1..=1000 {
+            m.handle(Event::Connected(c));
+            let a = submit(&mut m, c, "j", &plan);
+            let mut lines = lines_to(&a, c);
+            lines.extend(lines_to(&finish_runs(&mut m, &a), c));
+            assert!(
+                matches!(
+                    ServerMsg::parse(lines.last().unwrap()),
+                    Ok(ServerMsg::Done { .. })
+                ),
+                "cycle {c} ends with done"
+            );
+            m.handle(Event::Disconnected(c));
+        }
+        assert!(m.jobs.is_empty());
+        let st = m.stats();
+        assert_eq!((st.jobs_done, st.jobs_active), (1000, 0));
+
+        // Duplicate ids are still rejected while the first is active...
+        m.handle(Event::Connected(7));
+        let fresh = spec(&["ICCG"]);
+        let a = submit(&mut m, 7, "dup", &fresh);
+        let again = submit(&mut m, 7, "dup", &fresh);
+        assert!(is_error(&lines_to(&again, 7)[0], "already active"));
+        // ...and a finished job can no longer be cancelled.
+        finish_runs(&mut m, &a);
+        let cancel = ClientMsg::Cancel {
+            id: "dup".to_string(),
+        };
+        let a = m.handle(Event::Line(7, cancel.line()));
+        assert!(is_error(&lines_to(&a, 7)[0], "no active job"));
+        assert!(m.jobs.is_empty());
+    }
+
+    #[test]
+    fn memoized_resubmit_matches_a_fresh_resolution() {
+        // The lower-case spec resolves to the same requests under a
+        // different memo entry, so it warms the runs without warming the
+        // memo for `plan`.
+        let plan = spec(&["EM3D", "MOLDYN"]);
+        let mut fresh = ServiceMachine::new();
+        let a = submit(&mut fresh, 1, "warmup", &spec(&["em3d", "moldyn"]));
+        finish_runs(&mut fresh, &a);
+        assert!(!fresh.resolved.contains_key(&plan));
+        let want = lines_to(&submit(&mut fresh, 1, "j", &plan), 1);
+
+        let mut memo = ServiceMachine::new();
+        let a = submit(&mut memo, 1, "j", &plan);
+        finish_runs(&mut memo, &a);
+        assert!(memo.resolved.contains_key(&plan));
+        let got = lines_to(&submit(&mut memo, 1, "j", &plan), 1);
+        assert_eq!(got, want);
+
+        let direct = plan::resolve(&plan).unwrap();
+        let keys: Vec<u128> = direct
+            .requests
+            .iter()
+            .map(ResultStore::request_key)
+            .collect();
+        assert_eq!(memo.resolved[&plan].1, keys);
+    }
+
+    #[test]
+    fn rejected_specs_are_rejected_every_time() {
+        let mut m = ServiceMachine::new();
+        let bad = spec(&["SPICE"]);
+        for n in 0..2 {
+            let a = submit(&mut m, 1, &format!("bad{n}"), &bad);
+            assert!(is_error(&lines_to(&a, 1)[0], "unknown app"), "submit {n}");
+        }
+        assert!(m.resolved.is_empty());
     }
 }

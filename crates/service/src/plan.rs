@@ -210,7 +210,7 @@ pub fn resolve(spec: &PlanSpec) -> Result<JobPlan, String> {
 /// Folds per-request outcomes back into the plan's CSV artifacts,
 /// skipping failed points exactly as the direct `repro` path does.
 /// `outcomes` is parallel to `plan.requests`; a `None` slot (a point
-/// still pending, only possible for cancelled jobs) is treated as failed.
+/// still pending) is treated as failed.
 pub fn assemble_csvs(plan: &JobPlan, outcomes: &[Option<RunOutcome>]) -> Vec<(String, String)> {
     let result_at = |i: usize| {
         outcomes

@@ -12,7 +12,7 @@ use commsense_apps::Scale;
 use commsense_core::json::{push_escaped, Json};
 
 /// The figure whose sweep plan a submission requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Figure {
     /// Figure 4: per-application mechanism breakdown on the base machine.
     Fig4,
@@ -81,7 +81,7 @@ impl Source {
 /// A sweep-plan specification as sent on the wire: everything is a name,
 /// resolved (and validated) by the daemon against the same suite and plan
 /// builders the `repro` binary uses directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanSpec {
     /// Which figure's plan to run.
     pub figure: Figure,

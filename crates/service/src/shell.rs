@@ -7,17 +7,22 @@
 //! simulations on the worker pool with the engine's full per-request
 //! policy ([`Runner::run_one`]: store read/write-through, bounded-retry
 //! panic isolation, quarantine). Everything here is plain `std` —
-//! blocking reads on reader threads, a non-blocking accept loop polled at
-//! a coarse interval, `mpsc` channels — so the daemon needs no runtime.
+//! blocking reads on reader threads, a blocking accept thread, `mpsc`
+//! channels — so the daemon needs no runtime and never sleeps.
+//!
+//! Drain wakes the accept thread by connecting to the listener itself;
+//! the thread sees the stop flag, drops that connection and exits, so
+//! the port is free again when [`Server::run`] returns. The lines one
+//! event produces for a client (a warm job's `accepted`, progress and
+//! `done` lines) leave in a single write.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
 
 use commsense_core::engine::{RunRequest, Runner, WorkloadCache};
 use commsense_core::store::ResultStore;
@@ -121,94 +126,116 @@ impl Server {
             });
         }
 
-        // Accept loop: non-blocking so it can observe the stop flag and
-        // release the port promptly after drain.
-        listener.set_nonblocking(true)?;
-        {
+        // Accept thread: blocks in accept(); drain wakes it (see below).
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let acceptor = {
             let events_tx = events_tx.clone();
             let writers = writers.clone();
             let stop = stop.clone();
             thread::spawn(move || {
-                let mut next_id: ClientId = 1;
-                loop {
+                for (id, stream) in (1..).zip(listener.incoming()) {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let id = next_id;
-                            next_id += 1;
-                            stream.set_nodelay(true).ok();
-                            let Ok(write_half) = stream.try_clone() else {
-                                continue;
-                            };
-                            writers
-                                .lock()
-                                .expect("writer table poisoned")
-                                .insert(id, write_half);
-                            if events_tx.send(Event::Connected(id)).is_err() {
-                                break;
-                            }
-                            spawn_reader(id, stream, events_tx.clone());
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => break,
+                    let Ok(stream) = stream else { break };
+                    stream.set_nodelay(true).ok();
+                    let Ok(write_half) = stream.try_clone() else {
+                        continue;
+                    };
+                    writers
+                        .lock()
+                        .expect("writer table poisoned")
+                        .insert(id, write_half);
+                    if events_tx.send(Event::Connected(id)).is_err() {
+                        break;
                     }
+                    spawn_reader(id, stream, events_tx.clone());
                 }
-            });
-        }
+            })
+        };
 
         // The machine loop: single-threaded, so action execution is
         // totally ordered and per-client line order is preserved.
         let mut machine = ServiceMachine::new();
-        loop {
-            let Ok(event) = events_rx.recv() else { break };
+        // Consecutive lines for one client, written together by `flush`.
+        let mut out: Option<(ClientId, Vec<u8>)> = None;
+        let flush = |out: &mut Option<(ClientId, Vec<u8>)>| {
+            let Some((c, bytes)) = out.take() else { return };
+            let mut writers = writers.lock().expect("writer table poisoned");
+            let failed = match writers.get_mut(&c) {
+                Some(s) => s.write_all(&bytes).is_err(),
+                None => false,
+            };
+            if failed {
+                // The reader thread will also notice, but the machine
+                // tolerates duplicate disconnects and a dead writer
+                // should stop receiving now.
+                writers.remove(&c);
+                events_tx.send(Event::Disconnected(c)).ok();
+            }
+        };
+        while let Ok(event) = events_rx.recv() {
             match &event {
                 Event::Connected(c) => log(format!("client {c} connected")),
-                Event::Disconnected(c) => log(format!("client {c} disconnected")),
+                Event::Disconnected(c) => {
+                    log(format!("client {c} disconnected"));
+                    // The reader has dropped its half; dropping ours
+                    // closes the socket instead of leaking a descriptor
+                    // per client.
+                    writers.lock().expect("writer table poisoned").remove(c);
+                }
                 _ => {}
             }
             let mut stop_now = false;
             for action in machine.handle(event) {
+                // Every non-`Send` action flushes first, so actions still
+                // take effect in the order the machine returned them.
                 match action {
                     Action::Send(c, line) => {
-                        let failed = {
-                            let mut writers = writers.lock().expect("writer table poisoned");
-                            match writers.get_mut(&c) {
-                                Some(s) => writeln!(s, "{line}").is_err(),
-                                None => false,
-                            }
-                        };
-                        if failed {
-                            // The reader thread will also notice, but the
-                            // machine tolerates duplicate disconnects and
-                            // a dead writer should stop receiving now.
-                            writers.lock().expect("writer table poisoned").remove(&c);
-                            events_tx.send(Event::Disconnected(c)).ok();
+                        if out.as_ref().is_some_and(|(to, _)| *to != c) {
+                            flush(&mut out);
                         }
+                        let (_, bytes) = out.get_or_insert_with(|| (c, Vec::new()));
+                        bytes.extend_from_slice(line.as_bytes());
+                        bytes.push(b'\n');
                     }
                     Action::Start { run, request } => {
+                        flush(&mut out);
                         work_tx.send((run, request)).ok();
                     }
                     Action::Close(c) => {
+                        flush(&mut out);
                         if let Some(s) = writers.lock().expect("writer table poisoned").remove(&c) {
                             s.shutdown(Shutdown::Both).ok();
                         }
                     }
-                    Action::Stop => stop_now = true,
+                    Action::Stop => {
+                        flush(&mut out);
+                        stop_now = true;
+                    }
                 }
             }
+            flush(&mut out);
             if stop_now {
                 break;
             }
         }
         log("drained, stopping".to_string());
-        stop.store(true, Ordering::SeqCst);
-        // Dropping the work sender ends idle workers; the accept thread
-        // exits on its next poll and releases the listener.
+        // Dropping the work sender ends idle workers.
         drop(work_tx);
+        // Wake the blocked accept() with a connection of our own; the
+        // accept thread sees the flag, drops it and releases the port.
+        // Joining is safe only once the wake-up connected.
+        stop.store(true, Ordering::SeqCst);
+        if TcpStream::connect(wake_addr).is_ok() {
+            acceptor.join().ok();
+        }
         Ok(())
     }
 }

@@ -4,10 +4,16 @@
 //! against one daemon and the test asserts cross-client dedup, identical
 //! CSV bytes for the shared artifacts, and an untorn store. The deep
 //! variant (`#[ignore]`, run by the nightly CI job) raises the client
-//! count and mixes figures so submissions race across plan shapes.
+//! count and mixes figures so submissions race across plan shapes. The
+//! latency test pins the warm path: sequential resubmits must not wait on
+//! the accept loop, and drain must release the port promptly.
 
+use std::io;
+use std::net::TcpListener;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use commsense_apps::Scale;
 use commsense_core::store::ResultStore;
@@ -138,4 +144,67 @@ fn many_clients_mixed_figures_stress() {
     assert_eq!(report.corrupt, 0);
     assert_eq!(report.ok, stats.unique_runs as u64);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Starts a store-less daemon; the receiver yields `run`'s result.
+fn start_timed_daemon() -> (String, Receiver<io::Result<()>>) {
+    let server = Server::bind(ServeConfig {
+        quiet: true,
+        ..ServeConfig::default()
+    })
+    .expect("bind daemon");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || tx.send(server.run()).ok());
+    (addr, rx)
+}
+
+/// Descriptors open in this process, where the platform lists them.
+fn open_fds() -> Option<usize> {
+    std::fs::read_dir("/proc/self/fd").ok().map(|d| d.count())
+}
+
+/// Asks the daemon to drain and asserts `run` returns within 2 s.
+fn shutdown_within_2s(addr: &str, ran: &Receiver<io::Result<()>>) {
+    client::request_shutdown(addr).expect("shutdown");
+    ran.recv_timeout(Duration::from_secs(2))
+        .expect("run() returns within 2 s of shutdown")
+        .expect("daemon run");
+}
+
+#[test]
+fn warm_resubmits_do_not_wait_on_accept_and_drain_frees_the_port() {
+    let (addr, ran) = start_timed_daemon();
+    let fig4 = plan(Figure::Fig4, &["EM3D"]);
+    let cold = client::submit(&addr, "cold", &fig4, |_| {}).expect("cold job");
+    assert_eq!(cold.stats.simulated, cold.total);
+    // A sleeping accept poll (25 ms) would need at least 2.5 s here.
+    let fds_before = open_fds();
+    let started = Instant::now();
+    for n in 0..100 {
+        let warm = client::submit(&addr, "warm", &fig4, |_| {}).expect("warm job");
+        assert_eq!(warm.stats.inflight_hits, warm.total, "resubmit {n}");
+        assert_eq!(warm.csvs, cold.csvs, "resubmit {n}");
+    }
+    let warm = started.elapsed();
+    assert!(
+        warm < Duration::from_millis(1500),
+        "100 warm resubmits took {warm:?}"
+    );
+    // A finished client's socket is closed, not kept open by the daemon
+    // (slack for the last client's close and concurrent tests).
+    if let (Some(before), Some(after)) = (fds_before, open_fds()) {
+        assert!(
+            after < before + 50,
+            "{before} -> {after} open descriptors over 100 clients"
+        );
+    }
+    shutdown_within_2s(&addr, &ran);
+    TcpListener::bind(&addr).expect("the port is free once run() returns");
+}
+
+#[test]
+fn a_daemon_that_never_had_a_client_shuts_down_promptly() {
+    let (addr, ran) = start_timed_daemon();
+    shutdown_within_2s(&addr, &ran);
 }

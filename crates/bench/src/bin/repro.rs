@@ -22,19 +22,17 @@
 //! mechanism's latency sensitivity from the traversal count — validated
 //! against the simulated Figure-10 sweep with `--latency-sweep`.
 
-use std::io::Write;
 use std::sync::Arc;
 
+use commsense_apps::{AppSpec, RunResult};
 use commsense_bench::{
     ablate_associativity, ablate_interrupt_cost, ablate_limitless, ablate_partition,
     ablate_prefetch_buffer, ablate_topology, ablate_write_buffer, ablation_table, miss_penalties,
     perf, suite, Scale,
 };
-use commsense_core::engine::{PlanRun, RunOutcome, RunRequest, Runner, WorkloadCache};
-use commsense_core::experiment::{
-    base_comparison_requests, bisection_plan, clock_plan, ctx_switch_plan, msg_len_plan,
-    one_way_latency_cycles, Sweep,
-};
+use commsense_core::engine::{PlanRun, RunRequest, Runner, WorkloadCache};
+use commsense_core::experiment::{bisection_plan, ctx_switch_plan, one_way_latency_cycles, Sweep};
+use commsense_core::figures::{self, Figure};
 use commsense_core::machines::table1;
 use commsense_core::manifest;
 use commsense_core::model::{fit_bandwidth, fit_latency};
@@ -69,7 +67,7 @@ struct Opts {
     store: Option<String>,
     addr: Option<String>,
     port_file: Option<String>,
-    figure: String,
+    figure: Figure,
     job_id: String,
     apps: Option<String>,
     mechs: Option<String>,
@@ -163,9 +161,10 @@ usage: repro [WHAT] [--paper|--small] [--csv DIR] [--jobs N] [--check] [--store 
              an ephemeral port); submit: daemon address to connect to
   --port-file  serve: write the bound address here once listening;
              submit: read the daemon address from this file
-  --figure   submit: fig4 | fig8 | fig10 (default fig4)
-  --apps     submit: comma-separated app names (default: whole suite)
-  --mechs    submit: comma-separated mechanism labels (default: all five)
+  --figure   submit: fig4 | fig7 | fig8 | fig9 | fig10 (default fig4)
+  --apps     submit: comma-separated app names (default: all the figure plots)
+  --mechs    submit: comma-separated mechanism labels (default: all the
+             figure plots)
   --id       submit: job id echoed in every response line (default job-PID)
   --stats    submit: print a daemon statistics snapshot and exit
   --shutdown submit: ask the daemon to drain and exit
@@ -204,7 +203,7 @@ fn parse_args() -> Opts {
     let mut store = None;
     let mut addr = None;
     let mut port_file = None;
-    let mut figure = "fig4".to_string();
+    let mut figure = Figure::Fig4;
     let mut job_id = format!("job-{}", std::process::id());
     let mut apps = None;
     let mut mechs = None;
@@ -271,10 +270,10 @@ fn parse_args() -> Opts {
                     std::process::exit(2);
                 }
             }
-            "--figure" => match next() {
-                Some(f) if ["fig4", "fig8", "fig10"].contains(&f.as_str()) => figure = f,
-                _ => {
-                    eprintln!("--figure needs fig4|fig8|fig10\n{USAGE}");
+            "--figure" => match next().as_deref().and_then(Figure::from_label) {
+                Some(f) => figure = f,
+                None => {
+                    eprintln!("--figure needs {}\n{USAGE}", Figure::choices());
                     std::process::exit(2);
                 }
             },
@@ -549,7 +548,7 @@ fn run_serve(opts: &Opts) {
 /// fetch the CSV artifacts (or query/stop the daemon).
 fn run_submit(opts: &Opts) {
     use commsense_service::client;
-    use commsense_service::protocol::{Figure, PlanSpec, ServerMsg};
+    use commsense_service::protocol::{PlanSpec, ServerMsg};
     let addr = match (&opts.addr, &opts.port_file) {
         (Some(a), _) => a.clone(),
         (None, Some(f)) => std::fs::read_to_string(f)
@@ -602,7 +601,7 @@ fn run_submit(opts: &Opts) {
             .unwrap_or_default()
     };
     let plan = PlanSpec {
-        figure: Figure::from_label(&opts.figure).expect("figure validated in parse_args"),
+        figure: opts.figure,
         scale: opts.scale,
         apps: split(&opts.apps),
         mechanisms: split(&opts.mechs),
@@ -671,31 +670,6 @@ fn report_figure_store(
     now
 }
 
-/// Runs a list of base-comparison requests fault-tolerantly, printing a
-/// warning per failed request and returning the survivors in order.
-fn run_base(
-    runner: &Runner,
-    reqs: &[RunRequest],
-    cache: &mut WorkloadCache,
-) -> Vec<commsense_apps::RunResult> {
-    runner
-        .run_outcomes(reqs, cache)
-        .into_iter()
-        .zip(reqs)
-        .filter_map(|(o, r)| match o {
-            RunOutcome::Done { result, .. } => Some(result),
-            RunOutcome::Failed { attempts, message } => {
-                eprintln!(
-                    "  FAILED {}/{} after {attempts} attempts: {message}",
-                    r.spec.name(),
-                    r.mechanism.label()
-                );
-                None
-            }
-        })
-        .collect()
-}
-
 /// Prints warnings for the failed points of a fault-tolerant plan run.
 fn warn_failed(app: &str, run: &PlanRun) {
     for f in &run.failed {
@@ -709,8 +683,42 @@ fn warn_failed(app: &str, run: &PlanRun) {
     }
 }
 
+/// Runs `fig`'s plan for `spec` (every mechanism the figure plots) on the
+/// shared runner and workload cache, warning about failed points.
+fn run_figure(
+    fig: Figure,
+    spec: &AppSpec,
+    runner: &Runner,
+    cache: &mut WorkloadCache,
+    cfg: &MachineConfig,
+) -> PlanRun {
+    let run = fig
+        .plan(spec, fig.mechanisms(), cfg)
+        .run_reported(runner, cache);
+    warn_failed(spec.name(), &run);
+    run
+}
+
+/// A Figure 4 run's surviving results, in mechanism order.
+fn base_results(run: &PlanRun) -> Vec<RunResult> {
+    run.sweeps
+        .iter()
+        .flat_map(|s| &s.points)
+        .map(|p| p.result.clone())
+        .collect()
+}
+
+/// With `--csv DIR`, writes `fig`'s CSV for `app` into DIR.
+fn write_csv(opts: &Opts, fig: Figure, app: &str, sweeps: &[Sweep], cfg: &MachineConfig) {
+    let Some(dir) = &opts.csv_dir else { return };
+    std::fs::create_dir_all(dir).expect("create csv dir");
+    let path = format!("{dir}/{}", fig.csv_name(app));
+    std::fs::write(&path, fig.render(app, sweeps, cfg)).expect("write csv");
+    println!("  (wrote {path})");
+}
+
 /// Resolves `--app` against the suite at the selected scale.
-fn resolve_spec(opts: &Opts) -> commsense_apps::AppSpec {
+fn resolve_spec(opts: &Opts) -> AppSpec {
     suite(opts.scale)
         .into_iter()
         .find(|s| s.name().eq_ignore_ascii_case(&opts.app))
@@ -906,11 +914,9 @@ fn run_analyze(opts: &Opts) {
     // curves. The prediction extrapolates the single instrumented run:
     // T(L) = T(base) + slope * (L - base).
     println!("== analyze: predicted vs simulated Figure-10 curves ==");
-    let lats = [30u64, 50, 100, 200, 400, 800];
-    let runner = Runner::from_env();
-    let mut cache = WorkloadCache::new();
-    let run =
-        ctx_switch_plan(&spec, &mechs, &cfg(opts.check), &lats).run_reported(&runner, &mut cache);
+    let run = Figure::Fig10
+        .plan(&spec, &mechs, &cfg(opts.check))
+        .run_reported(&Runner::from_env(), &mut WorkloadCache::new());
     warn_failed(spec.name(), &run);
     let mut summary = String::from(
         "app,mechanism,latency_cycles,simulated_cycles,predicted_cycles,rel_err,\
@@ -1518,16 +1524,6 @@ fn cfg(check: bool) -> MachineConfig {
     cfg
 }
 
-fn dump_csv(opts: &Opts, name: &str, x_label: &str, sweeps: &[Sweep]) {
-    let Some(dir) = &opts.csv_dir else { return };
-    std::fs::create_dir_all(dir).expect("create csv dir");
-    let path = format!("{dir}/{name}.csv");
-    let mut f = std::fs::File::create(&path).expect("create csv");
-    f.write_all(report::sweep_csv(x_label, sweeps).as_bytes())
-        .expect("write csv");
-    println!("  (wrote {path})");
-}
-
 fn want(opts: &Opts, key: &str) -> bool {
     opts.what == "all" || opts.what == key
 }
@@ -1581,7 +1577,6 @@ fn main() {
     }
     let mut cache = WorkloadCache::new();
     let cfg = cfg(opts.check);
-    let all_mechs = Mechanism::ALL;
     let sm_mp = [Mechanism::SharedMem, Mechanism::MsgPoll];
 
     if want(&opts, "tab1") {
@@ -1608,21 +1603,16 @@ fn main() {
     if want(&opts, "fig4") {
         println!("== Figure 4: per-application breakdown, all mechanisms ==");
         let mark = store.as_ref().map(|s| s.stats()).unwrap_or_default();
-        for spec in suite(opts.scale) {
-            let results = run_base(&runner, &base_comparison_requests(&spec, &cfg), &mut cache);
+        for spec in Figure::Fig4.apps(opts.scale) {
+            let run = run_figure(Figure::Fig4, &spec, &runner, &mut cache, &cfg);
+            let results = base_results(&run);
             print!("{}", report::breakdown_table(spec.name(), &results, &cfg));
             print!(
                 "{}",
                 report::breakdown_bars(spec.name(), &results, &cfg, 48)
             );
             print!("{}", report::sim_rate_table(spec.name(), &results));
-            if let Some(dir) = &opts.csv_dir {
-                std::fs::create_dir_all(dir).expect("create csv dir");
-                let path = format!("{dir}/fig4_{}.csv", spec.name().to_lowercase());
-                std::fs::write(&path, report::breakdown_csv(spec.name(), &results, &cfg))
-                    .expect("write csv");
-                println!("  (wrote {path})");
-            }
+            write_csv(&opts, Figure::Fig4, spec.name(), &run.sweeps, &cfg);
             println!();
         }
         report_figure_store(store.as_ref(), "fig4", mark);
@@ -1630,9 +1620,9 @@ fn main() {
     if want(&opts, "fig5") {
         println!("== Figure 5: communication volume breakdown ==");
         let mark = store.as_ref().map(|s| s.stats()).unwrap_or_default();
-        for spec in suite(opts.scale) {
-            let results = run_base(&runner, &base_comparison_requests(&spec, &cfg), &mut cache);
-            print!("{}", report::volume_table(spec.name(), &results));
+        for spec in Figure::Fig4.apps(opts.scale) {
+            let run = run_figure(Figure::Fig4, &spec, &runner, &mut cache, &cfg);
+            print!("{}", report::volume_table(spec.name(), &base_results(&run)));
             println!();
         }
         report_figure_store(store.as_ref(), "fig5", mark);
@@ -1640,31 +1630,20 @@ fn main() {
     if want(&opts, "fig7") {
         println!("== Figure 7: sensitivity to cross-traffic message length ==");
         let mark = store.as_ref().map(|s| s.stats()).unwrap_or_default();
-        let spec = suite(opts.scale).remove(0);
-        let lens = [16u32, 32, 64, 128, 256, 512];
-        let run = msg_len_plan(&spec, &sm_mp, &cfg, 10.0, &lens).run_reported(&runner, &mut cache);
-        warn_failed(spec.name(), &run);
-        print!(
-            "{}",
-            report::sweep_table(
-                "EM3D runtime at 8 B/cycle emulated bisection",
-                "msg bytes",
-                &run.sweeps
-            )
-        );
-        dump_csv(&opts, "fig7", "msg_bytes", &run.sweeps);
+        for spec in Figure::Fig7.apps(opts.scale) {
+            let run = run_figure(Figure::Fig7, &spec, &runner, &mut cache, &cfg);
+            let title = format!("{} runtime at 8 B/cycle emulated bisection", spec.name());
+            print!("{}", report::sweep_table(&title, "msg bytes", &run.sweeps));
+            write_csv(&opts, Figure::Fig7, spec.name(), &run.sweeps, &cfg);
+        }
         report_figure_store(store.as_ref(), "fig7", mark);
         println!();
     }
     if want(&opts, "fig8") || want(&opts, "fig1") {
-        let consumed = [0.0, 4.0, 8.0, 12.0, 14.0, 16.0];
         println!("== Figure 8: execution time vs bisection bandwidth ==");
         let mark = store.as_ref().map(|s| s.stats()).unwrap_or_default();
-        for spec in suite(opts.scale) {
-            let run = bisection_plan(&spec, &all_mechs, &cfg, &consumed, 64)
-                .run_reported(&runner, &mut cache);
-            warn_failed(spec.name(), &run);
-            let sweeps = run.sweeps;
+        for spec in Figure::Fig8.apps(opts.scale) {
+            let sweeps = run_figure(Figure::Fig8, &spec, &runner, &mut cache, &cfg).sweeps;
             print!("{}", report::sweep_table(spec.name(), "B/cycle", &sweeps));
             for s in &sweeps {
                 s.assert_verified();
@@ -1687,7 +1666,10 @@ fn main() {
                 }
             }
             if want(&opts, "fig1") && spec.name() == "EM3D" {
-                let stress: Vec<f64> = consumed.iter().map(|c| 1.0 / (18.0 - c)).collect();
+                let stress: Vec<f64> = figures::FIG8_CONSUMED
+                    .iter()
+                    .map(|c| 1.0 / (18.0 - c))
+                    .collect();
                 for s in sweeps.iter() {
                     let regs: Vec<&str> = classify(s, &stress, 0.05, 1.5)
                         .iter()
@@ -1702,24 +1684,20 @@ fn main() {
                     }
                 }
             }
-            dump_csv(
-                &opts,
-                &format!("fig8_{}", spec.name().to_lowercase()),
-                "bytes_per_cycle",
-                &sweeps,
-            );
+            write_csv(&opts, Figure::Fig8, spec.name(), &sweeps, &cfg);
             println!();
         }
         report_figure_store(store.as_ref(), "fig8", mark);
     }
     if opts.what == "model" {
         println!("== Section 2 model fits over measured sweeps ==\n");
-        let consumed = [0.0, 4.0, 8.0, 12.0, 14.0, 16.0];
-        let lats = [30u64, 50, 100, 200, 400, 800];
         for spec in suite(opts.scale) {
-            let bw =
-                bisection_plan(&spec, &sm_mp, &cfg, &consumed, 64).run_with(&runner, &mut cache);
-            let lt = ctx_switch_plan(&spec, &sm_mp, &cfg, &lats).run_with(&runner, &mut cache);
+            let bw = Figure::Fig8
+                .plan(&spec, &sm_mp, &cfg)
+                .run_with(&runner, &mut cache);
+            let lt = Figure::Fig10
+                .plan(&spec, &sm_mp, &cfg)
+                .run_with(&runner, &mut cache);
             println!("{}:", spec.name());
             for s in &bw {
                 if let Some(m) = fit_bandwidth(s) {
@@ -1811,18 +1789,10 @@ not capacity/conflict misses:",
     if want(&opts, "fig9") {
         println!("== Figure 9: execution time vs relative network latency (clock scaling) ==");
         let mark = store.as_ref().map(|s| s.stats()).unwrap_or_default();
-        let mhz = [20.0, 18.0, 16.0, 14.0];
-        for spec in suite(opts.scale) {
-            let run = clock_plan(&spec, &all_mechs, &cfg, &mhz).run_reported(&runner, &mut cache);
-            warn_failed(spec.name(), &run);
-            let sweeps = run.sweeps;
+        for spec in Figure::Fig9.apps(opts.scale) {
+            let sweeps = run_figure(Figure::Fig9, &spec, &runner, &mut cache, &cfg).sweeps;
             print!("{}", report::sweep_table(spec.name(), "lat (cyc)", &sweeps));
-            dump_csv(
-                &opts,
-                &format!("fig9_{}", spec.name().to_lowercase()),
-                "latency_cycles",
-                &sweeps,
-            );
+            write_csv(&opts, Figure::Fig9, spec.name(), &sweeps, &cfg);
             println!();
         }
         report_figure_store(store.as_ref(), "fig9", mark);
@@ -1835,18 +1805,14 @@ not capacity/conflict misses:",
     if want(&opts, "fig10") || want(&opts, "fig2") {
         println!("== Figure 10: latency emulation via context switching ==");
         let mark = store.as_ref().map(|s| s.stats()).unwrap_or_default();
-        let lats = [30u64, 50, 100, 200, 400, 800];
-        for spec in suite(opts.scale) {
-            let run =
-                ctx_switch_plan(&spec, &all_mechs, &cfg, &lats).run_reported(&runner, &mut cache);
-            warn_failed(spec.name(), &run);
-            let sweeps = run.sweeps;
+        for spec in Figure::Fig10.apps(opts.scale) {
+            let sweeps = run_figure(Figure::Fig10, &spec, &runner, &mut cache, &cfg).sweeps;
             print!(
                 "{}",
                 report::sweep_table(spec.name(), "miss (cyc)", &sweeps)
             );
             if want(&opts, "fig2") && spec.name() == "EM3D" {
-                let stress: Vec<f64> = lats.iter().map(|&l| l as f64).collect();
+                let stress: Vec<f64> = figures::FIG10_LATENCIES.map(|l| l as f64).to_vec();
                 for s in sweeps.iter().take(2) {
                     let regs: Vec<&str> = classify(s, &stress, 0.05, 1.5)
                         .iter()
@@ -1873,12 +1839,7 @@ not capacity/conflict misses:",
                     );
                 }
             }
-            dump_csv(
-                &opts,
-                &format!("fig10_{}", spec.name().to_lowercase()),
-                "miss_cycles",
-                &sweeps,
-            );
+            write_csv(&opts, Figure::Fig10, spec.name(), &sweeps, &cfg);
             println!();
         }
         report_figure_store(store.as_ref(), "fig10", mark);

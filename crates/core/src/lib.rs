@@ -18,6 +18,9 @@
 //!   emulation via context-switching (Figure 10), plus the
 //!   communication-volume study (Figure 5) and the base-machine comparison
 //!   (Figure 4).
+//! * [`figures`] — the registry of the paper's CSV figures (4, 7–10):
+//!   each figure's axes, plotted apps and mechanisms, plan, CSV name and
+//!   rendering, shared by `repro` and the sweep daemon.
 //! * [`machines`] — the Table 1 dataset of 32-processor machine parameters
 //!   and its Table 2 recalculation in local-cache-miss units.
 //! * [`regions`] — classification of measured curves into the paper's
@@ -37,6 +40,7 @@
 
 pub mod engine;
 pub mod experiment;
+pub mod figures;
 pub mod json;
 pub mod machines;
 pub mod manifest;

@@ -1,5 +1,7 @@
 //! ASCII-table and CSV reporting for the experiment harness.
 
+use std::borrow::Borrow;
+
 use commsense_apps::RunResult;
 use commsense_machine::{Bucket, MachineConfig, Observation};
 use commsense_mesh::PacketClass;
@@ -264,11 +266,16 @@ pub fn sweep_csv(x_label: &str, sweeps: &[Sweep]) -> String {
 /// the runtime and the four-bucket breakdown. This is what the resume
 /// smoke test diffs between cold and warm store runs, so every column is
 /// a pure function of the request.
-pub fn breakdown_csv(app: &str, results: &[RunResult], cfg: &MachineConfig) -> String {
+pub fn breakdown_csv<R: Borrow<RunResult>>(
+    app: &str,
+    results: &[R],
+    cfg: &MachineConfig,
+) -> String {
     let clk = cfg.clock();
     let mut out =
         String::from("app,mech,runtime_cycles,sync,msg_overhead,mem_ni_wait,compute,verified\n");
     for r in results {
+        let r = r.borrow();
         out.push_str(&format!(
             "{app},{},{},{:.1},{:.1},{:.1},{:.1},{}\n",
             r.mechanism.label(),

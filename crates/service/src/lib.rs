@@ -14,7 +14,8 @@
 //! The crate is layered so all policy is pure and table-testable:
 //!
 //! - [`protocol`] — the wire codec, both directions, no IO;
-//! - [`plan`] — name resolution to requests + CSV recipes, no IO;
+//! - [`plan`] — name resolution to requests and CSVs through the
+//!   [`commsense_core::figures`] registry, no IO;
 //! - [`machine`] — the event→action state machine (submission, dedup,
 //!   progress fan-out, cancellation, drain), no IO;
 //! - [`shell`] — the only IO: sockets, threads, the worker pool;

@@ -14,10 +14,11 @@
 //! subscribes to the existing run and is reported `inflight` when it
 //! completes.
 //!
-//! A resubmitted plan costs one hash-map lookup per point: each spec's
-//! resolution and request keys are computed once and shared by every
-//! later job with the same spec, and a job leaves the job table as soon
-//! as it finishes, so the table holds only active jobs.
+//! A resubmitted plan costs one hash-map lookup per point: each plan's
+//! resolution and request keys are computed once, keyed on the
+//! [`plan::canonical`] spec so the memo is bounded by the suite, and
+//! shared by every later job asking for the same plan; a job leaves the
+//! job table as soon as it finishes, so the table holds only active jobs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,7 +85,7 @@ struct RunSlot {
 }
 
 /// A resolved plan and the [`ResultStore::request_key`] of each of its
-/// requests, shared by every job submitted with the same spec.
+/// requests, shared by every job whose spec has the same canonical form.
 type Resolved = Arc<(JobPlan, Vec<u128>)>;
 
 #[derive(Debug)]
@@ -127,7 +128,8 @@ pub struct ServiceMachine {
     clients: Vec<ClientId>,
     runs: Vec<RunSlot>,
     by_key: HashMap<u128, RunId>,
-    /// Successful resolutions by spec (rejected specs are not kept).
+    /// Successful resolutions by canonical spec (rejected specs are not
+    /// kept).
     resolved: HashMap<PlanSpec, Resolved>,
     /// Active jobs only: a job is removed once it finishes.
     jobs: Vec<Job>,
@@ -221,21 +223,22 @@ impl ServiceMachine {
                     actions.push(reject(format!("job id {id:?} is already active")));
                     return;
                 }
-                let resolved = match self.resolved.get(&plan) {
-                    Some(r) => r.clone(),
-                    None => match plan::resolve(&plan) {
-                        Ok(p) => {
-                            let keys = p.requests.iter().map(ResultStore::request_key).collect();
-                            let r = Arc::new((p, keys));
-                            self.resolved.insert(plan, r.clone());
-                            r
-                        }
-                        Err(message) => {
-                            actions.push(reject(message));
-                            return;
-                        }
-                    },
+                let key = match plan::canonical(&plan) {
+                    Ok(key) => key,
+                    Err(message) => {
+                        actions.push(reject(message));
+                        return;
+                    }
                 };
+                let resolved = self
+                    .resolved
+                    .entry(key)
+                    .or_insert_with_key(|key| {
+                        let p = plan::resolve(key).expect("a canonical spec resolves");
+                        let keys = p.requests.iter().map(ResultStore::request_key).collect();
+                        Arc::new((p, keys))
+                    })
+                    .clone();
                 let (requests, keys) = (&resolved.0.requests, &resolved.1);
                 let total = requests.len();
                 let mut runs = Vec::with_capacity(total);
@@ -350,7 +353,7 @@ impl ServiceMachine {
         j.done += 1;
         let total = j.runs.len();
         let last = j.done == total;
-        let meta = &j.plan.0.meta[i];
+        let (req, x) = (&j.plan.0.requests[i], j.plan.0.xs[i]);
         let source = if !j.started_here[i] {
             Source::Inflight
         } else if j.outcomes[i].as_ref().is_some_and(|o| o.is_cached()) {
@@ -363,9 +366,9 @@ impl ServiceMachine {
                 id: j.id.clone(),
                 done: j.done,
                 total,
-                app: meta.app.to_string(),
-                mech: meta.mechanism.label().to_string(),
-                x: meta.x,
+                app: req.spec.name().to_string(),
+                mech: req.mechanism.label().to_string(),
+                x,
                 runtime_cycles: result.runtime_cycles,
                 source,
             },
@@ -373,20 +376,28 @@ impl ServiceMachine {
                 id: j.id.clone(),
                 done: j.done,
                 total,
-                app: meta.app.to_string(),
-                mech: meta.mechanism.label().to_string(),
-                x: meta.x,
+                app: req.spec.name().to_string(),
+                mech: req.mechanism.label().to_string(),
+                x,
                 message: message.clone(),
             },
         };
         actions.push(Action::Send(j.client, msg.line()));
         if last {
-            let csvs = plan::assemble_csvs(&j.plan.0, &j.outcomes);
+            // The job leaves the table at the end of this event, so its
+            // outcomes move out rather than being cloned.
+            let stats = j.stats();
+            let outcomes: Vec<RunOutcome> = j
+                .outcomes
+                .iter_mut()
+                .map(|o| o.take().expect("every point recorded"))
+                .collect();
+            let csvs = plan::assemble_csvs(&j.plan.0, &outcomes);
             actions.push(Action::Send(
                 j.client,
                 ServerMsg::Done {
                     id: j.id.clone(),
-                    stats: j.stats(),
+                    stats,
                     csvs,
                 }
                 .line(),
@@ -456,11 +467,15 @@ mod tests {
     }
 
     fn spec(apps: &[&str]) -> PlanSpec {
+        spec_mechs(apps, &[])
+    }
+
+    fn spec_mechs(apps: &[&str], mechs: &[&str]) -> PlanSpec {
         PlanSpec {
             figure: Figure::Fig4,
             scale: Scale::Small,
             apps: apps.iter().map(|s| s.to_string()).collect(),
-            mechanisms: Vec::new(),
+            mechanisms: mechs.iter().map(|s| s.to_string()).collect(),
         }
     }
 
@@ -546,20 +561,22 @@ mod tests {
 
     #[test]
     fn memoized_resubmit_matches_a_fresh_resolution() {
-        // The lower-case spec resolves to the same requests under a
-        // different memo entry, so it warms the runs without warming the
-        // memo for `plan`.
+        // One app at a time warms the runs under two other memo entries,
+        // without warming the memo for `plan`.
         let plan = spec(&["EM3D", "MOLDYN"]);
+        let key = plan::canonical(&plan).unwrap();
         let mut fresh = ServiceMachine::new();
-        let a = submit(&mut fresh, 1, "warmup", &spec(&["em3d", "moldyn"]));
-        finish_runs(&mut fresh, &a);
-        assert!(!fresh.resolved.contains_key(&plan));
+        for app in ["EM3D", "MOLDYN"] {
+            let a = submit(&mut fresh, 1, "warmup", &spec(&[app]));
+            finish_runs(&mut fresh, &a);
+        }
+        assert!(!fresh.resolved.contains_key(&key));
         let want = lines_to(&submit(&mut fresh, 1, "j", &plan), 1);
 
         let mut memo = ServiceMachine::new();
         let a = submit(&mut memo, 1, "j", &plan);
         finish_runs(&mut memo, &a);
-        assert!(memo.resolved.contains_key(&plan));
+        assert!(memo.resolved.contains_key(&key));
         let got = lines_to(&submit(&mut memo, 1, "j", &plan), 1);
         assert_eq!(got, want);
 
@@ -569,7 +586,32 @@ mod tests {
             .iter()
             .map(ResultStore::request_key)
             .collect();
-        assert_eq!(memo.resolved[&plan].1, keys);
+        assert_eq!(memo.resolved[&key].1, keys);
+    }
+
+    #[test]
+    fn equivalent_specs_share_one_memo_entry() {
+        let variants = [
+            spec_mechs(&["em3d"], &["sm", "mp-poll"]),
+            spec_mechs(&["EM3D"], &["mp-poll", "sm"]),
+            spec_mechs(&["Em3d", "EM3D", "em3d"], &["sm", "mp-poll", "sm"]),
+        ];
+        let mut m = ServiceMachine::new();
+        let a = submit(&mut m, 1, "warmup", &variants[0]);
+        finish_runs(&mut m, &a);
+        let done: Vec<String> = variants
+            .iter()
+            .map(|v| {
+                let lines = lines_to(&submit(&mut m, 1, "j", v), 1);
+                lines.last().expect("a warm job finishes at once").clone()
+            })
+            .collect();
+        assert!(matches!(
+            ServerMsg::parse(&done[0]),
+            Ok(ServerMsg::Done { .. })
+        ));
+        assert!(done.iter().all(|d| *d == done[0]), "{done:#?}");
+        assert_eq!(m.resolved.len(), 1);
     }
 
     #[test]

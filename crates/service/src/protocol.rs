@@ -11,37 +11,9 @@
 use commsense_apps::Scale;
 use commsense_core::json::{push_escaped, Json};
 
-/// The figure whose sweep plan a submission requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Figure {
-    /// Figure 4: per-application mechanism breakdown on the base machine.
-    Fig4,
-    /// Figure 8: execution time vs consumed bisection bandwidth.
-    Fig8,
-    /// Figure 10: latency emulation via context switching.
-    Fig10,
-}
-
-impl Figure {
-    /// The wire label (`fig4`, `fig8`, `fig10`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Figure::Fig4 => "fig4",
-            Figure::Fig8 => "fig8",
-            Figure::Fig10 => "fig10",
-        }
-    }
-
-    /// Parses a wire label.
-    pub fn from_label(label: &str) -> Option<Figure> {
-        match label {
-            "fig4" => Some(Figure::Fig4),
-            "fig8" => Some(Figure::Fig8),
-            "fig10" => Some(Figure::Fig10),
-            _ => None,
-        }
-    }
-}
+/// The figure whose sweep plan a submission requests: any figure of the
+/// [`commsense_core::figures`] registry.
+pub use commsense_core::figures::Figure;
 
 /// Where a completed point's result came from, as reported in progress
 /// lines: freshly simulated by this job, replayed from the persistent
@@ -88,10 +60,10 @@ pub struct PlanSpec {
     /// Workload sizing.
     pub scale: Scale,
     /// Application names (`EM3D`, `UNSTRUC`, `ICCG`, `MOLDYN`,
-    /// case-insensitive); empty means the whole suite.
+    /// case-insensitive); empty means every app the figure plots.
     pub apps: Vec<String>,
     /// Mechanism labels (`sm`, `sm+pf`, `mp-int`, `mp-poll`, `bulk`);
-    /// empty means every mechanism.
+    /// empty means every mechanism the figure plots.
     pub mechanisms: Vec<String>,
 }
 
@@ -167,7 +139,7 @@ impl ClientMsg {
                 let id = str_field(&v, "id")?;
                 let figure = str_field(&v, "figure")?;
                 let figure = Figure::from_label(&figure)
-                    .ok_or_else(|| format!("unknown figure {figure:?} (fig4|fig8|fig10)"))?;
+                    .ok_or_else(|| format!("unknown figure {figure:?} ({})", Figure::choices()))?;
                 let scale = match v.get("scale") {
                     None => Scale::Bench,
                     Some(s) => {

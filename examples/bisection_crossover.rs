@@ -19,23 +19,21 @@ fn main() {
     });
     let cfg = MachineConfig::alewife();
 
-    // Consume 0..16 of Alewife's 18 bytes/cycle of bisection with 64-byte
-    // cross-traffic messages from the mesh-edge I/O nodes. The plan's 18
-    // points share one prepared EM3D workload and run on COMMSENSE_JOBS
-    // worker threads.
-    let consumed = [0.0, 4.0, 8.0, 12.0, 14.0, 16.0];
-    let sweeps = experiment::bisection_plan(
-        &spec,
-        &[
-            Mechanism::SharedMem,
-            Mechanism::SharedMemPrefetch,
-            Mechanism::MsgInterrupt,
-        ],
-        &cfg,
-        &consumed,
-        64,
-    )
-    .run(&Runner::from_env());
+    // Figure 8's plan consumes 0..16 of Alewife's 18 bytes/cycle of
+    // bisection with 64-byte cross-traffic messages from the mesh-edge I/O
+    // nodes. The plan's 18 points share one prepared EM3D workload and run
+    // on COMMSENSE_JOBS worker threads.
+    let sweeps = Figure::Fig8
+        .plan(
+            &spec,
+            &[
+                Mechanism::SharedMem,
+                Mechanism::SharedMemPrefetch,
+                Mechanism::MsgInterrupt,
+            ],
+            &cfg,
+        )
+        .run(&Runner::from_env());
     for s in &sweeps {
         s.assert_verified();
     }
@@ -59,7 +57,10 @@ fn main() {
     }
 
     // Classify the shared-memory curve into the paper's Figure 1 regions.
-    let stress: Vec<f64> = consumed.iter().map(|c| 1.0 / (18.0 - c)).collect();
+    let stress: Vec<f64> = figures::FIG8_CONSUMED
+        .iter()
+        .map(|c| 1.0 / (18.0 - c))
+        .collect();
     let segs = regions::classify(&sweeps[0], &stress, 0.05, 1.5);
     println!("\nShared-memory curve regions (Figure 1):");
     for seg in segs {

@@ -32,7 +32,8 @@ fn main() {
     // Figure 9: Alewife's clock generator runs 14..20 MHz; slowing the
     // processor makes the asynchronous network look faster.
     println!("Figure 9 — clock scaling (x = one-way 24-byte latency, processor cycles)\n");
-    let sweeps = experiment::clock_plan(&spec, &mechs, &cfg, &[20.0, 18.0, 16.0, 14.0])
+    let sweeps = Figure::Fig9
+        .plan(&spec, &mechs, &cfg)
         .run_with(&runner, &mut cache);
     for s in &sweeps {
         s.assert_verified();
@@ -44,9 +45,9 @@ fn main() {
 
     // Figure 10: context-switch emulation of 30..800-cycle remote misses.
     println!("\nFigure 10 — uniform remote-miss latency emulation\n");
-    let lats = [30u64, 50, 100, 200, 400, 800];
-    let sweeps =
-        experiment::ctx_switch_plan(&spec, &mechs, &cfg, &lats).run_with(&runner, &mut cache);
+    let sweeps = Figure::Fig10
+        .plan(&spec, &mechs, &cfg)
+        .run_with(&runner, &mut cache);
     print!(
         "{}",
         report::sweep_table("EM3D runtime (cycles)", "miss", &sweeps)

@@ -52,6 +52,7 @@ pub mod prelude {
     pub use commsense_apps::{run_app, run_prepared, AppSpec, PreparedWorkload, RunResult};
     pub use commsense_core::engine::{ExperimentPlan, RunRequest, Runner, WorkloadCache};
     pub use commsense_core::experiment;
+    pub use commsense_core::figures::{self, Figure};
     pub use commsense_core::machines;
     pub use commsense_core::regions;
     pub use commsense_core::report;

@@ -55,7 +55,7 @@ use commsense_workloads::unstruct::UnstrucParams;
 /// Workload scale for harnesses that sweep the whole application suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
-    /// Seconds-per-figure profiles (default for `repro` and `cargo bench`).
+    /// Seconds-per-figure profiles (default for `repro`).
     Bench,
     /// The paper's workload sizes (minutes for the full set).
     Paper,

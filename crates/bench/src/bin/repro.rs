@@ -28,7 +28,7 @@ use commsense_apps::{AppSpec, RunResult};
 use commsense_bench::{
     ablate_associativity, ablate_interrupt_cost, ablate_limitless, ablate_partition,
     ablate_prefetch_buffer, ablate_topology, ablate_write_buffer, ablation_table, miss_penalties,
-    perf, suite, Scale,
+    suite, Scale,
 };
 use commsense_core::engine::{PlanRun, RunRequest, Runner, WorkloadCache};
 use commsense_core::experiment::{bisection_plan, ctx_switch_plan, one_way_latency_cycles, Sweep};
@@ -47,13 +47,7 @@ struct Opts {
     scale: Scale,
     csv_dir: Option<String>,
     jobs: Option<usize>,
-    out: Option<String>,
-    baseline: Option<String>,
-    reps: usize,
     gate: Option<f64>,
-    nodes: Option<usize>,
-    topo: Option<String>,
-    profile: Option<String>,
     app: String,
     mech: Option<String>,
     latency_sweep: bool,
@@ -89,8 +83,6 @@ usage: repro [WHAT] [--paper|--small] [--csv DIR] [--jobs N] [--check] [--store 
                     [--apps A[,A..]] [--mechs M[,M..]] [--small|--paper]
                     [--csv DIR] [--id NAME]
        repro submit (--stats | --shutdown) [--addr HOST:PORT | --port-file F]
-       repro perf [--small] [--out FILE] [--baseline FILE] [--reps N] [--gate PCT]
-                  [--nodes N] [--topo KIND] [--profile FILE]
        repro observe [--app NAME] [--mech LABEL] [--small|--paper]
                      [--cross B_PER_CYCLE] [--latency CYCLES] [--epoch N] [--dir DIR]
        repro analyze [--app NAME] [--mech LABEL] [--latency CYCLES]
@@ -99,8 +91,8 @@ usage: repro [WHAT] [--paper|--small] [--csv DIR] [--jobs N] [--check] [--store 
        repro hostile [--full] [--csv DIR] [--jobs N] [--check] [--store [DIR]]
                      [--dir DIR]
   WHAT: all (default) | tab1 | tab2 | fig1 | fig2 | fig3 | fig4 | fig5 |
-        fig7 | fig8 | fig9 | fig10 | ablate | model | perf | observe |
-        analyze | scale | hostile | store | serve | submit
+        fig7 | fig8 | fig9 | fig10 | ablate | model | observe | analyze |
+        scale | hostile | store | serve | submit
   --paper    use the paper's workload sizes (minutes)
   --small    use unit-test sizes (seconds)
   --csv      also write each sweep as CSV into DIR
@@ -112,19 +104,8 @@ usage: repro [WHAT] [--paper|--small] [--csv DIR] [--jobs N] [--check] [--store 
   --check    run every machine with the correctness harness (protocol
              invariants, message conservation, SC oracle); on a violation
              the process prints one CHECK-FAIL line and exits non-zero
-  --out      perf: write the machine-readable report here (default BENCH.json)
-  --baseline perf: a previous report; record its numbers and the speedup
-  --reps     perf: repetitions per mechanism, fastest kept (default 5)
-  --gate     perf: fail (exit 1) if events/sec drops more than PCT percent
-             below the --baseline report; analyze: fail if the worst
-             predicted-vs-simulated relative error exceeds PCT percent
-             (needs --latency-sweep)
-  --nodes    perf: also measure a scaled config with N nodes (extra JSON
-             section, never gated; default 256 when only --topo is given)
-  --topo     perf: topology of the scaled config (mesh|torus|fat-tree|
-             dragonfly; default torus when only --nodes is given)
-  --profile  perf: after the timed reps, rerun each mechanism once with
-             dispatch profiling and write self-time per event kind as CSV
+  --gate     analyze: fail (exit 1) if the worst predicted-vs-simulated
+             relative error exceeds PCT percent (needs --latency-sweep)
   --app      observe/analyze: application (EM3D|UNSTRUC|ICCG|MOLDYN; default EM3D)
   --mech     observe/analyze: mechanism label (sm|sm+pf|mp-int|mp-poll|bulk;
              observe default mp-poll; analyze default all five)
@@ -171,13 +152,44 @@ usage: repro [WHAT] [--paper|--small] [--csv DIR] [--jobs N] [--check] [--store 
   --quiet    serve: suppress per-connection log lines
   --max-bytes  store gc: evict LRU records beyond this size";
 
-const KNOWN: [&str; 23] = [
+const KNOWN: [&str; 22] = [
     "all", "tab1", "tab2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10",
-    "ablate", "model", "fig6", "perf", "observe", "analyze", "scale", "hostile", "store", "serve",
+    "ablate", "model", "fig6", "observe", "analyze", "scale", "hostile", "store", "serve",
     "submit",
 ];
 
 const STORE_ACTIONS: [&str; 3] = ["stats", "gc", "verify"];
+
+/// The operand of the valued flag `flag`, taken from `argv[*i]` and
+/// converted by `parse`. Exits 2 with "`flag` needs `what`" when the operand
+/// is missing, is itself a flag, or does not convert.
+fn operand<T>(
+    argv: &[String],
+    i: &mut usize,
+    flag: &str,
+    what: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    match argv
+        .get(*i)
+        .filter(|v| !v.starts_with("--"))
+        .and_then(|v| parse(v))
+    {
+        Some(v) => {
+            *i += 1;
+            v
+        }
+        None => {
+            eprintln!("{flag} needs {what}\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// [`operand`]'s conversion for free-form text.
+fn text(v: &str) -> Option<String> {
+    Some(v.to_string())
+}
 
 fn parse_args() -> Opts {
     let mut what = "all".to_string();
@@ -185,13 +197,7 @@ fn parse_args() -> Opts {
     let mut scale = Scale::Bench;
     let mut csv_dir = None;
     let mut jobs = None;
-    let mut out = None;
-    let mut baseline = None;
-    let mut reps = 5;
     let mut gate = None;
-    let mut nodes = None;
-    let mut topo = None;
-    let mut profile = None;
     let mut app = "EM3D".to_string();
     let mut mech = None;
     let mut latency_sweep = false;
@@ -217,177 +223,64 @@ fn parse_args() -> Opts {
     while i < argv.len() {
         let a = argv[i].clone();
         i += 1;
-        let mut next = || {
-            let v = argv.get(i).cloned();
-            i += 1;
-            v
-        };
-        match a.as_str() {
+        let (argv, i, flag) = (&argv, &mut i, a.as_str());
+        match flag {
             "--paper" => scale = Scale::Paper,
             "--full" => full = true,
             "--small" => scale = Scale::Small,
             "--check" => check = true,
-            "--csv" => csv_dir = next(),
-            "--out" => out = next(),
-            "--baseline" => baseline = next(),
+            "--csv" => csv_dir = Some(operand(argv, i, flag, "a directory", text)),
             "--store" => {
                 // The directory operand is optional: a following token
                 // that is a command or another flag belongs to the rest of
                 // the line, and the directory comes from COMMSENSE_STORE
                 // (or the default) instead.
-                match argv.get(i) {
+                match argv.get(*i) {
                     Some(v) if !v.starts_with('-') && !KNOWN.contains(&v.as_str()) => {
                         store = Some(v.clone());
-                        i += 1;
+                        *i += 1;
                     }
                     _ => store = Some(String::new()),
                 }
             }
-            "--app" => {
-                app = next().unwrap_or_else(|| {
-                    eprintln!("--app needs an application name\n{USAGE}");
-                    std::process::exit(2);
-                })
-            }
-            "--mech" => {
-                mech = Some(next().unwrap_or_else(|| {
-                    eprintln!("--mech needs a mechanism label\n{USAGE}");
-                    std::process::exit(2);
-                }))
-            }
+            "--app" => app = operand(argv, i, flag, "an application name", text),
+            "--mech" => mech = Some(operand(argv, i, flag, "a mechanism label", text)),
             "--latency-sweep" => latency_sweep = true,
-            "--addr" => {
-                addr = next();
-                if addr.is_none() {
-                    eprintln!("--addr needs HOST:PORT\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
-            "--port-file" => {
-                port_file = next();
-                if port_file.is_none() {
-                    eprintln!("--port-file needs a file path\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
-            "--figure" => match next().as_deref().and_then(Figure::from_label) {
-                Some(f) => figure = f,
-                None => {
-                    eprintln!("--figure needs {}\n{USAGE}", Figure::choices());
-                    std::process::exit(2);
-                }
-            },
-            "--id" => {
-                job_id = next().unwrap_or_else(|| {
-                    eprintln!("--id needs a job id\n{USAGE}");
-                    std::process::exit(2);
-                })
-            }
-            "--apps" => {
-                apps = next();
-                if apps.is_none() {
-                    eprintln!("--apps needs a comma-separated list\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
-            "--mechs" => {
-                mechs = next();
-                if mechs.is_none() {
-                    eprintln!("--mechs needs a comma-separated list\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
+            "--addr" => addr = Some(operand(argv, i, flag, "HOST:PORT", text)),
+            "--port-file" => port_file = Some(operand(argv, i, flag, "a file path", text)),
+            "--figure" => figure = operand(argv, i, flag, &Figure::choices(), Figure::from_label),
+            "--id" => job_id = operand(argv, i, flag, "a job id", text),
+            "--apps" => apps = Some(operand(argv, i, flag, "a comma-separated list", text)),
+            "--mechs" => mechs = Some(operand(argv, i, flag, "a comma-separated list", text)),
             "--stats" => stats = true,
             "--shutdown" => shutdown = true,
             "--quiet" => quiet = true,
-            "--max-bytes" => match next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => max_bytes = Some(n),
-                None => {
-                    eprintln!("--max-bytes needs a byte count\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--dir" => {
-                dir = next().unwrap_or_else(|| {
-                    eprintln!("--dir needs a directory\n{USAGE}");
-                    std::process::exit(2);
+            "--max-bytes" => {
+                max_bytes = Some(operand(argv, i, flag, "a byte count", |v| v.parse().ok()))
+            }
+            "--dir" => dir = operand(argv, i, flag, "a directory", text),
+            "--gate" => {
+                gate = Some(operand(argv, i, flag, "a percentage in (0, 100)", |v| {
+                    v.parse().ok().filter(|p| *p > 0.0 && *p < 100.0)
+                }))
+            }
+            "--cross" => {
+                cross = Some(operand(argv, i, flag, "a non-negative number", |v| {
+                    v.parse().ok().filter(|c| *c >= 0.0)
+                }))
+            }
+            "--latency" => {
+                latency = Some(operand(argv, i, flag, "a cycle count", |v| v.parse().ok()))
+            }
+            "--epoch" => {
+                epoch = operand(argv, i, flag, "a positive cycle count", |v| {
+                    v.parse().ok().filter(|n| *n > 0)
                 })
             }
-            "--gate" => match next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(p) if p > 0.0 && p < 100.0 => gate = Some(p),
-                _ => {
-                    eprintln!("--gate needs a percentage in (0, 100)\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--nodes" => match next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 2 => nodes = Some(n),
-                _ => {
-                    eprintln!("--nodes needs an integer >= 2\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--topo" => match next() {
-                Some(k) if commsense_mesh::TopoSpec::KINDS.contains(&k.as_str()) => topo = Some(k),
-                _ => {
-                    eprintln!(
-                        "--topo needs one of {:?}\n{USAGE}",
-                        commsense_mesh::TopoSpec::KINDS
-                    );
-                    std::process::exit(2);
-                }
-            },
-            "--profile" => {
-                profile = next();
-                if profile.is_none() {
-                    eprintln!("--profile needs an output file\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
-            "--cross" => match next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(c) if c >= 0.0 => cross = Some(c),
-                _ => {
-                    eprintln!("--cross needs a non-negative number\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--latency" => match next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(l) => latency = Some(l),
-                None => {
-                    eprintln!("--latency needs a cycle count\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--epoch" => match next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 => epoch = n,
-                _ => {
-                    eprintln!("--epoch needs a positive cycle count\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--reps" => {
-                let n = next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0);
-                match n {
-                    Some(n) => reps = n,
-                    None => {
-                        eprintln!("--reps needs a positive integer\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--jobs" => {
-                let n = next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0);
-                match n {
-                    Some(n) => jobs = Some(n),
-                    None => {
-                        eprintln!("--jobs needs a positive integer\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                }
+                jobs = Some(operand(argv, i, flag, "a positive integer", |v| {
+                    v.parse().ok().filter(|n| *n > 0)
+                }))
             }
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -416,13 +309,7 @@ fn parse_args() -> Opts {
         scale,
         csv_dir,
         jobs,
-        out,
-        baseline,
-        reps,
         gate,
-        nodes,
-        topo,
-        profile,
         app,
         mech,
         latency_sweep,
@@ -985,68 +872,6 @@ fn run_analyze(opts: &Opts) {
     }
 }
 
-/// `repro perf`: the tracked hot-path benchmark. Runs the fixed
-/// fig4-scale EM3D workload under every mechanism, prints wall time and
-/// events/sec, and writes the machine-readable `BENCH` JSON.
-fn run_perf_harness(opts: &Opts) {
-    // A bad baseline degrades the report (no speedup column) rather than
-    // aborting the measurement: `parse_baseline` warns and returns `None`
-    // on malformed or wrong-schema JSON.
-    let baseline = opts.baseline.as_ref().and_then(|path| {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("warning: cannot read perf baseline {path}: {e}");
-                return None;
-            }
-        };
-        let parsed = perf::parse_baseline(&text);
-        if parsed.is_none() {
-            eprintln!("warning: running without a baseline (from {path})");
-        }
-        parsed
-    });
-    println!("== perf: simulator hot-path throughput ==");
-    let report = perf::run_perf(opts.scale, &cfg(opts.check), opts.reps);
-    print!("{}", perf::perf_text(&report, baseline.as_ref()));
-    // The auxiliary scaled-config measurement: an extra (never gated)
-    // section tracking how throughput holds up on a bigger machine.
-    let scaled = (opts.nodes.is_some() || opts.topo.is_some()).then(|| {
-        let topo = opts.topo.as_deref().unwrap_or("torus");
-        let nodes = opts.nodes.unwrap_or(256);
-        println!("== perf: scaled config ({topo}, {nodes} nodes) ==");
-        let s = perf::run_perf_scaled(opts.scale, topo, nodes, opts.reps);
-        print!("{}", perf::perf_text(&s.report, None));
-        s
-    });
-    let out = opts.out.as_deref().unwrap_or("BENCH.json");
-    std::fs::write(
-        out,
-        perf::perf_json(&report, baseline.as_ref(), scaled.as_ref()),
-    )
-    .expect("write perf JSON");
-    println!("(wrote {out})");
-    if let Some(path) = &opts.profile {
-        println!("== perf: dispatch profile (one instrumented run per mechanism) ==");
-        let profiled = perf::run_perf_profile(opts.scale, &cfg(opts.check));
-        std::fs::write(path, perf::profile_csv(&profiled)).expect("write profile CSV");
-        println!("(wrote {path})");
-    }
-    if let Some(pct) = opts.gate {
-        let Some(b) = baseline.as_ref() else {
-            eprintln!("--gate needs a readable --baseline report\n{USAGE}");
-            std::process::exit(2);
-        };
-        match perf::check_gate(&report, b, pct) {
-            Ok(line) => println!("{line} — PASS"),
-            Err(line) => {
-                eprintln!("{line} — FAIL");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
 /// One (topology, node count) line of the `repro scale` summary.
 struct ScaleRow {
     topo: commsense_mesh::TopoSpec,
@@ -1536,10 +1361,6 @@ fn main() {
     }
     if opts.check {
         commsense_bench::harness::install_check_fail_hook();
-    }
-    if opts.what == "perf" {
-        run_perf_harness(&opts);
-        return;
     }
     if opts.what == "observe" {
         run_observe(&opts);

@@ -5,7 +5,6 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod perf;
 
 use std::any::Any;
 

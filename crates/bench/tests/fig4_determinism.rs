@@ -12,8 +12,9 @@
 //! (slow without optimizations); run it with
 //! `cargo test --release -p commsense-bench -- --ignored`.
 
-use commsense_bench::{perf, Scale};
-use commsense_machine::MachineConfig;
+use commsense_apps::run_prepared;
+use commsense_bench::{em3d_spec, Scale};
+use commsense_machine::{MachineConfig, Mechanism};
 
 /// (mechanism label, runtime cycles, simulation events) at fig4 scale.
 const EXPECTED: [(&str, u64, u64); 5] = [
@@ -27,17 +28,19 @@ const EXPECTED: [(&str, u64, u64); 5] = [
 #[test]
 #[ignore = "fig4-scale simulation; run with --release -- --ignored"]
 fn fig4_scale_cycle_counts_are_bit_identical() {
-    let report = perf::run_perf(Scale::Bench, &MachineConfig::alewife(), 1);
-    assert_eq!(report.runs.len(), EXPECTED.len());
-    for (run, (mech, cycles, events)) in report.runs.iter().zip(EXPECTED) {
-        assert_eq!(run.mechanism, mech);
+    let cfg = MachineConfig::alewife();
+    let prepared = em3d_spec(Scale::Bench).prepare(cfg.nodes);
+    assert_eq!(Mechanism::ALL.len(), EXPECTED.len());
+    for (&m, (mech, cycles, events)) in Mechanism::ALL.iter().zip(EXPECTED) {
+        let run = run_prepared(&prepared, m, &cfg);
+        assert_eq!(m.label(), mech);
         assert!(run.verified, "{mech} failed verification");
         assert_eq!(
             run.runtime_cycles, cycles,
             "{mech}: cycle count drifted from the pre-overhaul capture"
         );
         assert_eq!(
-            run.events, events,
+            run.stats.events, events,
             "{mech}: event count drifted from the pre-overhaul capture"
         );
     }

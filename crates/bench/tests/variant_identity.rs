@@ -16,8 +16,8 @@
 //!   layers stay invisible to the simulation even with the
 //!   criticality-aware variant and every hostile pattern enabled.
 
-use commsense_apps::{run_app, AppSpec};
-use commsense_bench::{perf, Scale};
+use commsense_apps::{run_app, run_prepared, AppSpec};
+use commsense_bench::{em3d_spec, Scale};
 use commsense_machine::{CheckConfig, MachineConfig, Mechanism, ObserveConfig, ProtoVariant};
 use commsense_mesh::{CrossTrafficConfig, TrafficPattern};
 
@@ -65,17 +65,18 @@ fn baseline_uniform_cross_pins() {
         ProtoVariant::Baseline,
         "baseline is the default"
     );
-    let report = perf::run_perf(Scale::Bench, &cfg, 1);
-    assert_eq!(report.runs.len(), EXPECTED.len());
-    for (run, (mech, cycles, events)) in report.runs.iter().zip(EXPECTED) {
-        assert_eq!(run.mechanism, mech);
+    let prepared = em3d_spec(Scale::Bench).prepare(cfg.nodes);
+    assert_eq!(Mechanism::ALL.len(), EXPECTED.len());
+    for (&m, (mech, cycles, events)) in Mechanism::ALL.iter().zip(EXPECTED) {
+        let run = run_prepared(&prepared, m, &cfg);
+        assert_eq!(m.label(), mech);
         assert!(run.verified, "{mech} failed verification");
         assert_eq!(
             run.runtime_cycles, cycles,
             "{mech}: runtime drifted from the pre-variant pin"
         );
         assert_eq!(
-            run.events, events,
+            run.stats.events, events,
             "{mech}: event count drifted from the pre-variant pin"
         );
     }

@@ -38,6 +38,6 @@ pub use addr::{Heap, LineHandle, LineId, Word};
 pub use cachearray::{Cache, LineState};
 pub use prefetch::{PrefetchBuffer, PrefetchKind};
 pub use protocol::{
-    AccessKind, AccessOutcome, AccessStart, MsgClass, ProtoConfig, ProtoMsg, ProtoOut, ProtoStats,
-    Protocol, TxnToken,
+    AccessKind, AccessOutcome, MsgClass, ProtoConfig, ProtoMsg, ProtoOut, ProtoStats, Protocol,
+    TxnToken,
 };

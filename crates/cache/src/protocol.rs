@@ -187,7 +187,7 @@ pub enum ProtoOut {
         msg: ProtoMsg,
     },
     /// Data + permission have arrived at `node`; the machine must call
-    /// [`Protocol::fill_cache`] or [`Protocol::fill_prefetch`] and then
+    /// [`Protocol::fill_cache_into`] or [`Protocol::fill_prefetch_into`] and then
     /// unblock whatever waited on `token`.
     Granted {
         /// Receiving node.
@@ -210,37 +210,20 @@ pub enum ProtoOut {
     },
 }
 
-/// Result of a processor access attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AccessStart {
-    /// The line was in the cache with sufficient permission.
-    Hit,
-    /// The line was promoted from the prefetch buffer (a local, fast
-    /// transfer); `outs` may contain an oracle writeback of the evicted
-    /// victim and replays of deferred intruders.
-    PrefetchHit {
-        /// Follow-up actions.
-        outs: Vec<ProtoOut>,
-    },
-    /// A coherence transaction was started; the processor must block until
-    /// the matching [`ProtoOut::Granted`] completes.
-    Miss {
-        /// Request messages to transmit.
-        outs: Vec<ProtoOut>,
-    },
-}
-
-/// Result of [`Protocol::start_access_into`]: like [`AccessStart`] but with
-/// follow-up actions written to the caller's scratch buffer instead of a
-/// freshly allocated `Vec` (the simulator hot path calls this once per
-/// memory access).
+/// Result of a processor access attempt ([`Protocol::start_access_into`]).
+/// Follow-up actions go to the caller's scratch buffer, not a freshly
+/// allocated `Vec` (the simulator hot path calls this once per memory
+/// access).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// The line was in the cache with sufficient permission.
     Hit,
-    /// The line was promoted from the prefetch buffer.
+    /// The line was promoted from the prefetch buffer (a local, fast
+    /// transfer); the buffer may have gained an oracle writeback of the
+    /// evicted victim and replays of deferred intruders.
     PrefetchHit,
-    /// A coherence transaction was started.
+    /// A coherence transaction was started; the processor must block until
+    /// the matching [`ProtoOut::Granted`] completes.
     Miss,
 }
 
@@ -502,28 +485,12 @@ impl Protocol {
         self.caches[node].lookup(line).is_some() || self.prefetch[node].lookup(line).is_some()
     }
 
-    /// Attempts a processor access, possibly starting a transaction.
+    /// Attempts a processor access, possibly starting a transaction;
+    /// follow-up actions are appended to `outs`.
     ///
     /// The caller must ensure at most one outstanding transaction per
     /// `(node, line)` (the machine layer merges demand misses into
     /// outstanding prefetches of the same line).
-    pub fn start_access(
-        &mut self,
-        node: usize,
-        line: LineId,
-        kind: AccessKind,
-        token: TxnToken,
-    ) -> AccessStart {
-        let mut outs = Vec::new();
-        match self.start_access_into(node, line, kind, token, &mut outs) {
-            AccessOutcome::Hit => AccessStart::Hit,
-            AccessOutcome::PrefetchHit => AccessStart::PrefetchHit { outs },
-            AccessOutcome::Miss => AccessStart::Miss { outs },
-        }
-    }
-
-    /// Allocation-free form of [`Protocol::start_access`]: follow-up actions
-    /// are appended to `outs`.
     pub fn start_access_into(
         &mut self,
         node: usize,
@@ -589,16 +556,9 @@ impl Protocol {
 
     /// Installs a granted line into `node`'s cache (demand miss completion).
     ///
-    /// Returns follow-up actions: an oracle writeback if a dirty victim was
-    /// evicted, plus replays of any intruder messages deferred behind the
-    /// grant.
-    pub fn fill_cache(&mut self, node: usize, line: LineId, exclusive: bool) -> Vec<ProtoOut> {
-        let mut outs = Vec::new();
-        self.fill_cache_into(node, line, exclusive, &mut outs);
-        outs
-    }
-
-    /// Allocation-free form of [`Protocol::fill_cache`].
+    /// Appends follow-up actions to `outs`: an oracle writeback if a dirty
+    /// victim was evicted, plus replays of any intruder messages deferred
+    /// behind the grant.
     pub fn fill_cache_into(
         &mut self,
         node: usize,
@@ -617,14 +577,7 @@ impl Protocol {
     }
 
     /// Installs a granted line into `node`'s prefetch buffer (prefetch
-    /// completion).
-    pub fn fill_prefetch(&mut self, node: usize, line: LineId, exclusive: bool) -> Vec<ProtoOut> {
-        let mut outs = Vec::new();
-        self.fill_prefetch_into(node, line, exclusive, &mut outs);
-        outs
-    }
-
-    /// Allocation-free form of [`Protocol::fill_prefetch`].
+    /// completion); follow-up actions are appended to `outs`.
     pub fn fill_prefetch_into(
         &mut self,
         node: usize,
@@ -687,15 +640,8 @@ impl Protocol {
         }
     }
 
-    /// Processes a delivered protocol message at node `at` (sent by `from`).
-    pub fn handle(&mut self, at: usize, from: usize, msg: ProtoMsg) -> Vec<ProtoOut> {
-        let mut outs = Vec::new();
-        self.handle_into(at, from, msg, &mut outs);
-        outs
-    }
-
-    /// Allocation-free form of [`Protocol::handle`]: outputs are appended
-    /// to `outs`.
+    /// Processes a delivered protocol message at node `at` (sent by `from`);
+    /// outputs are appended to `outs`.
     pub fn handle_into(&mut self, at: usize, from: usize, msg: ProtoMsg, outs: &mut Vec<ProtoOut>) {
         match msg {
             ProtoMsg::ReadReq { line, token } => {
@@ -1133,13 +1079,31 @@ impl Protocol {
 mod tests {
     use super::*;
 
+    /// Starts an access, returning its outcome and its follow-up actions.
+    fn start(
+        p: &mut Protocol,
+        node: usize,
+        line: LineId,
+        kind: AccessKind,
+        token: TxnToken,
+    ) -> (AccessOutcome, Vec<ProtoOut>) {
+        let mut outs = Vec::new();
+        let outcome = p.start_access_into(node, line, kind, token, &mut outs);
+        (outcome, outs)
+    }
+
     /// Delivers all Send outputs immediately (zero-latency network),
-    /// returning Granted events in order. Fills caches on demand grants.
-    fn settle(p: &mut Protocol, mut outs: Vec<ProtoOut>) -> Vec<(usize, LineId, bool)> {
+    /// returning Granted events in order. Fills caches on demand grants
+    /// (or prefetch buffers, with `prefetch`).
+    fn settle(
+        p: &mut Protocol,
+        mut outs: Vec<ProtoOut>,
+        prefetch: bool,
+    ) -> Vec<(usize, LineId, bool)> {
         let mut grants = Vec::new();
         while let Some(out) = outs.pop() {
             match out {
-                ProtoOut::Send { from, to, msg } => outs.extend(p.handle(to, from, msg)),
+                ProtoOut::Send { from, to, msg } => p.handle_into(to, from, msg, &mut outs),
                 ProtoOut::Granted {
                     node,
                     line,
@@ -1147,7 +1111,11 @@ mod tests {
                     ..
                 } => {
                     grants.push((node, line, exclusive));
-                    outs.extend(p.fill_cache(node, line, exclusive));
+                    if prefetch {
+                        p.fill_prefetch_into(node, line, exclusive, &mut outs);
+                    } else {
+                        p.fill_cache_into(node, line, exclusive, &mut outs);
+                    }
                 }
                 ProtoOut::HomeOccupancy { .. } => {}
             }
@@ -1161,24 +1129,19 @@ mod tests {
         (Protocol::new(heap, ProtoConfig::default()), h)
     }
 
-    fn read(p: &mut Protocol, node: usize, line: LineId) {
-        match p.start_access(node, line, AccessKind::Read, TxnToken(0)) {
-            AccessStart::Hit | AccessStart::PrefetchHit { .. } => {}
-            AccessStart::Miss { outs } => {
-                let g = settle(p, outs);
-                assert_eq!(g.len(), 1, "one grant per miss");
-            }
+    fn access(p: &mut Protocol, node: usize, line: LineId, kind: AccessKind) {
+        if let (AccessOutcome::Miss, outs) = start(p, node, line, kind, TxnToken(0)) {
+            let g = settle(p, outs, false);
+            assert_eq!(g.len(), 1, "one grant per miss");
         }
     }
 
+    fn read(p: &mut Protocol, node: usize, line: LineId) {
+        access(p, node, line, AccessKind::Read);
+    }
+
     fn write(p: &mut Protocol, node: usize, line: LineId) {
-        match p.start_access(node, line, AccessKind::Write, TxnToken(0)) {
-            AccessStart::Hit | AccessStart::PrefetchHit { .. } => {}
-            AccessStart::Miss { outs } => {
-                let g = settle(p, outs);
-                assert_eq!(g.len(), 1, "one grant per miss");
-            }
-        }
+        access(p, node, line, AccessKind::Write);
     }
 
     #[test]
@@ -1187,8 +1150,8 @@ mod tests {
         let line = h.line(1); // home = node 1
         read(&mut p, 0, line);
         assert_eq!(
-            p.start_access(0, line, AccessKind::Read, TxnToken(1)),
-            AccessStart::Hit
+            start(&mut p, 0, line, AccessKind::Read, TxnToken(1)),
+            (AccessOutcome::Hit, vec![])
         );
         let (m, holders) = p.directory_view(line);
         assert!(!m);
@@ -1207,9 +1170,10 @@ mod tests {
         assert_eq!(holders, vec![3]);
         // Old sharers are gone.
         assert_eq!(
-            p.start_access(1, line, AccessKind::Read, TxnToken(9)),
-            AccessStart::Miss {
-                outs: vec![ProtoOut::Send {
+            start(&mut p, 1, line, AccessKind::Read, TxnToken(9)),
+            (
+                AccessOutcome::Miss,
+                vec![ProtoOut::Send {
                     from: 1,
                     to: 0,
                     msg: ProtoMsg::ReadReq {
@@ -1217,7 +1181,7 @@ mod tests {
                         token: TxnToken(9)
                     }
                 }]
-            }
+            )
         );
         assert!(p.stats().invalidations >= 2);
         p.check_invariants([line].into_iter());
@@ -1245,8 +1209,8 @@ mod tests {
         let (m, holders) = p.directory_view(line);
         assert!(m && holders == vec![1]);
         assert_eq!(
-            p.start_access(1, line, AccessKind::Write, TxnToken(5)),
-            AccessStart::Hit
+            start(&mut p, 1, line, AccessKind::Write, TxnToken(5)),
+            (AccessOutcome::Hit, vec![])
         );
     }
 
@@ -1254,19 +1218,16 @@ mod tests {
     fn rmw_behaves_like_write() {
         let (mut p, h) = proto(4, 4);
         let line = h.line(2);
-        match p.start_access(0, line, AccessKind::Rmw, TxnToken(0)) {
-            AccessStart::Miss { outs } => {
-                assert!(matches!(
-                    outs[0],
-                    ProtoOut::Send {
-                        msg: ProtoMsg::WriteReq { .. },
-                        ..
-                    }
-                ));
-                settle(&mut p, outs);
+        let (outcome, outs) = start(&mut p, 0, line, AccessKind::Rmw, TxnToken(0));
+        assert_eq!(outcome, AccessOutcome::Miss);
+        assert!(matches!(
+            outs[0],
+            ProtoOut::Send {
+                msg: ProtoMsg::WriteReq { .. },
+                ..
             }
-            other => panic!("expected miss, got {other:?}"),
-        }
+        ));
+        settle(&mut p, outs, false);
         let (m, _) = p.directory_view(line);
         assert!(m);
     }
@@ -1280,10 +1241,10 @@ mod tests {
         let (m, holders) = p.directory_view(line);
         assert!(m && holders == vec![2]);
         // Old owner lost its copy.
-        assert!(matches!(
-            p.start_access(1, line, AccessKind::Read, TxnToken(1)),
-            AccessStart::Miss { .. }
-        ));
+        assert_eq!(
+            start(&mut p, 1, line, AccessKind::Read, TxnToken(1)).0,
+            AccessOutcome::Miss
+        );
     }
 
     #[test]
@@ -1297,23 +1258,21 @@ mod tests {
         assert_eq!(p.stats().limitless_traps, 1);
         // A write now sweeps 6 sharers through the software handler too
         // (requester is node 7, so 6 invalidations).
-        let AccessStart::Miss { outs } = p.start_access(7, line, AccessKind::Write, TxnToken(0))
-        else {
-            panic!("write should miss");
-        };
+        let (outcome, outs) = start(&mut p, 7, line, AccessKind::Write, TxnToken(0));
+        assert_eq!(outcome, AccessOutcome::Miss, "write should miss");
         assert!(outs.iter().all(|o| matches!(o, ProtoOut::Send { .. })));
         let mut saw_occupancy = false;
         let mut queue = outs;
         while let Some(out) = queue.pop() {
             match out {
-                ProtoOut::Send { from, to, msg } => queue.extend(p.handle(to, from, msg)),
+                ProtoOut::Send { from, to, msg } => p.handle_into(to, from, msg, &mut queue),
                 ProtoOut::Granted {
                     node,
                     line,
                     exclusive,
                     ..
                 } => {
-                    queue.extend(p.fill_cache(node, line, exclusive));
+                    p.fill_cache_into(node, line, exclusive, &mut queue);
                 }
                 ProtoOut::HomeOccupancy { cycles, .. } => {
                     saw_occupancy = true;
@@ -1343,10 +1302,8 @@ mod tests {
         let b = h2.line(2); // same set in a 2-line cache
         write(&mut p2, 0, a);
         // Filling b evicts dirty a.
-        let AccessStart::Miss { outs } = p2.start_access(0, b, AccessKind::Write, TxnToken(0))
-        else {
-            panic!()
-        };
+        let (outcome, outs) = start(&mut p2, 0, b, AccessKind::Write, TxnToken(0));
+        assert_eq!(outcome, AccessOutcome::Miss);
         let mut saw_wb = false;
         let mut queue = outs;
         while let Some(out) = queue.pop() {
@@ -1356,7 +1313,7 @@ mod tests {
                         saw_wb = true;
                         assert_eq!(msg.line(), a);
                     }
-                    queue.extend(p2.handle(to, from, msg));
+                    p2.handle_into(to, from, msg, &mut queue);
                 }
                 ProtoOut::Granted {
                     node,
@@ -1364,7 +1321,7 @@ mod tests {
                     exclusive,
                     ..
                 } => {
-                    queue.extend(p2.fill_cache(node, line, exclusive));
+                    p2.fill_cache_into(node, line, exclusive, &mut queue);
                 }
                 ProtoOut::HomeOccupancy { .. } => {}
             }
@@ -1384,76 +1341,74 @@ mod tests {
     fn deferred_intruder_replays_after_fill() {
         let (mut p, h) = proto(4, 4);
         let line = h.line(0);
+        // One scratch buffer, drained after each step.
+        let mut outs = Vec::new();
         // Node 1 requests exclusive; home grants (in flight).
-        let AccessStart::Miss { outs } = p.start_access(1, line, AccessKind::Write, TxnToken(1))
-        else {
+        let outcome = p.start_access_into(1, line, AccessKind::Write, TxnToken(1), &mut outs);
+        assert_eq!(outcome, AccessOutcome::Miss);
+        let Some(ProtoOut::Send { from, to, msg }) = outs.pop() else {
             panic!()
         };
-        let ProtoOut::Send { from, to, msg } = outs[0].clone() else {
-            panic!()
-        };
-        let outs = p.handle(to, from, msg); // home processes; emits Grant
+        p.handle_into(to, from, msg, &mut outs); // home processes; emits Grant
         let grant = outs
-            .iter()
+            .drain(..)
             .find_map(|o| match o {
                 ProtoOut::Send {
                     msg: m @ ProtoMsg::Grant { .. },
                     from,
                     to,
-                } => Some((*from, *to, *m)),
+                } => Some((from, to, m)),
                 _ => None,
             })
             .expect("grant sent");
         // Before the grant is delivered, node 2's write is processed at home
         // and its Recall overtakes the grant.
-        let AccessStart::Miss { outs: outs2 } =
-            p.start_access(2, line, AccessKind::Write, TxnToken(2))
-        else {
-            panic!()
-        };
-        let ProtoOut::Send {
+        let outcome = p.start_access_into(2, line, AccessKind::Write, TxnToken(2), &mut outs);
+        assert_eq!(outcome, AccessOutcome::Miss);
+        let Some(ProtoOut::Send {
             from: f2,
             to: t2,
             msg: m2,
-        } = outs2[0].clone()
+        }) = outs.pop()
         else {
             panic!()
         };
-        let outs2 = p.handle(t2, f2, m2);
-        let recall = outs2
-            .iter()
+        p.handle_into(t2, f2, m2, &mut outs);
+        let recall = outs
+            .drain(..)
             .find_map(|o| match o {
                 ProtoOut::Send {
                     msg: m @ ProtoMsg::Recall { .. },
                     from,
                     to,
-                } => Some((*from, *to, *m)),
+                } => Some((from, to, m)),
                 _ => None,
             })
             .expect("recall sent to node 1");
         assert_eq!(recall.1, 1);
         // Recall arrives first: deferred.
-        let outs3 = p.handle(recall.1, recall.0, recall.2);
+        p.handle_into(recall.1, recall.0, recall.2, &mut outs);
         assert!(
-            outs3.is_empty(),
+            outs.is_empty(),
             "recall must be deferred behind the in-flight grant"
         );
         assert_eq!(p.stats().deferred, 1);
         // Grant arrives: fill, then the deferred recall replays, giving the
         // line to node 2.
-        let outs4 = p.handle(grant.1, grant.0, grant.2);
+        p.handle_into(grant.1, grant.0, grant.2, &mut outs);
         let ProtoOut::Granted {
             node,
             line: l,
             exclusive,
             ..
-        } = outs4[0]
+        } = outs[0]
         else {
             panic!()
         };
-        let outs5 = p.fill_cache(node, l, exclusive);
+        outs.clear();
+        p.fill_cache_into(node, l, exclusive, &mut outs);
         // Drive everything to quiescence.
-        let grants = settle(&mut p, outs5);
+        let grants = settle(&mut p, outs, false);
         assert!(
             grants.iter().any(|&(n, _, ex)| n == 2 && ex),
             "node 2 eventually owns the line"
@@ -1469,17 +1424,12 @@ mod tests {
         let line = h.line(0);
         write(&mut p, 1, line); // node 1 owns
                                 // Two readers race; first triggers a Fetch (busy), second queues.
-        let AccessStart::Miss { outs: o2 } = p.start_access(2, line, AccessKind::Read, TxnToken(2))
-        else {
-            panic!()
-        };
-        let AccessStart::Miss { outs: o3 } = p.start_access(3, line, AccessKind::Read, TxnToken(3))
-        else {
-            panic!()
-        };
-        let mut all = o2;
-        all.extend(o3);
-        let grants = settle(&mut p, all);
+        let mut all = Vec::new();
+        for (node, token) in [(2, TxnToken(2)), (3, TxnToken(3))] {
+            let outcome = p.start_access_into(node, line, AccessKind::Read, token, &mut all);
+            assert_eq!(outcome, AccessOutcome::Miss);
+        }
+        let grants = settle(&mut p, all, false);
         let readers: Vec<usize> = grants.iter().filter(|g| !g.2).map(|g| g.0).collect();
         assert!(
             readers.contains(&2) && readers.contains(&3),
@@ -1491,36 +1441,25 @@ mod tests {
         p.check_invariants([line].into_iter());
     }
 
+    /// Starts a read miss at `node` and delivers it into the prefetch
+    /// buffer instead of the cache.
+    fn prefetch_read(p: &mut Protocol, node: usize, line: LineId, token: TxnToken) {
+        let (outcome, outs) = start(p, node, line, AccessKind::Read, token);
+        assert_eq!(outcome, AccessOutcome::Miss);
+        settle(p, outs, true);
+    }
+
     #[test]
     fn prefetch_then_demand_hit() {
         let (mut p, h) = proto(4, 4);
         let line = h.line(1);
-        let AccessStart::Miss { outs } = p.start_access(0, line, AccessKind::Read, TxnToken(7))
-        else {
-            panic!()
-        };
-        // Deliver manually, filling the prefetch buffer instead of the cache.
-        let mut queue = outs;
-        while let Some(out) = queue.pop() {
-            match out {
-                ProtoOut::Send { from, to, msg } => queue.extend(p.handle(to, from, msg)),
-                ProtoOut::Granted {
-                    node,
-                    line,
-                    exclusive,
-                    ..
-                } => {
-                    queue.extend(p.fill_prefetch(node, line, exclusive));
-                }
-                ProtoOut::HomeOccupancy { .. } => {}
-            }
-        }
+        prefetch_read(&mut p, 0, line, TxnToken(7));
         assert!(p.is_local(0, line));
         // Demand read promotes from the buffer without a transaction.
-        match p.start_access(0, line, AccessKind::Read, TxnToken(8)) {
-            AccessStart::PrefetchHit { .. } => {}
-            other => panic!("expected prefetch hit, got {other:?}"),
-        }
+        assert_eq!(
+            start(&mut p, 0, line, AccessKind::Read, TxnToken(8)).0,
+            AccessOutcome::PrefetchHit
+        );
         assert_eq!(p.prefetch_stats(0).0, 1);
         p.check_invariants([line].into_iter());
     }
@@ -1529,39 +1468,18 @@ mod tests {
     fn read_prefetch_cannot_satisfy_write() {
         let (mut p, h) = proto(4, 4);
         let line = h.line(1);
-        let AccessStart::Miss { outs } = p.start_access(0, line, AccessKind::Read, TxnToken(7))
-        else {
-            panic!()
-        };
-        let mut queue = outs;
-        while let Some(out) = queue.pop() {
-            match out {
-                ProtoOut::Send { from, to, msg } => queue.extend(p.handle(to, from, msg)),
-                ProtoOut::Granted {
-                    node,
-                    line,
-                    exclusive,
-                    ..
-                } => {
-                    queue.extend(p.fill_prefetch(node, line, exclusive));
-                }
-                ProtoOut::HomeOccupancy { .. } => {}
-            }
-        }
+        prefetch_read(&mut p, 0, line, TxnToken(7));
         // A write must still upgrade.
-        match p.start_access(0, line, AccessKind::Write, TxnToken(9)) {
-            AccessStart::Miss { outs } => {
-                assert!(matches!(
-                    outs.last(),
-                    Some(ProtoOut::Send {
-                        msg: ProtoMsg::WriteReq { .. },
-                        ..
-                    })
-                ));
-                settle(&mut p, outs);
-            }
-            other => panic!("expected upgrade miss, got {other:?}"),
-        }
+        let (outcome, outs) = start(&mut p, 0, line, AccessKind::Write, TxnToken(9));
+        assert_eq!(outcome, AccessOutcome::Miss, "expected upgrade miss");
+        assert!(matches!(
+            outs.last(),
+            Some(ProtoOut::Send {
+                msg: ProtoMsg::WriteReq { .. },
+                ..
+            })
+        ));
+        settle(&mut p, outs, false);
         let (m, holders) = p.directory_view(line);
         assert!(m && holders == vec![0]);
     }
@@ -1570,25 +1488,7 @@ mod tests {
     fn invalidation_clears_prefetch_buffer() {
         let (mut p, h) = proto(4, 4);
         let line = h.line(0);
-        let AccessStart::Miss { outs } = p.start_access(1, line, AccessKind::Read, TxnToken(1))
-        else {
-            panic!()
-        };
-        let mut queue = outs;
-        while let Some(out) = queue.pop() {
-            match out {
-                ProtoOut::Send { from, to, msg } => queue.extend(p.handle(to, from, msg)),
-                ProtoOut::Granted {
-                    node,
-                    line,
-                    exclusive,
-                    ..
-                } => {
-                    queue.extend(p.fill_prefetch(node, line, exclusive));
-                }
-                ProtoOut::HomeOccupancy { .. } => {}
-            }
-        }
+        prefetch_read(&mut p, 1, line, TxnToken(1));
         assert!(p.is_local(1, line));
         write(&mut p, 2, line);
         assert!(
@@ -1661,11 +1561,9 @@ mod tests {
                 1 => AccessKind::Write,
                 _ => AccessKind::Rmw,
             };
-            match p.start_access(node, line, kind, TxnToken(step)) {
-                AccessStart::Hit => {}
-                AccessStart::PrefetchHit { outs } | AccessStart::Miss { outs } => {
-                    settle(&mut p, outs);
-                }
+            let (outcome, outs) = start(&mut p, node, line, kind, TxnToken(step));
+            if outcome != AccessOutcome::Hit {
+                settle(&mut p, outs, false);
             }
             if step % 100 == 0 {
                 p.check_invariants((0..16).map(|i| h.line(i)));

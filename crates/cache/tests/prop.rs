@@ -3,7 +3,7 @@
 //! (messages from different transactions interleave arbitrarily).
 
 use commsense_cache::{
-    AccessKind, AccessStart, Cache, Heap, LineId, LineState, ProtoConfig, ProtoOut, Protocol,
+    AccessKind, AccessOutcome, Cache, Heap, LineId, LineState, ProtoConfig, ProtoOut, Protocol,
     TxnToken,
 };
 use proptest::prelude::*;
@@ -107,13 +107,9 @@ proptest! {
                 1 => AccessKind::Write,
                 _ => AccessKind::Rmw,
             };
-            match proto.start_access(node, line, kind, TxnToken(t as u64)) {
-                AccessStart::Hit => {}
-                AccessStart::PrefetchHit { outs } => pool.extend(outs),
-                AccessStart::Miss { outs } => {
-                    blocked.insert((node, line.0));
-                    pool.extend(outs);
-                }
+            let outcome = proto.start_access_into(node, line, kind, TxnToken(t as u64), &mut pool);
+            if outcome == AccessOutcome::Miss {
+                blocked.insert((node, line.0));
             }
             // Deliver a few random pool entries.
             for _ in 0..3 {
@@ -123,10 +119,10 @@ proptest! {
                 let i = picks[pick_idx % picks.len()] % pool.len();
                 pick_idx += 1;
                 match pool.swap_remove(i) {
-                    ProtoOut::Send { from, to, msg } => pool.extend(proto.handle(to, from, msg)),
+                    ProtoOut::Send { from, to, msg } => proto.handle_into(to, from, msg, &mut pool),
                     ProtoOut::Granted { node, line, exclusive, .. } => {
                         blocked.remove(&(node, line.0));
-                        pool.extend(proto.fill_cache(node, line, exclusive));
+                        proto.fill_cache_into(node, line, exclusive, &mut pool);
                     }
                     ProtoOut::HomeOccupancy { .. } => {}
                 }
@@ -137,10 +133,10 @@ proptest! {
             let i = picks[pick_idx % picks.len()] % pool.len();
             pick_idx += 1;
             match pool.swap_remove(i) {
-                ProtoOut::Send { from, to, msg } => pool.extend(proto.handle(to, from, msg)),
+                ProtoOut::Send { from, to, msg } => proto.handle_into(to, from, msg, &mut pool),
                 ProtoOut::Granted { node, line, exclusive, .. } => {
                     blocked.remove(&(node, line.0));
-                    pool.extend(proto.fill_cache(node, line, exclusive));
+                    proto.fill_cache_into(node, line, exclusive, &mut pool);
                 }
                 ProtoOut::HomeOccupancy { .. } => {}
             }

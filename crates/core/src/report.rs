@@ -41,7 +41,7 @@ pub fn breakdown_table(app: &str, results: &[RunResult], cfg: &MachineConfig) ->
 
 /// Host-side measurement footer for a set of runs: simulated events,
 /// wall-clock seconds and events per second for each mechanism. This is
-/// measurement metadata about the simulator itself (see `repro perf`),
+/// measurement metadata about the simulator itself (see `benchmark/`),
 /// not a figure from the paper, so it is kept out of [`breakdown_table`].
 pub fn sim_rate_table(app: &str, results: &[RunResult]) -> String {
     let mut out = format!(

@@ -476,7 +476,7 @@ fn encode_payload(key: u128, req: &RunRequest, r: &RunResult) -> String {
     );
     push_f64_bits(&mut out, "max_abs_err", r.max_abs_err);
     // Wall time is measurement metadata, but storing it lets a warm run
-    // reproduce the cold run's reports (e.g. `repro perf` footers) without
+    // reproduce the cold run's reports (e.g. the `repro fig4` footers) without
     // pretending the replay took zero time.
     push_u64(&mut out, "wall_nanos", r.wall.as_nanos() as u64);
     out.push_str(",\"stats\":{");

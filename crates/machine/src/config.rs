@@ -408,7 +408,7 @@ pub struct MachineConfig {
     /// `Protocol::fault_ignore_next_invalidation` precedent.
     pub inject_panic: bool,
     /// Measure per-event-kind dispatch self time during the run (the
-    /// `repro perf --profile` breakdown; see
+    /// benchmark's per-kind `*.self_s` metrics; see
     /// `Machine::take_dispatch_profile`). Pure host-side bookkeeping: the
     /// profiled loop dispatches the same events at the same simulated
     /// times, so cycle counts are unchanged — but the timing calls make

@@ -607,7 +607,7 @@ const EV_KIND_LABELS: [&str; 8] = [
 
 /// Self-time per event kind measured by a profiled run (see
 /// [`MachineConfig::profile_dispatch`]): how the event loop's wall time
-/// splits across dispatch targets, for the `repro perf --profile` CSV.
+/// splits across dispatch targets, for the benchmark's per-kind `*.self_s` metrics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DispatchProfile {
     /// One row per event kind that fired.

@@ -1,6 +1,8 @@
 //! Property-based tests over the substrates' core invariants.
 
-use commsense::cache::{AccessKind, AccessStart, Heap, ProtoConfig, ProtoOut, Protocol, TxnToken};
+use commsense::cache::{
+    AccessKind, AccessOutcome, Heap, ProtoConfig, ProtoOut, Protocol, TxnToken,
+};
 use commsense::des::Rng;
 use commsense::mesh::{Endpoint, Mesh};
 use commsense::workloads::moldyn::rcb_partition;
@@ -76,18 +78,20 @@ proptest! {
         let handle = heap.alloc(lines, |i| i % nodes);
         let mut proto = Protocol::new(heap, ProtoConfig { cache_lines: 8, ..ProtoConfig::default() });
         let mut rng = Rng::new(seed);
-        // Zero-latency delivery loop over the protocol's message outputs.
-        let settle = |proto: &mut Protocol, mut outs: Vec<ProtoOut>| {
+        // Zero-latency delivery loop over the protocol's message outputs,
+        // drained from one reused buffer.
+        let settle = |proto: &mut Protocol, outs: &mut Vec<ProtoOut>| {
             while let Some(out) = outs.pop() {
                 match out {
-                    ProtoOut::Send { from, to, msg } => outs.extend(proto.handle(to, from, msg)),
+                    ProtoOut::Send { from, to, msg } => proto.handle_into(to, from, msg, outs),
                     ProtoOut::Granted { node, line, exclusive, .. } => {
-                        outs.extend(proto.fill_cache(node, line, exclusive));
+                        proto.fill_cache_into(node, line, exclusive, outs);
                     }
                     ProtoOut::HomeOccupancy { .. } => {}
                 }
             }
         };
+        let mut outs = Vec::new();
         for t in 0..ops {
             let node = rng.index(nodes);
             let line = handle.line(rng.index(lines));
@@ -96,11 +100,10 @@ proptest! {
                 1 => AccessKind::Write,
                 _ => AccessKind::Rmw,
             };
-            match proto.start_access(node, line, kind, TxnToken(t as u64)) {
-                AccessStart::Hit => {}
-                AccessStart::PrefetchHit { outs } | AccessStart::Miss { outs } => {
-                    settle(&mut proto, outs);
-                }
+            if proto.start_access_into(node, line, kind, TxnToken(t as u64), &mut outs)
+                != AccessOutcome::Hit
+            {
+                settle(&mut proto, &mut outs);
             }
         }
         // One-sided coherence invariant: all copies tracked, one writer.

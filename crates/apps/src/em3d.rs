@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use commsense_cache::Heap;
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
-use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism};
+use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_workloads::bipartite::{Em3dGraph, Em3dParams, Side};
 
 use crate::common::{
@@ -96,7 +96,11 @@ pub fn prepare(params: &Em3dParams, nprocs: usize) -> Em3dPrepared {
 
 /// Runs a prepared workload under `mech`. The preparation is read-only and
 /// can be shared across concurrent runs.
-pub fn run_prepared(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+pub fn run_prepared(
+    w: &Em3dPrepared,
+    mech: Mechanism,
+    cfg: &MachineConfig,
+) -> Result<RunResult, SimError> {
     assert_eq!(
         w.nprocs, cfg.nodes,
         "workload was prepared for a different machine size"
@@ -106,11 +110,6 @@ pub fn run_prepared(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> R
     } else {
         run_mp(w, mech, cfg)
     }
-}
-
-/// Runs EM3D under `mech` and verifies against the sequential reference.
-pub fn run(params: &Em3dParams, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
-    run_prepared(&prepare(params, cfg.nodes), mech, cfg)
 }
 
 // ---------------------------------------------------------------------
@@ -470,7 +469,7 @@ impl Program for Em3dMp {
 // Builders and verification
 // ---------------------------------------------------------------------
 
-fn run_sm(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+fn run_sm(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunResult, SimError> {
     let g = Arc::clone(&w.graph);
     let mut heap = Heap::new(cfg.nodes);
     let e_lines = PackedArray::alloc(&mut heap, g.e.len(), |i| g.e.owner[i] as usize);
@@ -510,7 +509,7 @@ fn run_sm(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
             programs,
         },
     );
-    let stats = machine.run();
+    let stats = machine.run()?;
 
     let got_e: Vec<f64> = (0..g.e.len())
         .map(|i| machine.master_word(e_lines.word(i)))
@@ -520,7 +519,7 @@ fn run_sm(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
         .collect();
     let (ok_e, err_e) = verify(&got_e, &w.want_e, 0.0);
     let (ok_h, err_h) = verify(&got_h, &w.want_h, 0.0);
-    RunResult {
+    Ok(RunResult {
         app: "EM3D",
         mechanism: mech,
         runtime_cycles: stats.runtime_cycles,
@@ -530,10 +529,10 @@ fn run_sm(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
         wall: std::time::Duration::ZERO,
         observation: machine.take_observation().map(Arc::new),
         profile: machine.take_dispatch_profile(),
-    }
+    })
 }
 
-fn run_mp(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+fn run_mp(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunResult, SimError> {
     let g = Arc::clone(&w.graph);
     let plans = &w.plans;
     let programs: Vec<Box<dyn Program>> = (0..cfg.nodes)
@@ -569,7 +568,7 @@ fn run_mp(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
             programs,
         },
     );
-    let stats = machine.run();
+    let stats = machine.run()?;
     let observation = machine.take_observation().map(Arc::new);
     let profile = machine.take_dispatch_profile();
 
@@ -590,7 +589,7 @@ fn run_mp(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
     }
     let (ok_e, err_e) = verify(&got_e, &w.want_e, 0.0);
     let (ok_h, err_h) = verify(&got_h, &w.want_h, 0.0);
-    RunResult {
+    Ok(RunResult {
         app: "EM3D",
         mechanism: mech,
         runtime_cycles: stats.runtime_cycles,
@@ -600,12 +599,17 @@ fn run_mp(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
         wall: std::time::Duration::ZERO,
         observation,
         profile,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, AppSpec};
+
+    fn run(p: &Em3dParams, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+        run_app(&AppSpec::Em3d(p.clone()), mech, cfg)
+    }
 
     fn cfg() -> MachineConfig {
         MachineConfig::alewife()
@@ -628,7 +632,7 @@ mod tests {
         let w = prepare(&p, base.nodes);
         for mech in Mechanism::ALL {
             let c = base.clone().with_mechanism(mech);
-            let shared = run_prepared(&w, mech, &c);
+            let shared = run_prepared(&w, mech, &c).unwrap();
             let fresh = run(&p, mech, &c);
             assert_eq!(shared.runtime_cycles, fresh.runtime_cycles);
             assert_eq!(shared.max_abs_err, fresh.max_abs_err);

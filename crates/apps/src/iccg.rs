@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use commsense_cache::{Heap, LineHandle};
 use commsense_machine::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step};
-use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism};
+use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 use commsense_workloads::sparse::{IccgParams, IccgSystem};
 
@@ -66,7 +66,11 @@ pub fn prepare_system(sys: Arc<IccgSystem>, nprocs: usize) -> IccgPrepared {
 
 /// Runs a prepared system under `mech`. The preparation is read-only and
 /// can be shared across concurrent runs.
-pub fn run_prepared(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+pub fn run_prepared(
+    w: &IccgPrepared,
+    mech: Mechanism,
+    cfg: &MachineConfig,
+) -> Result<RunResult, SimError> {
     assert_eq!(
         w.nprocs, cfg.nodes,
         "system was prepared for a different machine size"
@@ -76,17 +80,6 @@ pub fn run_prepared(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> R
     } else {
         run_mp(w, mech, cfg)
     }
-}
-
-/// Runs ICCG under `mech` and verifies against the sequential solve.
-pub fn run(params: &IccgParams, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
-    run_prepared(&prepare(params, cfg.nodes), mech, cfg)
-}
-
-/// Runs an arbitrary system (e.g. one built from a parsed Harwell–Boeing
-/// matrix via [`IccgSystem::from_entries`]) under `mech`.
-pub fn run_system(sys: Arc<IccgSystem>, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
-    run_prepared(&prepare_system(sys, cfg.nodes), mech, cfg)
 }
 
 // ---------------------------------------------------------------------
@@ -441,7 +434,7 @@ impl Program for IccgMp {
 // Builders and verification
 // ---------------------------------------------------------------------
 
-fn run_sm(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+fn run_sm(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunResult, SimError> {
     let sys = Arc::clone(&w.sys);
     let mut heap = Heap::new(cfg.nodes);
     // One line per row: w0 = accumulator (starts at b), w1 = presence
@@ -474,12 +467,12 @@ fn run_sm(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
             programs,
         },
     );
-    let stats = machine.run();
+    let stats = machine.run()?;
     let got: Vec<f64> = (0..sys.len())
         .map(|i| machine.master_word(rows_line.word(i, 0)))
         .collect();
     let (ok, err) = verify(&got, &w.want, TOL);
-    RunResult {
+    Ok(RunResult {
         app: "ICCG",
         mechanism: mech,
         runtime_cycles: stats.runtime_cycles,
@@ -489,10 +482,10 @@ fn run_sm(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
         wall: std::time::Duration::ZERO,
         observation: machine.take_observation().map(Arc::new),
         profile: machine.take_dispatch_profile(),
-    }
+    })
 }
 
-fn run_mp(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+fn run_mp(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunResult, SimError> {
     let sys = Arc::clone(&w.sys);
     let n = sys.len();
     let programs: Vec<Box<dyn Program>> = (0..cfg.nodes)
@@ -534,7 +527,7 @@ fn run_mp(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
             programs,
         },
     );
-    let stats = machine.run();
+    let stats = machine.run()?;
     let observation = machine.take_observation().map(Arc::new);
     let profile = machine.take_dispatch_profile();
     let mut got = vec![0.0; n];
@@ -550,7 +543,7 @@ fn run_mp(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
         }
     }
     let (ok, err) = verify(&got, &w.want, TOL);
-    RunResult {
+    Ok(RunResult {
         app: "ICCG",
         mechanism: mech,
         runtime_cycles: stats.runtime_cycles,
@@ -560,12 +553,17 @@ fn run_mp(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
         wall: std::time::Duration::ZERO,
         observation,
         profile,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, AppSpec};
+
+    fn run(p: &IccgParams, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+        run_app(&AppSpec::Iccg(p.clone()), mech, cfg)
+    }
 
     fn cfg() -> MachineConfig {
         MachineConfig::alewife()
@@ -630,6 +628,9 @@ mod tests {
         text.push_str("1 1 1.0\n"); // diagonal entry: dropped by the kernel
         let (rows, _, entries) = parse_matrix_market(&text).expect("valid");
         let sys = Arc::new(IccgSystem::from_entries(rows, &entries, 32, 2));
+        let run_system = |sys, mech, cfg: &MachineConfig| {
+            run_prepared(&prepare_system(sys, cfg.nodes), mech, cfg).unwrap()
+        };
         let r = run_system(
             Arc::clone(&sys),
             Mechanism::MsgPoll,

@@ -46,7 +46,7 @@ pub mod unstruc;
 
 use std::sync::Arc;
 
-use commsense_machine::{MachineConfig, Mechanism, RunStats};
+use commsense_machine::{MachineConfig, Mechanism, RunStats, SimError};
 use commsense_workloads::bipartite::Em3dParams;
 use commsense_workloads::moldyn::MoldynParams;
 use commsense_workloads::sparse::IccgParams;
@@ -355,15 +355,26 @@ pub fn run_app(spec: &AppSpec, mech: Mechanism, cfg: &MachineConfig) -> RunResul
 /// # Panics
 ///
 /// Panics if `cfg.nodes` differs from the processor count the workload
-/// was prepared for.
+/// was prepared for, and raises a failed run ([`SimError::raise`]);
+/// [`try_run_prepared`] returns the failure instead.
 pub fn run_prepared(w: &PreparedWorkload, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+    try_run_prepared(w, mech, cfg).unwrap_or_else(|e| e.raise())
+}
+
+/// [`run_prepared`], returning a failed run's [`SimError`] instead of
+/// raising it.
+pub fn try_run_prepared(
+    w: &PreparedWorkload,
+    mech: Mechanism,
+    cfg: &MachineConfig,
+) -> Result<RunResult, SimError> {
     let cfg = for_mechanism(cfg, mech);
     let started = std::time::Instant::now();
     let mut result = match w {
         PreparedWorkload::Em3d(w) => em3d::run_prepared(w, mech, &cfg),
         PreparedWorkload::Mesh(w) => w.run(mech, &cfg),
         PreparedWorkload::Iccg(w) => iccg::run_prepared(w, mech, &cfg),
-    };
+    }?;
     result.wall = started.elapsed();
-    result
+    Ok(result)
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use commsense_cache::{Heap, LineHandle};
 use commsense_machine::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step};
-use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism};
+use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 
 use crate::common::{
@@ -153,11 +153,6 @@ impl ForceModel {
             .map(|e| e as u32)
             .collect()
     }
-
-    /// Runs the model under `mech`, verifying against the reference.
-    pub fn run(self: &Arc<Self>, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
-        PreparedModel::new(Arc::clone(self), cfg.nodes).run(mech, cfg)
-    }
 }
 
 /// A force model plus everything mechanism-independent computed from it —
@@ -204,7 +199,7 @@ impl PreparedModel {
 
     /// Runs the prepared model under `mech`. The preparation is read-only
     /// and can be shared across concurrent runs.
-    pub fn run(&self, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+    pub fn run(&self, mech: Mechanism, cfg: &MachineConfig) -> Result<RunResult, SimError> {
         assert_eq!(
             self.nprocs, cfg.nodes,
             "model was prepared for a different machine size"
@@ -676,7 +671,7 @@ impl Program for MeshMp {
 // Builders and verification
 // ---------------------------------------------------------------------
 
-fn run_sm(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+fn run_sm(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> Result<RunResult, SimError> {
     let m = Arc::clone(&w.model);
     let mut heap = Heap::new(cfg.nodes);
     let owner = m.owner.clone();
@@ -711,12 +706,12 @@ fn run_sm(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> RunResult 
             programs,
         },
     );
-    let stats = machine.run();
+    let stats = machine.run()?;
     let got: Vec<f64> = (0..m.len())
         .map(|i| machine.master_word(vals.word(i)))
         .collect();
     let (ok, err) = verify(&got, &w.want, TOL);
-    RunResult {
+    Ok(RunResult {
         app: m.app,
         mechanism: mech,
         runtime_cycles: stats.runtime_cycles,
@@ -726,10 +721,10 @@ fn run_sm(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> RunResult 
         wall: std::time::Duration::ZERO,
         observation: machine.take_observation().map(Arc::new),
         profile: machine.take_dispatch_profile(),
-    }
+    })
 }
 
-fn run_mp(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+fn run_mp(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> Result<RunResult, SimError> {
     let m = Arc::clone(&w.model);
     let programs: Vec<Box<dyn Program>> = (0..cfg.nodes)
         .map(|p| {
@@ -766,7 +761,7 @@ fn run_mp(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> RunResult 
             programs,
         },
     );
-    let stats = machine.run();
+    let stats = machine.run()?;
     let observation = machine.take_observation().map(Arc::new);
     let profile = machine.take_dispatch_profile();
     let mut got = vec![0.0; m.len()];
@@ -780,7 +775,7 @@ fn run_mp(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> RunResult 
         }
     }
     let (ok, err) = verify(&got, &w.want, TOL);
-    RunResult {
+    Ok(RunResult {
         app: m.app,
         mechanism: mech,
         runtime_cycles: stats.runtime_cycles,
@@ -790,7 +785,7 @@ fn run_mp(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> RunResult 
         wall: std::time::Duration::ZERO,
         observation,
         profile,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -849,8 +844,10 @@ mod tests {
     #[test]
     fn prefetch_statistics_flow_through() {
         use commsense_machine::MachineConfig;
-        let m = model();
-        let r = m.run(Mechanism::SharedMemPrefetch, &MachineConfig::alewife());
+        let cfg = MachineConfig::alewife();
+        let r = PreparedModel::new(model(), cfg.nodes)
+            .run(Mechanism::SharedMemPrefetch, &cfg)
+            .unwrap();
         assert!(r.verified);
         assert!(
             r.stats.useless_prefetches + r.stats.useful_prefetches > 0,

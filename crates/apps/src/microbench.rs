@@ -165,6 +165,7 @@ pub fn ping_pong(cfg: &MachineConfig, rounds: usize, kind: PingKind) -> f64 {
         },
     )
     .run()
+    .unwrap_or_else(|e| e.raise())
     .runtime_cycles;
     cycles as f64 / rounds as f64
 }
@@ -212,6 +213,7 @@ pub fn barrier_episode(cfg: &MachineConfig, episodes: usize) -> f64 {
         },
     )
     .run()
+    .unwrap_or_else(|e| e.raise())
     .runtime_cycles;
     cycles as f64 / episodes as f64
 }
@@ -263,7 +265,7 @@ pub fn hotspot_rmw(cfg: &MachineConfig, ops: usize) -> f64 {
             programs,
         },
     );
-    let cycles = machine.run().runtime_cycles;
+    let cycles = machine.run().unwrap_or_else(|e| e.raise()).runtime_cycles;
     let total = machine.master_word(Word::new(line, 0));
     assert_eq!(total as usize, ops * cfg.nodes, "atomicity");
     cycles as f64 / (ops * cfg.nodes) as f64

@@ -8,11 +8,9 @@
 
 use std::sync::Arc;
 
-use commsense_machine::{MachineConfig, Mechanism};
 use commsense_workloads::moldyn::{MoldynParams, MoldynSystem};
 
 use crate::meshforce::{ForceModel, Kernel, PreparedModel};
-use crate::RunResult;
 
 /// Compute cycles per interaction pair: the distance/force evaluation is a
 /// long double-precision sequence.
@@ -49,14 +47,15 @@ pub fn prepare(params: &MoldynParams, nprocs: usize) -> PreparedModel {
     PreparedModel::new(Arc::new(model(&sys)), nprocs)
 }
 
-/// Runs MOLDYN under `mech` and verifies against the sequential reference.
-pub fn run(params: &MoldynParams, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
-    prepare(params, cfg.nodes).run(mech, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, AppSpec, RunResult};
+    use commsense_machine::{MachineConfig, Mechanism};
+
+    pub(super) fn run(p: &MoldynParams, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+        run_app(&AppSpec::Moldyn(p.clone()), mech, cfg)
+    }
 
     #[test]
     fn model_reference_matches_workload_reference() {
@@ -95,7 +94,9 @@ mod tests {
 
 #[cfg(test)]
 mod rebuild_tests {
+    use super::tests::run;
     use super::*;
+    use commsense_machine::{MachineConfig, Mechanism};
 
     #[test]
     fn periodic_rebuild_adds_cost_but_preserves_results() {

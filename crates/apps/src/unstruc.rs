@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use commsense_machine::{MachineConfig, Mechanism};
+use commsense_machine::{MachineConfig, Mechanism, SimError};
 use commsense_workloads::unstruct::{UnstrucMesh, UnstrucParams};
 
 use crate::meshforce::{ForceModel, Kernel, PreparedModel};
@@ -44,22 +44,24 @@ pub fn prepare(params: &UnstrucParams, nprocs: usize) -> PreparedModel {
     PreparedModel::new(Arc::new(model(&mesh)), nprocs)
 }
 
-/// Runs UNSTRUC under `mech` and verifies against the sequential
-/// reference.
-pub fn run(params: &UnstrucParams, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
-    prepare(params, cfg.nodes).run(mech, cfg)
-}
-
 /// Runs an explicit mesh (e.g. one partitioned with an alternative
 /// strategy) under `mech`.
-pub fn run_mesh(mesh: &UnstrucMesh, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
-    let m = Arc::new(model(mesh));
-    m.run(mech, cfg)
+pub fn run_mesh(
+    mesh: &UnstrucMesh,
+    mech: Mechanism,
+    cfg: &MachineConfig,
+) -> Result<RunResult, SimError> {
+    PreparedModel::new(Arc::new(model(mesh)), cfg.nodes).run(mech, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_app, AppSpec};
+
+    fn run(p: &UnstrucParams, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
+        run_app(&AppSpec::Unstruc(p.clone()), mech, cfg)
+    }
 
     #[test]
     fn model_reference_matches_workload_reference() {

@@ -24,7 +24,6 @@
 //! it arms the seeded dropped-invalidation fault and fails unless the
 //! checker catches it (and unless the unmutated program passes).
 
-use commsense_bench::harness::json_str;
 use commsense_machine::Mechanism;
 use commsense_workloads::litmus::{self, Extreme, FailureClass, Fault, FuzzFailure, Litmus};
 
@@ -136,6 +135,13 @@ fn extremes_for(label: &str) -> Vec<Extreme> {
             std::process::exit(2);
         }
     }
+}
+
+/// Renders `s` as a JSON string literal, quotes included.
+fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    commsense_core::json::push_escaped(&mut out, s);
+    out
 }
 
 fn fail_line(f: &FuzzFailure) -> String {

@@ -102,8 +102,9 @@ usage: repro [WHAT] [--paper|--small] [--csv DIR] [--jobs N] [--check] [--store 
              interrupted sweep resumes where it stopped. The COMMSENSE_STORE
              environment variable alone also enables it.
   --check    run every machine with the correctness harness (protocol
-             invariants, message conservation, SC oracle); on a violation
-             the process prints one CHECK-FAIL line and exits non-zero
+             invariants, message conservation, SC oracle); any failed run
+             (invariant, oracle, deadlock, injected fault) prints one
+             CHECK-FAIL line and the process exits non-zero
   --gate     analyze: fail (exit 1) if the worst predicted-vs-simulated
              relative error exceeds PCT percent (needs --latency-sweep)
   --app      observe/analyze: application (EM3D|UNSTRUC|ICCG|MOLDYN; default EM3D)
@@ -1358,9 +1359,6 @@ fn main() {
     // Export --jobs so library-internal runners (ablations) see it too.
     if let Some(n) = opts.jobs {
         std::env::set_var("COMMSENSE_JOBS", n.to_string());
-    }
-    if opts.check {
-        commsense_bench::harness::install_check_fail_hook();
     }
     if opts.what == "observe" {
         run_observe(&opts);

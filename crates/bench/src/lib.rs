@@ -4,8 +4,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
-
 use std::any::Any;
 
 use commsense_apps::AppSpec;
@@ -96,7 +94,7 @@ fn probe_runtime(
             programs,
         },
     );
-    m.run().runtime_cycles
+    m.run().unwrap_or_else(|e| e.raise()).runtime_cycles
 }
 
 /// Measures one case by differencing runs with `k` and `2k` accesses.
@@ -496,7 +494,7 @@ pub fn ablate_partition(cfg: &MachineConfig) -> Vec<AblationPoint> {
         .iter()
         .map(|&st| {
             let mesh = UnstrucMesh::generate_with_partition(&params, cfg.nodes, st);
-            let r = run_mesh(&mesh, Mechanism::SharedMem, cfg);
+            let r = run_mesh(&mesh, Mechanism::SharedMem, cfg).unwrap_or_else(|e| e.raise());
             AblationPoint {
                 label: format!("{st:?} (cut {:.0}%)", 100.0 * mesh.cut_fraction()),
                 runtime_cycles: r.runtime_cycles,

@@ -14,9 +14,11 @@
 //!   collecting results keyed by request index so the output is
 //!   *bit-identical* to serial execution regardless of job count. A
 //!   runner may carry a persistent [`ResultStore`] (read-through /
-//!   write-through) and isolates each run behind `catch_unwind` with
-//!   bounded retry, so one poisoned point yields a reported-failed
-//!   [`RunOutcome`] and a completed sweep instead of a dead process.
+//!   write-through) and retries a failed run a bounded number of times,
+//!   so one poisoned point yields a reported-failed [`RunOutcome`] and a
+//!   completed sweep instead of a dead process. A failed run is the
+//!   [`SimError`](commsense_machine::SimError) the machine returns;
+//!   `catch_unwind` remains only as the last resort for any other panic.
 //! * [`WorkloadCache`] — memoizes [`AppSpec::prepare`] per
 //!   `(spec, nprocs)`, so a sweep generates each graph/system and
 //!   sequential reference once and shares it (via `Arc`) across every
@@ -49,8 +51,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use commsense_apps::{run_prepared, AppSpec, PreparedWorkload, RunResult};
-use commsense_machine::{MachineConfig, Mechanism};
+use commsense_apps::{run_prepared, try_run_prepared, AppSpec, PreparedWorkload, RunResult};
+use commsense_machine::{panic_message, MachineConfig, Mechanism};
 
 use crate::experiment::{Sweep, SweepPoint};
 use crate::store::ResultStore;
@@ -248,8 +250,9 @@ impl Runner {
     }
 
     /// Runs every request, reporting per-request outcomes instead of
-    /// panicking: each simulation runs behind `catch_unwind`, a panicking
-    /// run is retried [`Runner::with_retries`] times, and a request that
+    /// panicking: a failed run (a returned `SimError`, or as a last
+    /// resort a caught panic) is retried [`Runner::with_retries`] times,
+    /// and a request that
     /// fails every attempt yields [`RunOutcome::Failed`] while the rest of
     /// the list completes. With a store attached, results are read through
     /// (hits skip simulation) and written through, and exhausted failures
@@ -304,7 +307,7 @@ impl Runner {
     }
 
     /// Executes a single prepared request with the runner's full policy —
-    /// store read-through, bounded-retry `catch_unwind` isolation,
+    /// store read-through, bounded-retry failure isolation,
     /// write-through, quarantine on exhaustion. This is the unit the
     /// sweep service's shared worker pool executes: the service machine
     /// schedules requests one at a time (deduplicating in flight), so it
@@ -316,10 +319,9 @@ impl Runner {
     /// Executes one request: store lookup, bounded-retry simulation,
     /// write-through, quarantine on exhaustion.
     fn execute_one(&self, req: &RunRequest, w: &PreparedWorkload) -> RunOutcome {
-        // Check-enabled runs bypass both the store and the catch: a
-        // CHECK-FAIL panic hook (see the bench harness) reports at the
-        // panic site either way, but the whole point of a checked run is
-        // to fail loudly, not to be retried or replayed.
+        // Check-enabled runs bypass both the store and the retries: the
+        // whole point of a checked run is to fail loudly, so a failure is
+        // raised as its CHECK-FAIL line, not retried or replayed.
         if req.cfg.check.is_some() {
             return RunOutcome::Done {
                 result: run_prepared(w, req.mechanism, &req.cfg),
@@ -347,9 +349,11 @@ impl Runner {
         let attempts = self.retries + 1;
         let mut message = String::new();
         for _ in 0..attempts {
-            match catch_unwind(AssertUnwindSafe(|| {
-                run_prepared(w, req.mechanism, &req.cfg)
-            })) {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                try_run_prepared(w, req.mechanism, &req.cfg).map_err(|e| e.to_string())
+            }))
+            .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
+            match run {
                 Ok(result) => {
                     if let Some(store) = store {
                         if let Err(e) = store.save(req, &result) {
@@ -361,25 +365,13 @@ impl Runner {
                         cached: false,
                     };
                 }
-                Err(payload) => message = panic_message(payload.as_ref()),
+                Err(m) => message = m,
             }
         }
         if let Some(store) = store {
             store.quarantine(req, &message);
         }
         RunOutcome::Failed { attempts, message }
-    }
-}
-
-/// Renders a caught panic payload (panics carry `&str` or `String` in
-/// practice; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -118,31 +118,8 @@ impl Json {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal, escaping quotes,
-/// backslashes, and control characters.
-///
-/// # Examples
-///
-/// ```
-/// let mut out = String::new();
-/// commsense_core::json::push_escaped(&mut out, "a\"b");
-/// assert_eq!(out, r#""a\"b""#);
-/// ```
-pub fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// Defined in `commsense_machine` so `SimError::raise` can use it too.
+pub use commsense_machine::push_escaped;
 
 /// Maximum container nesting the parser accepts. This is a recursive-
 /// descent parser, so unbounded nesting in malformed (or adversarial)

@@ -420,7 +420,6 @@ mod tests {
             trace_capacity: 1 << 14,
             max_packets: 1 << 14,
             sparse_threshold: 2,
-            ..Default::default()
         });
         let result = run_app(&AppSpec::Em3d(p), Mechanism::MsgPoll, &cfg);
         let obs = result.observation.expect("observation recorded");

@@ -1,7 +1,7 @@
-//! Runner fault tolerance: a request that panics deterministically must
+//! Runner fault tolerance: a request that fails deterministically must
 //! not kill its sweep. The poisoned point is retried a bounded number of
 //! times, reported failed, and — with a store attached — quarantined so
-//! warm re-runs skip it instead of re-panicking.
+//! warm re-runs skip it instead of failing again.
 
 use std::sync::Arc;
 
@@ -11,30 +11,9 @@ use commsense_core::store::ResultStore;
 use commsense_machine::{MachineConfig, Mechanism};
 use commsense_workloads::bipartite::Em3dParams;
 
-/// Keeps the deliberate `INJECTED-FAULT` panics out of the test output
-/// (they are caught by the runner; only the default hook's backtrace
-/// spam would escape). Anything else still reports normally.
-fn silence_injected_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains("INJECTED-FAULT") {
-                prev(info);
-            }
-        }));
-    });
-}
-
 /// A two-mechanism, three-point plan (x = processor MHz, so every point
 /// is a distinct machine and a distinct store key) whose mp-poll point
-/// at x=16 panics deterministically via `MachineConfig::inject_panic`.
+/// at x=16 fails deterministically via `MachineConfig::inject_panic`.
 fn poisoned_plan(cfg: &MachineConfig) -> ExperimentPlan {
     let mut em = Em3dParams::small();
     em.iterations = 1;
@@ -58,7 +37,6 @@ fn poisoned_plan(cfg: &MachineConfig) -> ExperimentPlan {
 
 #[test]
 fn poisoned_point_fails_without_killing_the_sweep() {
-    silence_injected_panics();
     let cfg = MachineConfig::alewife();
     let plan = poisoned_plan(&cfg);
     let mut cache = WorkloadCache::new();
@@ -83,7 +61,7 @@ fn poisoned_point_fails_without_killing_the_sweep() {
     assert_eq!(f.attempts, 2);
     assert!(
         f.message.contains("INJECTED-FAULT"),
-        "failure must carry the panic message, got {:?}",
+        "failure must carry the fault's message, got {:?}",
         f.message
     );
 
@@ -94,7 +72,6 @@ fn poisoned_point_fails_without_killing_the_sweep() {
 
 #[test]
 fn serial_and_parallel_report_identical_outcomes() {
-    silence_injected_panics();
     let cfg = MachineConfig::alewife();
     let plan = poisoned_plan(&cfg);
     let mut cache = WorkloadCache::new();
@@ -109,7 +86,6 @@ fn serial_and_parallel_report_identical_outcomes() {
 
 #[test]
 fn quarantine_skips_the_poisoned_point_on_warm_reruns() {
-    silence_injected_panics();
     let dir = std::env::temp_dir().join(format!(
         "commsense-store-test-quarantine-{}",
         std::process::id()

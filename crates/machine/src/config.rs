@@ -317,8 +317,10 @@ impl Default for ObserveConfig {
 /// load/store stream and verifies it against a sequential-consistency
 /// oracle at the end of the run. Checking is pure bookkeeping plus
 /// assertions: it never schedules events, so simulated cycle counts are
-/// bit-identical with and without it. Violations panic with a
-/// machine-readable `PROTOCOL-INVARIANT` / `SC-ORACLE` marker.
+/// bit-identical with and without it. A violation makes
+/// [`crate::Machine::run`] return [`crate::SimError::Invariant`] or
+/// [`crate::SimError::Oracle`], whose text starts with the
+/// `PROTOCOL-INVARIANT` / `SC-ORACLE` marker.
 ///
 /// # Examples
 ///
@@ -402,10 +404,10 @@ pub struct MachineConfig {
     /// hot path; `Some` never changes simulated cycles.
     pub check: Option<CheckConfig>,
     /// Deterministic fault injection: when set, [`crate::Machine::run`]
-    /// panics with an `INJECTED-FAULT` marker before simulating anything.
-    /// Exists so the runner's catch/retry/quarantine path can be tested
-    /// (and demonstrated) without a genuinely broken model; follows the
-    /// `Protocol::fault_ignore_next_invalidation` precedent.
+    /// returns [`crate::SimError::InjectedFault`] before simulating
+    /// anything. Exists so the runner's retry/quarantine path can be
+    /// tested (and demonstrated) without a genuinely broken model; follows
+    /// the `Protocol::fault_ignore_next_invalidation` precedent.
     pub inject_panic: bool,
     /// Measure per-event-kind dispatch self time during the run (the
     /// benchmark's per-kind `*.self_s` metrics; see

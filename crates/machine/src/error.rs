@@ -1,0 +1,159 @@
+//! Typed simulation failures: [`Machine::run`](crate::Machine::run)
+//! returns a [`SimError`], and [`SimError::raise`] is the one place a
+//! failure becomes a panic.
+
+use std::fmt;
+
+/// Why a machine run failed. Each payload string is the text after the
+/// variant's marker (`deadlock: `, `PROTOCOL-INVARIANT `, `SC-ORACLE `) in
+/// the [`Display`](fmt::Display) rendering, the stable, grep-able message
+/// stored in quarantine notes and sent to sweep clients.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// The event queue drained while programs were still blocked (an
+    /// application deadlock).
+    Deadlock {
+        /// Ids of the nodes whose programs had not retired, ascending.
+        blocked: Vec<usize>,
+        /// Each blocked node's status, the outstanding misses, live
+        /// tokens and barrier state.
+        detail: String,
+    },
+    /// A protocol invariant or message-conservation check failed (check
+    /// mode only).
+    Invariant(String),
+    /// The sequential-consistency oracle rejected the applied access
+    /// stream (check mode with the oracle on).
+    Oracle(String),
+    /// [`MachineConfig::inject_panic`](crate::MachineConfig::inject_panic)
+    /// was set, so the run failed before simulating anything.
+    InjectedFault,
+}
+
+impl SimError {
+    /// Short machine-readable class: `deadlock`, `invariant`, `oracle` or
+    /// `injected-fault`.
+    pub fn class(&self) -> &'static str {
+        match self {
+            SimError::Deadlock { .. } => "deadlock",
+            SimError::Invariant(_) => "invariant",
+            SimError::Oracle(_) => "oracle",
+            SimError::InjectedFault => "injected-fault",
+        }
+    }
+
+    /// Panics with the one-line `CHECK-FAIL {"class":…,"detail":…}`
+    /// summary, where `detail` is the [`Display`](fmt::Display) rendering:
+    /// the line `repro --check` reports and CI greps for. For callers
+    /// whose signature has no room for the error.
+    pub fn raise(self) -> ! {
+        let mut line = String::from("CHECK-FAIL {\"class\":");
+        push_escaped(&mut line, self.class());
+        line.push_str(",\"detail\":");
+        push_escaped(&mut line, &self.to_string());
+        line.push('}');
+        panic!("{line}");
+    }
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Deadlock { detail, .. } => write!(f, "deadlock: {detail}"),
+            SimError::Invariant(text) => write!(f, "PROTOCOL-INVARIANT {text}"),
+            SimError::Oracle(text) => write!(f, "SC-ORACLE {text}"),
+            SimError::InjectedFault => f.write_str(
+                "INJECTED-FAULT: deliberate panic requested by MachineConfig::inject_panic",
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+/// Renders a caught panic payload (panics carry `&str` or `String` in
+/// practice; anything else gets a placeholder).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Appends `s` to `out` as a JSON string literal, escaping quotes,
+/// backslashes, and control characters.
+pub fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn raised(e: SimError) -> String {
+        let payload = std::panic::catch_unwind(|| e.raise()).unwrap_err();
+        panic_message(payload.as_ref())
+    }
+
+    #[test]
+    fn raise_prints_one_check_fail_line_per_class() {
+        let cases = [
+            (
+                SimError::Deadlock {
+                    blocked: vec![0],
+                    detail: "nodes blocked with no pending events: [\"0:BlockedMsg\"]".into(),
+                },
+                r#"CHECK-FAIL {"class":"deadlock","detail":"deadlock: nodes blocked with no pending events: [\"0:BlockedMsg\"]"}"#,
+            ),
+            (
+                SimError::Invariant("violated: packet record 3 consumed twice".into()),
+                r#"CHECK-FAIL {"class":"invariant","detail":"PROTOCOL-INVARIANT violated: packet record 3 consumed twice"}"#,
+            ),
+            (
+                SimError::Oracle("violated: load\tsaw 2\nwanted 1".into()),
+                r#"CHECK-FAIL {"class":"oracle","detail":"SC-ORACLE violated: load\tsaw 2\nwanted 1"}"#,
+            ),
+            (
+                SimError::InjectedFault,
+                r#"CHECK-FAIL {"class":"injected-fault","detail":"INJECTED-FAULT: deliberate panic requested by MachineConfig::inject_panic"}"#,
+            ),
+        ];
+        for (e, want) in cases {
+            let line = raised(e);
+            assert_eq!(line, want);
+            assert_eq!(line.lines().count(), 1);
+        }
+    }
+
+    #[test]
+    fn payloads_extract() {
+        let b: Box<dyn std::any::Any + Send> = Box::new("static");
+        assert_eq!(panic_message(b.as_ref()), "static");
+        let b: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
+        assert_eq!(panic_message(b.as_ref()), "owned");
+        let b: Box<dyn std::any::Any + Send> = Box::new(42u32);
+        assert_eq!(panic_message(b.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
+    fn escapes_quotes_backslashes_and_controls() {
+        let mut out = String::new();
+        push_escaped(&mut out, "a\"b\\c\n\u{1}");
+        assert_eq!(out, r#""a\"b\\c\n\u0001""#);
+    }
+}

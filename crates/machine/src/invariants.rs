@@ -22,21 +22,15 @@
 //! Checking is bookkeeping plus assertions only — it never schedules
 //! events or feeds any time computation, so simulated cycle counts are
 //! bit-identical with and without it (pinned by the `check_identity`
-//! tests). Violations panic with a message starting with
-//! [`INVARIANT_MARKER`], which the litmus fuzzer and `repro`/`litmus`
-//! binaries turn into machine-readable failure summaries.
+//! tests). Each check returns its violation as a [`SimError::Invariant`];
+//! the machine records the first one, stops at the end of that event's
+//! dispatch, and returns it from [`crate::Machine::run`].
 
 use commsense_cache::{LineId, Protocol};
 use commsense_mesh::{Endpoint, PacketClass, PacketRecord, NO_RECORD};
 
 use crate::config::CheckConfig;
-
-/// Prefix of every invariant-violation panic message (machine-readable
-/// failure classification for the fuzzer and CI).
-pub const INVARIANT_MARKER: &str = "PROTOCOL-INVARIANT";
-
-/// Prefix of every sequential-consistency-oracle panic message.
-pub const ORACLE_MARKER: &str = "SC-ORACLE";
+use crate::error::SimError;
 
 /// The live checker owned by the machine while a checked run executes.
 #[derive(Debug)]
@@ -55,8 +49,8 @@ pub(crate) struct Checker {
 
 #[cold]
 #[inline(never)]
-fn violate(detail: &str) -> ! {
-    panic!("{INVARIANT_MARKER} violated: {detail}");
+fn violation(detail: String) -> SimError {
+    SimError::Invariant(format!("violated: {detail}"))
 }
 
 impl Checker {
@@ -82,30 +76,31 @@ impl Checker {
         }
     }
 
-    /// Records the consumption of a delivered packet, panicking if the same
+    /// Records the consumption of a delivered packet, failing if the same
     /// record id is consumed twice (a duplicated delivery).
-    pub(crate) fn on_deliver(&mut self, rec: u32) {
+    pub(crate) fn on_deliver(&mut self, rec: u32) -> Result<(), SimError> {
         self.consumed += 1;
         if rec == NO_RECORD {
             self.untracked_consumed += 1;
-            return;
+            return Ok(());
         }
         let i = rec as usize;
         if i >= self.delivered.len() {
             self.delivered.resize(i + 1, false);
         }
         if self.delivered[i] {
-            violate(&format!("packet record {rec} consumed twice"));
+            return Err(violation(format!("packet record {rec} consumed twice")));
         }
         self.delivered[i] = true;
+        Ok(())
     }
 
     /// Verifies the coherence invariants on `line` after a transition.
-    pub(crate) fn check_line(&mut self, proto: &Protocol, line: LineId) {
+    pub(crate) fn check_line(&mut self, proto: &Protocol, line: LineId) -> Result<(), SimError> {
         self.transitions += 1;
-        if let Err(e) = proto.verify_line(line) {
-            violate(&format!("after transition: {e}"));
-        }
+        proto
+            .verify_line(line)
+            .map_err(|e| violation(format!("after transition: {e}")))
     }
 
     /// Number of coherence transitions checked so far.
@@ -117,14 +112,20 @@ impl Checker {
     /// message envelopes still in flight when the last program retired
     /// (runs may legitimately end with writebacks or stale acks still
     /// traversing the mesh); `records` is the recorder's packet table.
-    pub(crate) fn final_check(&self, live_envelopes: usize, records: Option<&[PacketRecord]>) {
+    pub(crate) fn final_check(
+        &self,
+        live_envelopes: usize,
+        records: Option<&[PacketRecord]>,
+    ) -> Result<(), SimError> {
         if self.consumed + live_envelopes as u64 != self.injected {
-            violate(&format!(
+            return Err(violation(format!(
                 "message conservation: injected {} != consumed {} + in-flight {}",
                 self.injected, self.consumed, live_envelopes
-            ));
+            )));
         }
-        let Some(records) = records else { return };
+        let Some(records) = records else {
+            return Ok(());
+        };
         // Cross-check against the recorder: the set of record ids the
         // machine consumed must equal the set the network delivered to a
         // compute node.
@@ -141,21 +142,22 @@ impl Checker {
             if r.delivered_at.is_some() {
                 recorded_delivered += 1;
                 if !machine_saw {
-                    violate(&format!(
+                    return Err(violation(format!(
                         "packet record {id} delivered by the network but never consumed"
-                    ));
+                    )));
                 }
             } else if machine_saw {
-                violate(&format!(
+                return Err(violation(format!(
                     "packet record {id} consumed but the network never delivered it"
-                ));
+                )));
             }
         }
         if recorded_delivered != tracked_consumed {
-            violate(&format!(
+            return Err(violation(format!(
                 "recorder cross-check: {recorded_delivered} recorded deliveries \
                  != {tracked_consumed} tracked consumptions"
-            ));
+            )));
         }
+        Ok(())
     }
 }

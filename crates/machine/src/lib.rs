@@ -29,7 +29,8 @@
 //!   coherence-protocol invariants after every transition, tracks message
 //!   conservation against the network recorder, and can replay the applied
 //!   load/store stream against a sequential-consistency oracle — also
-//!   without perturbing simulated cycles.
+//!   without perturbing simulated cycles. A failed run returns a typed
+//!   [`SimError`] from [`Machine::run`].
 //!
 //! See `commsense-apps` for complete programs and the crate tests for
 //! minimal ones.
@@ -39,6 +40,7 @@
 
 pub mod config;
 pub mod critpath;
+pub mod error;
 pub mod invariants;
 pub mod machine;
 pub mod metrics;
@@ -53,7 +55,7 @@ pub use config::{
     ProtoVariant, ReceiveMode,
 };
 pub use critpath::{analyze, CritPath, Stage};
-pub use invariants::{INVARIANT_MARKER, ORACLE_MARKER};
+pub use error::{panic_message, push_escaped, SimError};
 pub use machine::{DispatchKindProfile, DispatchProfile, Machine, MachineSpec};
 pub use metrics::{MetricsSeries, Observation, RunState};
 pub use program::{HandlerCtx, NodeCtx, Program, RmwOp, Step};

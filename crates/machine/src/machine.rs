@@ -12,7 +12,8 @@ use commsense_mesh::{
 use commsense_msgpass::{ActiveMessage, BarrierTree, HandlerId, RemoteQueue};
 
 use crate::config::{BarrierStyle, MachineConfig, ProtoVariant, ReceiveMode};
-use crate::invariants::{Checker, INVARIANT_MARKER, ORACLE_MARKER};
+use crate::error::SimError;
+use crate::invariants::Checker;
 use crate::metrics::{MetricsSeries, Observation, RunState};
 use crate::oracle::{OracleLog, OracleOp};
 use crate::program::{HandlerCtx, NodeCtx, Program, RmwOp, Step};
@@ -513,7 +514,7 @@ impl Ev {
 ///     .collect();
 /// let initial = vec![0.0; heap.total_words()];
 /// let mut machine = Machine::new(cfg, MachineSpec { heap, initial, programs });
-/// let stats = machine.run();
+/// let stats = machine.run().expect("run finishes");
 /// assert!(stats.runtime_cycles > 0);
 /// assert_eq!(machine.master_word(w), 6.5);
 /// ```
@@ -563,6 +564,10 @@ pub struct Machine {
     /// [`Machine::fault_smuggle_next_priority_ack`]).
     fault_smuggle_ack: bool,
     finished: usize,
+    /// The loop's one stop test: the last program retired or a check failed.
+    halted: bool,
+    /// The first check failure, returned once its dispatch ends.
+    failure: Option<SimError>,
     events: u64,
     messages_sent: u64,
     useless_prefetches: u64,
@@ -704,6 +709,8 @@ impl Machine {
             cur_pri: Priority::Low,
             fault_smuggle_ack: false,
             finished: 0,
+            halted: false,
+            failure: None,
             events: 0,
             messages_sent: 0,
             useless_prefetches: 0,
@@ -768,40 +775,58 @@ impl Machine {
 
     /// Runs the machine until every program is done.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the event queue drains while programs are still blocked
-    /// (an application deadlock), or immediately with an `INJECTED-FAULT`
-    /// marker when [`MachineConfig::inject_panic`] is set.
-    pub fn run(&mut self) -> RunStats {
-        assert!(
-            !self.cfg.inject_panic,
-            "INJECTED-FAULT: deliberate panic requested by MachineConfig::inject_panic"
-        );
-        if self.profile.is_some() {
-            self.run_loop_profiled();
+    /// [`SimError::Deadlock`] if the event queue drains while programs are
+    /// still blocked; [`SimError::Invariant`] / [`SimError::Oracle`] when a
+    /// checked run (see [`MachineConfig::check`]) violates the protocol or
+    /// the SC oracle; [`SimError::InjectedFault`] before simulating
+    /// anything when [`MachineConfig::inject_panic`] is set.
+    pub fn run(&mut self) -> Result<RunStats, SimError> {
+        if self.cfg.profile_dispatch {
+            self.run_loop::<true, true>()?;
         } else {
-            self.run_loop();
+            self.run_loop::<false, true>()?;
         }
-        if self.checker.is_some() {
-            self.final_run_checks();
-        }
-        self.collect_stats()
+        self.finish_run()
     }
 
-    /// The hot loop: drains every event of the current instant into a
-    /// reusable batch buffer in one O(1) bucket swap, then dispatches the
-    /// batch. Events scheduled *at* the current instant during the batch
-    /// form the next batch, which is exactly the order a one-at-a-time
-    /// pop produces (same-instant FIFO — pinned by the des property suite
-    /// and the batching identity test). The per-event `finished` check
-    /// stops mid-batch the moment the last program retires, so event
-    /// counts match the unbatched loop bit for bit.
-    fn run_loop(&mut self) {
+    /// Runs the machine popping one event at a time instead of draining
+    /// same-instant batches. The reference loop batching is measured
+    /// against: simulated cycles and event counts must match
+    /// [`Machine::run`] exactly (pinned by the batching identity test).
+    #[doc(hidden)]
+    pub fn run_unbatched(&mut self) -> Result<RunStats, SimError> {
+        self.run_loop::<false, false>()?;
+        self.finish_run()
+    }
+
+    /// The event loop. `BATCHED` drains every event of the current instant
+    /// into a reusable batch buffer in one O(1) bucket swap; events
+    /// scheduled *at* that instant during the batch form the next batch,
+    /// exactly the order a one-at-a-time pop (`BATCHED = false`) produces
+    /// (same-instant FIFO — pinned by the des property suite and the
+    /// batching identity test). The per-event `halted` test stops mid-batch
+    /// the moment the last program retires or a check fails, so event
+    /// counts match the unbatched loop bit for bit. `PROFILE` adds
+    /// per-kind self-time accounting ([`MachineConfig::profile_dispatch`]);
+    /// without it the loop carries no timing calls at all.
+    fn run_loop<const PROFILE: bool, const BATCHED: bool>(&mut self) -> Result<(), SimError> {
+        if self.cfg.inject_panic {
+            return Err(SimError::InjectedFault);
+        }
         let mut batch: VecDeque<Ev> = VecDeque::new();
-        'run: while self.finished < self.cfg.nodes {
-            let Some(t) = self.queue.pop_instant_into(&mut batch) else {
-                self.deadlock_panic();
+        while !self.halted {
+            let popped = if BATCHED {
+                self.queue.pop_instant_into(&mut batch)
+            } else {
+                self.queue.pop().map(|(t, ev)| {
+                    batch.push_back(ev);
+                    t
+                })
+            };
+            let Some(t) = popped else {
+                return Err(self.deadlock());
             };
             // One comparison against a Time::MAX sentinel when observation
             // is off; sampling happens between events, so it can never
@@ -813,78 +838,35 @@ impl Machine {
                 self.metrics_tick(t, depth);
             }
             self.now = t;
-            while let Some(ev) = batch.pop_front() {
-                self.events += 1;
-                self.dispatch(ev);
-                if self.finished >= self.cfg.nodes {
-                    batch.clear();
-                    break 'run;
-                }
-            }
-        }
-    }
-
-    /// [`Machine::run_loop`] with per-event self-time accounting (see
-    /// [`MachineConfig::profile_dispatch`]). A separate copy so the
-    /// unprofiled loop carries no timing calls at all.
-    #[cold]
-    fn run_loop_profiled(&mut self) {
-        let mut batch: VecDeque<Ev> = VecDeque::new();
-        'run: while self.finished < self.cfg.nodes {
-            let Some(t) = self.queue.pop_instant_into(&mut batch) else {
-                self.deadlock_panic();
-            };
-            if t >= self.metrics_next {
-                let depth = self.queue.len() + batch.len() - 1;
-                self.metrics_tick(t, depth);
-            }
-            self.now = t;
-            if let Some(p) = self.profile.as_mut() {
-                p.batches += 1;
+            if PROFILE {
+                self.profile.as_mut().expect("profiled loop").batches += 1;
             }
             while let Some(ev) = batch.pop_front() {
                 self.events += 1;
                 let kind = ev.kind as usize;
-                let start = std::time::Instant::now();
+                let start = PROFILE.then(std::time::Instant::now);
                 self.dispatch(ev);
-                let ns = start.elapsed().as_nanos() as u64;
-                let p = self.profile.as_mut().expect("profiled loop");
-                p.count[kind] += 1;
-                p.nanos[kind] += ns;
-                if self.finished >= self.cfg.nodes {
+                if let Some(start) = start {
+                    let p = self.profile.as_mut().expect("profiled loop");
+                    p.count[kind] += 1;
+                    p.nanos[kind] += start.elapsed().as_nanos() as u64;
+                }
+                if self.halted {
                     batch.clear();
-                    break 'run;
+                    break;
                 }
             }
         }
+        self.failure.take().map_or(Ok(()), Err)
     }
 
-    /// Runs the machine popping one event at a time instead of draining
-    /// same-instant batches. The reference loop batching is measured
-    /// against: simulated cycles and event counts must match
-    /// [`Machine::run`] exactly (pinned by the batching identity test).
-    #[doc(hidden)]
-    pub fn run_unbatched(&mut self) -> RunStats {
-        assert!(
-            !self.cfg.inject_panic,
-            "INJECTED-FAULT: deliberate panic requested by MachineConfig::inject_panic"
-        );
-        while self.finished < self.cfg.nodes {
-            let Some((t, ev)) = self.queue.pop() else {
-                self.deadlock_panic();
-            };
-            if t >= self.metrics_next {
-                let depth = self.queue.len();
-                self.metrics_tick(t, depth);
-            }
-            self.now = t;
-            self.events += 1;
-            self.dispatch(ev);
-        }
+    /// End-of-run verification (check mode only) and the stats of a
+    /// finished run.
+    fn finish_run(&mut self) -> Result<RunStats, SimError> {
         if self.checker.is_some() {
-            self.final_run_checks();
+            self.final_run_checks()?;
         }
-        self.collect_stats()
+        Ok(self.collect_stats())
     }
 
     /// The per-kind dispatch self-time breakdown of a profiled run, or
@@ -911,32 +893,41 @@ impl Machine {
     /// oracle replay.
     #[cold]
     #[inline(never)]
-    fn final_run_checks(&mut self) {
-        if let Err(e) = self
-            .proto
+    fn final_run_checks(&self) -> Result<(), SimError> {
+        self.proto
             .verify_invariants((0..self.proto.num_lines()).map(LineId))
-        {
-            panic!("{INVARIANT_MARKER} violated at end of run: {e}");
-        }
+            .map_err(|e| SimError::Invariant(format!("violated at end of run: {e}")))?;
         if let Some(ch) = self.checker.as_ref() {
-            ch.final_check(self.net_live, self.net.peek_recording());
+            ch.final_check(self.net_live, self.net.peek_recording())?;
         }
         if let Some(o) = self.oracle.as_ref() {
-            if let Err(e) = crate::oracle::verify(o, self.cfg.write_buffer > 0) {
-                panic!("{ORACLE_MARKER} violated: {e}");
-            }
+            crate::oracle::verify(o, self.cfg.write_buffer > 0)
+                .map_err(|e| SimError::Oracle(format!("violated: {e}")))?;
         }
+        Ok(())
     }
 
-    /// Formats and raises the application-deadlock diagnostic. Kept out of
-    /// line so the hot loop carries no formatting machinery: `run` stays a
+    /// Records the first failure a check finds mid-dispatch and halts the
+    /// loop at the end of the current dispatch.
+    #[cold]
+    #[inline(never)]
+    fn fail(&mut self, e: SimError) {
+        self.failure.get_or_insert(e);
+        self.halted = true;
+    }
+
+    /// Builds the application-deadlock diagnostic. Kept out of line so the
+    /// hot loop carries no formatting machinery: `run` stays a
     /// pop/dispatch kernel and this never-taken path costs one cold call.
     #[cold]
     #[inline(never)]
-    fn deadlock_panic(&self) -> ! {
-        let stuck: Vec<String> = (0..self.cfg.nodes)
+    fn deadlock(&self) -> SimError {
+        let blocked: Vec<usize> = (0..self.cfg.nodes)
             .filter(|&i| self.nodes.status[i] != Status::Done)
-            .map(|i| format!("{i}:{:?}", self.nodes.status[i]))
+            .collect();
+        let stuck: Vec<String> = blocked
+            .iter()
+            .map(|&i| format!("{i}:{:?}", self.nodes.status[i]))
             .collect();
         let outstanding: Vec<String> = self
             .outstanding
@@ -948,11 +939,14 @@ impl Machine {
             .live()
             .map(|(t, p)| format!("{t}: {p:?}"))
             .collect();
-        panic!(
-            "deadlock: nodes blocked with no pending events: {stuck:?}; \
-             outstanding={outstanding:?} tokens={tokens:?} barrier={:?}",
-            self.barrier.sm
-        );
+        SimError::Deadlock {
+            blocked,
+            detail: format!(
+                "nodes blocked with no pending events: {stuck:?}; \
+                 outstanding={outstanding:?} tokens={tokens:?} barrier={:?}",
+                self.barrier.sm
+            ),
+        }
     }
 
     /// Samples every epoch boundary in `(previous boundary, t]`. Kept cold
@@ -1410,7 +1404,9 @@ impl Machine {
             // checker's end-of-run conservation must flag the discrepancy.
             self.fault_smuggle_ack = false;
         } else if let Some(ch) = self.checker.as_mut() {
-            ch.on_deliver(rec);
+            if let Err(e) = ch.on_deliver(rec) {
+                self.fail(e);
+            }
         }
         if pkt.tag & TAG_AM == 0 {
             // Protocol message: the tag is already a penv slot — hand the
@@ -1651,7 +1647,9 @@ impl Machine {
     #[inline]
     fn check_line(&mut self, line: LineId) {
         if let Some(ch) = self.checker.as_mut() {
-            ch.check_line(&self.proto, line);
+            if let Err(e) = ch.check_line(&self.proto, line) {
+                self.fail(e);
+            }
         }
     }
 
@@ -2133,6 +2131,7 @@ impl Machine {
         self.nodes.status[node] = Status::Done;
         self.nodes.finish[node] = Some(t);
         self.finished += 1;
+        self.halted |= self.finished == self.cfg.nodes;
     }
 
     /// Posts a relaxed store. Returns the inline cost, a line conflict, or

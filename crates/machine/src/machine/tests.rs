@@ -12,6 +12,7 @@ use crate::config::{CheckConfig, LatencyEmulation, MachineConfig, Mechanism};
 use crate::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step};
 
 use super::{Machine, MachineSpec};
+use crate::error::SimError;
 
 /// A program that replays a fixed list of steps and records messages.
 struct Script {
@@ -65,7 +66,7 @@ fn compute_only_runtime() {
         .collect();
     let spec = empty_spec(&cfg, programs);
     let mut m = Machine::new(cfg.clone(), spec);
-    let stats = m.run();
+    let stats = m.run().unwrap();
     assert_eq!(stats.runtime_cycles, 100);
     for n in &stats.nodes {
         assert_eq!(cfg.clock().cycles_at(n.compute), 100);
@@ -100,7 +101,7 @@ fn buckets_sum_to_finish_time() {
             programs,
         },
     );
-    let _ = m.run();
+    m.run().unwrap();
     for i in 0..m.cfg.nodes {
         let finish = m.nodes.finish[i].expect("finished");
         let total = m.nodes.stats[i].total();
@@ -136,7 +137,7 @@ fn local_miss_penalty_near_alewife() {
             programs,
         },
     );
-    let stats = m.run();
+    let stats = m.run().unwrap();
     // Figure 3: local clean read miss = 11 cycles.
     assert!(
         (8..=20).contains(&stats.runtime_cycles),
@@ -168,7 +169,7 @@ fn remote_miss_penalty_near_alewife() {
             programs,
         },
     );
-    let stats = m.run();
+    let stats = m.run().unwrap();
     // Figure 3: remote clean read miss = 42 cycles + 1.6/hop.
     assert!(
         (30..=60).contains(&stats.runtime_cycles),
@@ -200,7 +201,7 @@ fn store_then_load_transfers_value() {
             programs,
         },
     );
-    let _ = m.run();
+    m.run().unwrap();
     assert_eq!(m.master_word(w), 42.5);
     let progs = m.into_programs();
     let p1 = progs[1].as_any().downcast_ref::<Script>().unwrap();
@@ -220,7 +221,7 @@ fn active_message_delivery_interrupt_mode() {
         .collect();
     let spec = empty_spec(&cfg, programs);
     let mut m = Machine::new(cfg, spec);
-    let stats = m.run();
+    let stats = m.run().unwrap();
     assert_eq!(stats.messages_sent, 1);
     let progs = m.into_programs();
     let p1 = progs[1].as_any().downcast_ref::<Script>().unwrap();
@@ -244,7 +245,7 @@ fn poll_mode_defers_until_poll() {
         .collect();
     let spec = empty_spec(&cfg, programs);
     let mut m = Machine::new(cfg.clone(), spec);
-    let stats = m.run();
+    let stats = m.run().unwrap();
     let progs = m.into_programs();
     let p1 = progs[1].as_any().downcast_ref::<Script>().unwrap();
     assert_eq!(p1.received.len(), 1);
@@ -287,7 +288,7 @@ fn handlers_can_reply() {
         .collect();
     let spec = empty_spec(&cfg, programs);
     let mut m = Machine::new(cfg, spec);
-    let _ = m.run();
+    m.run().unwrap();
     let progs = m.into_programs();
     let p0 = progs[0].as_any().downcast_ref::<Script>().unwrap();
     assert_eq!(p0.received, vec![(2, vec![77])]);
@@ -314,7 +315,7 @@ fn barrier_synchronizes(cfg: MachineConfig) {
         .collect();
     let spec = empty_spec(&cfg, programs);
     let mut m = Machine::new(cfg.clone(), spec);
-    let stats = m.run();
+    let stats = m.run().unwrap();
     // All nodes finish at/after the slowest node's compute.
     assert!(
         stats.runtime_cycles >= 3001,
@@ -344,7 +345,7 @@ fn repeated_barriers_do_not_deadlock() {
             .collect();
         let spec = empty_spec(&cfg, programs);
         let mut m = Machine::new(cfg, spec);
-        let _ = m.run();
+        m.run().unwrap();
     }
 }
 
@@ -372,7 +373,7 @@ fn rmw_is_atomic_under_contention() {
             programs,
         },
     );
-    let _ = m.run();
+    m.run().unwrap();
     assert_eq!(m.master_word(Word::new(line, 0)), 100.0);
 }
 
@@ -411,7 +412,7 @@ fn prefetch_hides_remote_latency() {
                 programs,
             },
         );
-        m.run().runtime_cycles
+        m.run().unwrap().runtime_cycles
     };
     let with = run(true);
     let without = run(false);
@@ -447,7 +448,7 @@ fn useless_prefetch_only_costs_issue() {
             programs,
         },
     );
-    let _ = m.run();
+    m.run().unwrap();
     assert_eq!(m.useless_prefetches, 1);
 }
 
@@ -471,7 +472,7 @@ fn deterministic_across_runs() {
             .collect();
         let spec = empty_spec(&cfg, programs);
         let mut m = Machine::new(cfg, spec);
-        let s = m.run();
+        let s = m.run().unwrap();
         (s.runtime_cycles, s.events, s.messages_sent)
     };
     assert_eq!(run(), run());
@@ -509,7 +510,7 @@ fn observation_does_not_change_simulated_cycles() {
             .collect();
         let spec = empty_spec(&cfg, programs);
         let mut m = Machine::new(cfg, spec);
-        let s = m.run();
+        let s = m.run().unwrap();
         format!(
             "{:?}",
             (s.runtime_cycles, s.events, s.messages_sent, s.nodes)
@@ -543,7 +544,7 @@ fn observation_collects_series_trace_and_packets() {
         .collect();
     let spec = empty_spec(&cfg, programs);
     let mut m = Machine::new(cfg, spec);
-    let _ = m.run();
+    m.run().unwrap();
     let obs = m.take_observation().expect("observation enabled");
     assert!(m.take_observation().is_none(), "observation is taken once");
 
@@ -598,7 +599,12 @@ fn observation_collects_series_trace_and_packets() {
 
 /// A small mixed workload (sharing, RMW contention, barriers) that feeds
 /// the checking tests: `wb` selects the write-buffer depth.
-fn checked_run(mech: Mechanism, wb: usize, check: Option<CheckConfig>, fault: bool) -> String {
+fn checked_run(
+    mech: Mechanism,
+    wb: usize,
+    check: Option<CheckConfig>,
+    fault: bool,
+) -> Result<String, SimError> {
     let mut heap = Heap::new(4);
     let arr = heap.alloc(8, |i| i % 4);
     let ctr = heap.alloc(1, |_| 0);
@@ -638,24 +644,24 @@ fn checked_run(mech: Mechanism, wb: usize, check: Option<CheckConfig>, fault: bo
     if fault {
         m.fault_ignore_next_invalidation();
     }
-    let s = m.run();
+    let s = m.run()?;
     if check.is_some() {
         assert!(
             m.checked_transitions().unwrap() > 0,
             "checker saw no transitions"
         );
     }
-    format!(
+    Ok(format!(
         "{:?}",
         (s.runtime_cycles, s.events, s.messages_sent, s.nodes)
-    )
+    ))
 }
 
 #[test]
 fn checked_run_is_clean_across_mechanisms_and_buffers() {
     for mech in [Mechanism::SharedMem, Mechanism::MsgPoll] {
         for wb in [0, 4] {
-            checked_run(mech, wb, Some(CheckConfig::full()), false);
+            checked_run(mech, wb, Some(CheckConfig::full()), false).unwrap();
         }
     }
 }
@@ -667,29 +673,33 @@ fn checking_does_not_change_simulated_cycles() {
     // with checking on and off.
     for wb in [0, 4] {
         assert_eq!(
-            checked_run(Mechanism::SharedMem, wb, None, false),
-            checked_run(Mechanism::SharedMem, wb, Some(CheckConfig::full()), false),
+            checked_run(Mechanism::SharedMem, wb, None, false).unwrap(),
+            checked_run(Mechanism::SharedMem, wb, Some(CheckConfig::full()), false).unwrap(),
             "wb={wb}: checking changed simulation results"
         );
     }
 }
 
 #[test]
-#[should_panic(expected = "PROTOCOL-INVARIANT")]
 fn seeded_dropped_invalidation_is_caught() {
     // Mutation test for the checker itself: skip one cache invalidation
     // (the ack still flows, so the protocol does not hang) and the
     // single-writer check must trip when the write completes. The clean
     // variant of this exact run passes in
     // `checked_run_is_clean_across_mechanisms_and_buffers`.
-    checked_run(Mechanism::SharedMem, 0, Some(CheckConfig::full()), true);
+    let err = checked_run(Mechanism::SharedMem, 0, Some(CheckConfig::full()), true).unwrap_err();
+    let SimError::Invariant(text) = &err else {
+        panic!("expected an invariant violation, got {err:?}");
+    };
+    assert!(text.starts_with("violated: after transition: "), "{text}");
+    assert!(err.to_string().starts_with("PROTOCOL-INVARIANT violated: "));
 }
 
 #[test]
 fn seeded_fault_without_checker_goes_unnoticed() {
     // The same mutated run with checking off completes silently — the
     // checker, not the machine, is what catches the corruption.
-    checked_run(Mechanism::SharedMem, 0, None, true);
+    checked_run(Mechanism::SharedMem, 0, None, true).unwrap();
 }
 
 #[test]
@@ -714,7 +724,7 @@ fn oracle_log_records_the_applied_stream() {
             programs,
         },
     );
-    let _ = m.run();
+    m.run().unwrap();
     let log = m.oracle_log().expect("oracle on");
     use crate::oracle::OracleOp;
     let flat = w.flat_index() as u64;
@@ -788,7 +798,7 @@ fn cross_traffic_slows_shared_memory() {
                 programs,
             },
         );
-        m.run().runtime_cycles
+        m.run().unwrap().runtime_cycles
     };
     let clear = run(0.0);
     let congested = run(16.0); // consume most of the 18 B/cycle bisection
@@ -826,7 +836,7 @@ fn slower_clock_reduces_relative_network_cost() {
                 programs,
             },
         );
-        m.run().runtime_cycles
+        m.run().unwrap().runtime_cycles
     };
     let fast_clock = run(20.0);
     let slow_clock = run(14.0);
@@ -863,7 +873,7 @@ fn latency_emulation_scales_remote_misses() {
                 programs,
             },
         );
-        m.run().runtime_cycles
+        m.run().unwrap().runtime_cycles
     };
     let base = run(Some(LatencyEmulation::uniform(50)));
     let slow = run(Some(LatencyEmulation::uniform(500)));
@@ -893,7 +903,7 @@ fn ni_backpressure_stalls_sender() {
         .collect();
     let spec = empty_spec(&cfg, programs);
     let mut m = Machine::new(cfg, spec);
-    let stats = m.run();
+    let stats = m.run().unwrap();
     assert!(
         stats.nodes[0].mem > Time::ZERO,
         "NI backpressure must appear as mem+NI wait"
@@ -901,7 +911,6 @@ fn ni_backpressure_stalls_sender() {
 }
 
 #[test]
-#[should_panic(expected = "deadlock")]
 fn deadlock_is_detected() {
     let cfg = MachineConfig::tiny();
     let programs: Vec<Box<dyn Program>> = (0..4)
@@ -915,7 +924,14 @@ fn deadlock_is_detected() {
         .collect();
     let spec = empty_spec(&cfg, programs);
     let mut m = Machine::new(cfg, spec);
-    let _ = m.run();
+    let err = m.run().unwrap_err();
+    let SimError::Deadlock { blocked, .. } = &err else {
+        panic!("expected a deadlock, got {err:?}");
+    };
+    assert_eq!(blocked, &[0]);
+    assert!(err
+        .to_string()
+        .starts_with("deadlock: nodes blocked with no pending events: [\"0:BlockedMsg"));
 }
 
 #[test]
@@ -946,7 +962,7 @@ fn volume_accounting_separates_classes() {
             programs,
         },
     );
-    let stats = m.run();
+    let stats = m.run().unwrap();
     assert!(
         stats.volume.invalidates > 0,
         "second write must invalidate sharers"
@@ -986,7 +1002,7 @@ fn write_buffer_overlaps_store_latency() {
                 programs,
             },
         );
-        let stats = m.run();
+        let stats = m.run().unwrap();
         // All values must land in master memory before retirement.
         for i in 0..16 {
             assert_eq!(
@@ -1029,7 +1045,7 @@ fn write_buffer_fence_at_barrier() {
             programs,
         },
     );
-    let _ = m.run();
+    m.run().unwrap();
     let progs = m.into_programs();
     let p1 = progs[1].as_any().downcast_ref::<Script>().unwrap();
     assert_eq!(
@@ -1065,7 +1081,7 @@ fn write_buffer_read_after_posted_write_merges() {
             programs,
         },
     );
-    let _ = m.run();
+    m.run().unwrap();
     let progs = m.into_programs();
     let p0 = progs[0].as_any().downcast_ref::<Script>().unwrap();
     assert_eq!(p0.last_loaded, 3.25);
@@ -1099,7 +1115,7 @@ fn write_buffer_full_stalls() {
             programs,
         },
     );
-    let stats = m.run();
+    let stats = m.run().unwrap();
     for i in 0..8 {
         assert_eq!(m.master_word(Word::new(arr.line(i), 0)), 1.0 + i as f64);
     }
@@ -1133,7 +1149,7 @@ fn spin_loads_charge_sync_not_memory() {
             programs,
         },
     );
-    let stats = m.run();
+    let stats = m.run().unwrap();
     assert!(
         stats.nodes[0].sync > Time::ZERO,
         "spin activity is synchronization time"
@@ -1185,7 +1201,7 @@ fn congestion_grows_superlinearly() {
                 programs,
             },
         );
-        m.run().runtime_cycles as f64
+        m.run().unwrap().runtime_cycles as f64
     };
     let t0 = run(0.0);
     let t1 = run(9.0); // 18 -> 9 B/cycle
@@ -1223,7 +1239,7 @@ fn trace_records_scheduling_events() {
         },
     );
     m.enable_trace(10_000);
-    let _ = m.run();
+    m.run().unwrap();
     let trace = m.trace().expect("enabled");
     assert!(!trace.truncated());
     let kinds: Vec<&str> = trace.of_node(0).map(|e| e.kind.label()).collect();
@@ -1266,7 +1282,7 @@ fn miss_latency_histogram_captures_remote_misses() {
             programs,
         },
     );
-    let stats = m.run();
+    let stats = m.run().unwrap();
     assert_eq!(stats.miss_latency.count, 8, "eight remote demand misses");
     let mean = stats.miss_latency.mean().expect("misses recorded");
     assert!(
@@ -1309,7 +1325,7 @@ fn latency_emulation_delays_prefetch_fills() {
                 programs,
             },
         );
-        m.run().runtime_cycles
+        m.run().unwrap().runtime_cycles
     };
     let short = run(30);
     let long = run(400);
@@ -1361,7 +1377,7 @@ fn ejection_backpressure_under_message_burst() {
         .collect();
     let spec = empty_spec(&cfg, programs);
     let mut m = Machine::new(cfg, spec);
-    let stats = m.run();
+    let stats = m.run().unwrap();
     // 124 messages x ~(interrupt+dispatch) serialized at node 0's receive
     // side: thousands of cycles, not the ~100 of a single message.
     assert!(
@@ -1426,26 +1442,48 @@ fn batching_identity_spec(cfg: &MachineConfig, mech: Mechanism) -> MachineSpec {
     }
 }
 
-/// Same-cycle batch draining must be invisible in simulated time: for
-/// every mechanism, `Machine::run` (batched) and `Machine::run_unbatched`
-/// (one event per pop) produce bit-identical `RunStats` — cycles, event
-/// counts, per-node buckets, everything in the Debug rendering.
+/// Same-cycle batch draining and dispatch profiling must be invisible in
+/// simulated time: for every mechanism, `Machine::run` (batched),
+/// `Machine::run` with `profile_dispatch` (batched and timed) and
+/// `Machine::run_unbatched` (one event per pop) produce bit-identical
+/// `RunStats` — cycles, event counts, per-node buckets, everything in the
+/// Debug rendering — and the same master memory.
 #[test]
 fn batched_and_unbatched_runs_are_identical() {
     for mech in Mechanism::ALL {
         let cfg = MachineConfig::tiny().with_mechanism(mech);
+        let mut profiled_cfg = cfg.clone();
+        profiled_cfg.profile_dispatch = true;
         let mut batched = Machine::new(cfg.clone(), batching_identity_spec(&cfg, mech));
-        let stats_batched = batched.run();
+        let stats_batched = batched.run().unwrap();
+        let mut profiled = Machine::new(profiled_cfg, batching_identity_spec(&cfg, mech));
+        let stats_profiled = profiled.run().unwrap();
         let mut unbatched = Machine::new(cfg.clone(), batching_identity_spec(&cfg, mech));
-        let stats_unbatched = unbatched.run_unbatched();
+        let stats_unbatched = unbatched.run_unbatched().unwrap();
         assert!(
             stats_batched.events > 0 && stats_batched.runtime_cycles > 0,
             "{mech:?}: workload must actually run"
         );
+        let profile = profiled.take_dispatch_profile().expect("profiled run");
         assert_eq!(
-            format!("{stats_batched:?}"),
-            format!("{stats_unbatched:?}"),
-            "{mech:?}: batched and unbatched stats diverge"
+            profile.kinds.iter().map(|k| k.events).sum::<u64>(),
+            stats_profiled.events,
+            "{mech:?}: the profile must count every dispatched event"
         );
+        for (form, stats, m) in [
+            ("profiled", &stats_profiled, &profiled),
+            ("unbatched", &stats_unbatched, &unbatched),
+        ] {
+            assert_eq!(
+                format!("{stats_batched:?}"),
+                format!("{stats:?}"),
+                "{mech:?}: batched and {form} stats diverge"
+            );
+            assert_eq!(
+                batched.master(),
+                m.master(),
+                "{mech:?}: batched and {form} master memory diverge"
+            );
+        }
     }
 }

@@ -24,8 +24,8 @@
 //!
 //! Together these say the observed execution is explainable by an SC-legal
 //! interleaving of per-node program order (modulo the explicit store
-//! relaxation when one is configured). Violations panic in the machine
-//! with the [`crate::invariants::ORACLE_MARKER`] prefix.
+//! relaxation when one is configured). A rejected run returns
+//! [`crate::SimError::Oracle`] from [`crate::Machine::run`].
 
 use crate::program::RmwOp;
 

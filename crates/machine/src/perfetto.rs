@@ -42,17 +42,10 @@ struct Entry {
     body: String,
 }
 
+/// `s` as a JSON string literal, quotes included.
 fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len() + 2);
+    crate::error::push_escaped(&mut out, s);
     out
 }
 
@@ -74,7 +67,7 @@ impl Entry {
             tid,
             ts_ps,
             body: format!(
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"{}\"{extra}}}",
+                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":{}{extra}}}",
                 fmt_us(ts_us(ts_ps)),
                 fmt_us(ts_us(dur_ps)),
                 esc(name),
@@ -88,7 +81,7 @@ impl Entry {
             tid,
             ts_ps,
             body: format!(
-                "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\"name\":\"{}\"}}",
+                "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\"name\":{}}}",
                 fmt_us(ts_us(ts_ps)),
                 esc(name),
             ),
@@ -131,7 +124,7 @@ impl Entry {
             tid,
             ts_ps,
             body: format!(
-                "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":\"{}\",\
+                "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":{},\
                  \"args\":{{\"value\":{}}}}}",
                 fmt_us(ts_us(ts_ps)),
                 esc(name),
@@ -145,7 +138,7 @@ fn metadata(out: &mut Vec<String>, pid: u32, tid: Option<u32>, what: &str, name:
     let tid_field = tid.map_or(String::new(), |t| format!(",\"tid\":{t}"));
     out.push(format!(
         "{{\"ph\":\"M\",\"pid\":{pid}{tid_field},\"name\":\"{what}\",\
-         \"args\":{{\"name\":\"{}\"}}}}",
+         \"args\":{{\"name\":{}}}}}",
         esc(name)
     ));
 }
@@ -174,7 +167,7 @@ fn metadata(out: &mut Vec<String>, pid: u32, tid: Option<u32>, what: &str, name:
 /// let programs: Vec<Box<dyn Program>> =
 ///     (0..cfg.nodes).map(|_| Box::new(Idle) as Box<dyn Program>).collect();
 /// let mut m = Machine::new(cfg, MachineSpec { heap, initial: vec![], programs });
-/// m.run();
+/// m.run().unwrap();
 /// let obs = m.take_observation().unwrap();
 /// let json = export_trace(&obs);
 /// assert!(json.starts_with("{\"traceEvents\":["));

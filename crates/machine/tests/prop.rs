@@ -113,7 +113,7 @@ proptest! {
         let initial = vec![0.0; heap.total_words()];
         let mut m = Machine::new(cfg.clone(), MachineSpec { heap, initial, programs });
         m.enable_trace(100_000);
-        let stats = m.run(); // must terminate (deadlock panics)
+        let stats = m.run().expect("must terminate without deadlock");
         let clock = cfg.clock();
         // Accounting: no node accounts more than the run lasted.
         for (i, n) in stats.nodes.iter().enumerate() {

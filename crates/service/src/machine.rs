@@ -49,7 +49,7 @@ pub enum Event {
         /// The run that completed.
         run: RunId,
         /// How it ended.
-        outcome: RunOutcome,
+        outcome: Box<RunOutcome>,
     },
 }
 
@@ -64,7 +64,7 @@ pub enum Action {
         /// The run id to echo back.
         run: RunId,
         /// The request to execute.
-        request: RunRequest,
+        request: Box<RunRequest>,
     },
     /// Close a client connection.
     Close(ClientId),
@@ -76,7 +76,7 @@ pub enum Action {
 #[derive(Debug)]
 enum RunState {
     Running,
-    Done(RunOutcome),
+    Done(Box<RunOutcome>),
 }
 
 #[derive(Debug)]
@@ -258,7 +258,7 @@ impl ServiceMachine {
                             self.by_key.insert(key, run);
                             actions.push(Action::Start {
                                 run,
-                                request: req.clone(),
+                                request: Box::new(req.clone()),
                             });
                             runs.push(run);
                             started_here.push(true);
@@ -283,7 +283,7 @@ impl ServiceMachine {
                     let run = self.jobs[job].runs[i];
                     if self.jobs[job].outcomes[i].is_none() {
                         if let RunState::Done(outcome) = &self.runs[run].state {
-                            let outcome = outcome.clone();
+                            let outcome = RunOutcome::clone(outcome);
                             self.record_outcome(job, i, outcome, actions);
                         }
                     }
@@ -319,12 +319,12 @@ impl ServiceMachine {
         }
     }
 
-    fn handle_run_done(&mut self, run: RunId, outcome: RunOutcome, actions: &mut Vec<Action>) {
+    fn handle_run_done(&mut self, run: RunId, outcome: Box<RunOutcome>, actions: &mut Vec<Action>) {
         assert!(
             matches!(self.runs[run].state, RunState::Running),
             "run {run} completed twice"
         );
-        match &outcome {
+        match *outcome {
             RunOutcome::Done { cached: true, .. } => self.store_hits += 1,
             RunOutcome::Done { cached: false, .. } => self.simulated += 1,
             RunOutcome::Failed { .. } => {}
@@ -333,7 +333,7 @@ impl ServiceMachine {
         for job in 0..self.jobs.len() {
             for i in 0..self.jobs[job].runs.len() {
                 if self.jobs[job].runs[i] == run && self.jobs[job].outcomes[i].is_none() {
-                    self.record_outcome(job, i, outcome.clone(), actions);
+                    self.record_outcome(job, i, RunOutcome::clone(&outcome), actions);
                 }
             }
         }
@@ -441,7 +441,7 @@ mod tests {
 
     /// One successful outcome from a single tiny simulation; the machine
     /// treats outcomes as opaque, so every completion can share it.
-    fn sim_ok() -> RunOutcome {
+    fn sim_ok() -> Box<RunOutcome> {
         static RESULT: OnceLock<RunResult> = OnceLock::new();
         let result = RESULT.get_or_init(|| {
             let mut p = Em3dParams::small();
@@ -460,10 +460,10 @@ mod tests {
                 .expect("seed simulation")
                 .clone()
         });
-        RunOutcome::Done {
+        Box::new(RunOutcome::Done {
             result: result.clone(),
             cached: false,
-        }
+        })
     }
 
     fn spec(apps: &[&str]) -> PlanSpec {

@@ -17,7 +17,7 @@
 //! `done` lines) leave in a single write.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -120,6 +120,7 @@ impl Server {
                     .expect("workload cache poisoned")
                     .get(&req.spec, req.cfg.nodes);
                 let outcome = runner.run_one(&req, &w);
+                let outcome = Box::new(outcome);
                 if events_tx.send(Event::RunDone { run, outcome }).is_err() {
                     break;
                 }
@@ -207,7 +208,7 @@ impl Server {
                     }
                     Action::Start { run, request } => {
                         flush(&mut out);
-                        work_tx.send((run, request)).ok();
+                        work_tx.send((run, *request)).ok();
                     }
                     Action::Close(c) => {
                         flush(&mut out);
@@ -240,16 +241,22 @@ impl Server {
     }
 }
 
-/// Reads protocol lines from one client until EOF/error, forwarding each
-/// as an event; always ends with a `Disconnected` event.
+/// Longest client line the daemon reads, newline included; a longer one
+/// disconnects its client. The largest real `ClientMsg` is under 1 KiB.
+const MAX_LINE_BYTES: u64 = 64 * 1024;
+
+/// Reads protocol lines from one client until EOF, error or an overlong
+/// line, forwarding each as an event; always ends with a `Disconnected`
+/// event.
 fn spawn_reader(id: ClientId, stream: TcpStream, events: Sender<Event>) {
     thread::spawn(move || {
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            match (&mut reader).take(MAX_LINE_BYTES).read_line(&mut line) {
                 Ok(0) | Err(_) => break,
+                Ok(n) if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') => break,
                 Ok(_) => {
                     let trimmed = line.trim();
                     if trimmed.is_empty() {

@@ -17,7 +17,7 @@ use commsense_workloads::bipartite::Em3dParams;
 /// One successful outcome, cloned from a single tiny simulation. The
 /// machine treats outcomes as opaque, so every injected completion can
 /// share the same result.
-fn sim_ok() -> RunOutcome {
+fn sim_ok() -> Box<RunOutcome> {
     static RESULT: OnceLock<RunResult> = OnceLock::new();
     let result = RESULT.get_or_init(|| {
         let mut p = Em3dParams::small();
@@ -35,10 +35,10 @@ fn sim_ok() -> RunOutcome {
             RunOutcome::Failed { message, .. } => panic!("seed simulation failed: {message}"),
         }
     });
-    RunOutcome::Done {
+    Box::new(RunOutcome::Done {
         result: result.clone(),
         cached: false,
-    }
+    })
 }
 
 fn submit_line(id: &str, figure: Figure, apps: &[&str], mechs: &[&str]) -> String {
@@ -72,7 +72,7 @@ fn started(actions: &[Action]) -> Vec<(RunId, RunRequest)> {
     actions
         .iter()
         .filter_map(|a| match a {
-            Action::Start { run, request } => Some((*run, request.clone())),
+            Action::Start { run, request } => Some((*run, RunRequest::clone(request))),
             _ => None,
         })
         .collect()
@@ -352,10 +352,10 @@ fn failed_runs_surface_as_point_failures() {
     let starts = started(&a);
     let a = m.handle(Event::RunDone {
         run: starts[0].0,
-        outcome: RunOutcome::Failed {
+        outcome: Box::new(RunOutcome::Failed {
             attempts: 2,
             message: "panicked: deadline".into(),
-        },
+        }),
     });
     match sent_to(&a, 1).as_slice() {
         [ServerMsg::PointFailed { message, .. }, ServerMsg::Done { stats, csvs, .. }] => {

@@ -6,10 +6,11 @@
 //! variant (`#[ignore]`, run by the nightly CI job) raises the client
 //! count and mixes figures so submissions race across plan shapes. The
 //! latency test pins the warm path: sequential resubmits must not wait on
-//! the accept loop, and drain must release the port promptly.
+//! the accept loop, and drain must release the port promptly. A client
+//! that never sends a newline is cut off without affecting the others.
 
-use std::io;
-use std::net::TcpListener;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::thread;
@@ -206,5 +207,38 @@ fn warm_resubmits_do_not_wait_on_accept_and_drain_frees_the_port() {
 #[test]
 fn a_daemon_that_never_had_a_client_shuts_down_promptly() {
     let (addr, ran) = start_timed_daemon();
+    shutdown_within_2s(&addr, &ran);
+}
+
+#[test]
+fn an_endless_line_disconnects_only_its_client() {
+    let (addr, ran) = start_timed_daemon();
+    let mut flood = TcpStream::connect(&addr).expect("connect");
+    flood
+        .set_write_timeout(Some(Duration::from_secs(5)))
+        .expect("write timeout");
+    flood
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    // 2 MiB without a newline; the daemon may hang up part way, so a
+    // failed write is expected, not an error.
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..32 {
+        if flood.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let mut byte = [0u8; 1];
+    match flood.read(&mut byte) {
+        Ok(0) => {}
+        Err(e)
+            if !matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("the flooding client must be disconnected, got {other:?}"),
+    }
+    let stats = client::fetch_stats(&addr).expect("a second client is still served");
+    assert_eq!(stats.jobs_active, 0);
     shutdown_within_2s(&addr, &ran);
 }

@@ -16,8 +16,9 @@
 //! [`run_litmus`] executes one program on one mechanism under a sweep
 //! [`Extreme`] with the full correctness harness enabled
 //! ([`CheckConfig::full`]): the runtime invariant checker, message
-//! conservation, and the SC oracle. Failures are caught and classified by
-//! their panic marker; [`shrink`] then greedily minimises a failing
+//! conservation, and the SC oracle. Failures are classified by the
+//! [`SimError`] variant the run returns (any other panic is caught as
+//! [`FailureClass::Other`]); [`shrink`] then greedily minimises a failing
 //! program while preserving its [`FailureClass`], and [`fuzz`] drives the
 //! whole loop over many seeds, mechanisms, and extremes. The `litmus`
 //! binary in `commsense-bench` wraps this into the CI entry point with
@@ -29,8 +30,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use commsense_cache::Heap;
 use commsense_des::Rng;
 use commsense_machine::{
-    CheckConfig, HandlerCtx, LatencyEmulation, Machine, MachineConfig, MachineSpec, Mechanism,
-    NodeCtx, Program, ProtoVariant, RmwOp, Step, INVARIANT_MARKER, ORACLE_MARKER,
+    panic_message, CheckConfig, HandlerCtx, LatencyEmulation, Machine, MachineConfig, MachineSpec,
+    Mechanism, NodeCtx, Program, ProtoVariant, RmwOp, SimError, Step,
 };
 use commsense_mesh::{CrossTrafficConfig, TrafficPattern};
 use commsense_msgpass::{ActiveMessage, HandlerId};
@@ -552,35 +553,32 @@ impl fmt::Display for Extreme {
     }
 }
 
-/// Coarse classification of a failed litmus run, derived from the panic
-/// message's marker prefix.
+/// Coarse classification of a failed litmus run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureClass {
     /// A protocol-invariant or conservation violation
-    /// ([`INVARIANT_MARKER`]).
+    /// ([`SimError::Invariant`]).
     Invariant,
-    /// An SC-oracle violation ([`ORACLE_MARKER`]).
+    /// An SC-oracle violation ([`SimError::Oracle`]).
     Oracle,
     /// The machine deadlocked (event queue drained with blocked nodes).
     Deadlock,
-    /// Any other panic.
+    /// Any other failure: a panic, or an injected fault.
     Other,
 }
 
-impl FailureClass {
-    /// Classifies a panic message.
-    pub fn classify(msg: &str) -> FailureClass {
-        if msg.contains(INVARIANT_MARKER) {
-            FailureClass::Invariant
-        } else if msg.contains(ORACLE_MARKER) {
-            FailureClass::Oracle
-        } else if msg.contains("deadlock") {
-            FailureClass::Deadlock
-        } else {
-            FailureClass::Other
+impl From<&SimError> for FailureClass {
+    fn from(e: &SimError) -> FailureClass {
+        match e {
+            SimError::Invariant(_) => FailureClass::Invariant,
+            SimError::Oracle(_) => FailureClass::Oracle,
+            SimError::Deadlock { .. } => FailureClass::Deadlock,
+            SimError::InjectedFault => FailureClass::Other,
         }
     }
+}
 
+impl FailureClass {
     /// Short label for failure summaries.
     pub fn label(self) -> &'static str {
         match self {
@@ -601,9 +599,9 @@ impl fmt::Display for FailureClass {
 /// A caught and classified litmus failure.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// What kind of violation the panic message carried.
+    /// What kind of violation the run died with.
     pub class: FailureClass,
-    /// The full panic message.
+    /// The full failure message.
     pub detail: String,
 }
 
@@ -627,7 +625,7 @@ pub enum Fault {
 
 /// Runs one litmus program on one mechanism under one extreme with the
 /// full correctness harness. Returns the classified failure if the run
-/// panicked (invariant/oracle violation, deadlock, or any other panic).
+/// failed (invariant/oracle violation, deadlock, or any other panic).
 pub fn run_litmus(lit: &Litmus, mech: Mechanism, extreme: Extreme) -> Result<(), Failure> {
     run_litmus_with(lit, mech, extreme, Fault::None)
 }
@@ -644,30 +642,21 @@ pub fn run_litmus_with(
     assert_eq!(lit.nodes, cfg.nodes, "litmus node count must match machine");
     cfg.check = Some(CheckConfig::full());
     let spec = lit.materialize();
-    match catch_unwind(AssertUnwindSafe(move || {
+    let run = catch_unwind(AssertUnwindSafe(move || {
         let mut m = Machine::new(cfg, spec);
         match fault {
             Fault::None => {}
             Fault::DropInvalidation => m.fault_ignore_next_invalidation(),
             Fault::SmugglePriorityAck => m.fault_smuggle_next_priority_ack(),
         }
-        m.run();
-    })) {
-        Ok(()) => Ok(()),
-        Err(payload) => {
-            let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(Failure {
-                class: FailureClass::classify(&detail),
-                detail,
-            })
-        }
-    }
+        m.run().map(drop)
+    }));
+    let (class, detail) = match run {
+        Ok(Ok(())) => return Ok(()),
+        Ok(Err(e)) => (FailureClass::from(&e), e.to_string()),
+        Err(payload) => (FailureClass::Other, panic_message(payload.as_ref())),
+    };
+    Err(Failure { class, detail })
 }
 
 /// Upper bound on candidate executions during [`shrink`].
@@ -875,7 +864,7 @@ mod tests {
         )
         .expect_err("dropped invalidation must be caught");
         assert_eq!(fail.class, FailureClass::Invariant, "{}", fail.detail);
-        assert!(fail.detail.contains(INVARIANT_MARKER));
+        assert!(fail.detail.starts_with("PROTOCOL-INVARIANT violated: "));
     }
 
     #[test]
@@ -940,20 +929,22 @@ mod tests {
     }
 
     #[test]
-    fn classify_matches_markers() {
+    fn classes_follow_sim_error_variants() {
+        let class = |e: SimError| FailureClass::from(&e);
         assert_eq!(
-            FailureClass::classify("PROTOCOL-INVARIANT violated: x"),
+            class(SimError::Invariant("violated: x".into())),
             FailureClass::Invariant
         );
         assert_eq!(
-            FailureClass::classify("SC-ORACLE violated: y"),
+            class(SimError::Oracle("violated: y".into())),
             FailureClass::Oracle
         );
-        assert_eq!(
-            FailureClass::classify("deadlock: nodes blocked"),
-            FailureClass::Deadlock
-        );
-        assert_eq!(FailureClass::classify("boom"), FailureClass::Other);
+        let deadlock = SimError::Deadlock {
+            blocked: vec![1],
+            detail: String::new(),
+        };
+        assert_eq!(class(deadlock), FailureClass::Deadlock);
+        assert_eq!(class(SimError::InjectedFault), FailureClass::Other);
     }
 
     #[test]

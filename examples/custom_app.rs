@@ -161,6 +161,7 @@ fn run_sm(cfg: &MachineConfig) -> u64 {
         },
     )
     .run()
+    .expect("ping-pong finishes")
     .runtime_cycles
 }
 
@@ -185,6 +186,7 @@ fn run_mp(cfg: &MachineConfig) -> u64 {
         },
     )
     .run()
+    .expect("ping-pong finishes")
     .runtime_cycles
 }
 

@@ -86,7 +86,7 @@ fn main() {
         },
     );
     machine.enable_trace(100_000);
-    let stats = machine.run();
+    let stats = machine.run().expect("the ring exchange finishes");
 
     println!(
         "ring exchange on 32 nodes: {} cycles, {} messages, {} events\n",

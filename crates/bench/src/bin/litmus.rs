@@ -24,6 +24,7 @@
 //! it arms the seeded dropped-invalidation fault and fails unless the
 //! checker catches it (and unless the unmutated program passes).
 
+use commsense_core::json;
 use commsense_machine::Mechanism;
 use commsense_workloads::litmus::{self, Extreme, FailureClass, Fault, FuzzFailure, Litmus};
 
@@ -137,24 +138,27 @@ fn extremes_for(label: &str) -> Vec<Extreme> {
     }
 }
 
-/// Renders `s` as a JSON string literal, quotes included.
-fn json_str(s: &str) -> String {
-    let mut out = String::new();
-    commsense_core::json::push_escaped(&mut out, s);
-    out
+fn fail_line(f: &FuzzFailure) -> String {
+    let mut line = String::from("LITMUS-FAIL ");
+    json::object(&mut line, |o| {
+        o.field("seed", f.seed)
+            .field("program", f.program)
+            .field("mech", f.mech.label())
+            .field("config", f.extreme.label())
+            .field("class", f.class.label())
+            .field("detail", &f.detail);
+    });
+    line
 }
 
-fn fail_line(f: &FuzzFailure) -> String {
-    format!(
-        "LITMUS-FAIL {{\"seed\":{},\"program\":{},\"mech\":{},\"config\":{},\
-         \"class\":{},\"detail\":{}}}",
-        f.seed,
-        f.program,
-        json_str(f.mech.label()),
-        json_str(f.extreme.label()),
-        json_str(f.class.label()),
-        json_str(&f.detail)
-    )
+/// Reports a failed detection gate as a `LITMUS-FAIL` line and exits 1.
+fn smoke_failure(detail: String) -> ! {
+    let mut line = String::from("LITMUS-FAIL ");
+    json::object(&mut line, |o| {
+        o.field("class", "mutation-smoke").field("detail", detail);
+    });
+    eprintln!("{line}");
+    std::process::exit(1);
 }
 
 fn replay_cmd(f: &FuzzFailure) -> String {
@@ -198,41 +202,22 @@ fn report_failure(f: &FuzzFailure, out: Option<&str>) {
 fn mutation_gate(extreme: Extreme, fault: Fault, what: &str) {
     let lit = Litmus::directed_invalidation(4);
     if let Err(f) = litmus::run_litmus(&lit, Mechanism::SharedMem, extreme) {
-        eprintln!(
-            "LITMUS-FAIL {{\"class\":{},\"detail\":{}}}",
-            json_str("mutation-smoke"),
-            json_str(&format!(
-                "unmutated program failed under {}: {}",
-                extreme.label(),
-                f.detail
-            ))
-        );
-        std::process::exit(1);
+        smoke_failure(format!(
+            "unmutated program failed under {}: {}",
+            extreme.label(),
+            f.detail
+        ));
     }
     match litmus::run_litmus_with(&lit, Mechanism::SharedMem, extreme, fault) {
         Err(f) if f.class == FailureClass::Invariant => {
             println!("mutation-smoke: {what} caught by the checker");
             println!("  {}", f.detail.lines().next().unwrap_or(""));
         }
-        Err(f) => {
-            eprintln!(
-                "LITMUS-FAIL {{\"class\":{},\"detail\":{}}}",
-                json_str("mutation-smoke"),
-                json_str(&format!(
-                    "{what} died as {} instead of invariant: {}",
-                    f.class, f.detail
-                ))
-            );
-            std::process::exit(1);
-        }
-        Ok(()) => {
-            eprintln!(
-                "LITMUS-FAIL {{\"class\":{},\"detail\":{}}}",
-                json_str("mutation-smoke"),
-                json_str(&format!("checker MISSED the seeded {what}"))
-            );
-            std::process::exit(1);
-        }
+        Err(f) => smoke_failure(format!(
+            "{what} died as {} instead of invariant: {}",
+            f.class, f.detail
+        )),
+        Ok(()) => smoke_failure(format!("checker MISSED the seeded {what}")),
     }
 }
 

@@ -33,6 +33,7 @@ use commsense_bench::{
 use commsense_core::engine::{PlanRun, RunRequest, Runner, WorkloadCache};
 use commsense_core::experiment::{bisection_plan, ctx_switch_plan, one_way_latency_cycles, Sweep};
 use commsense_core::figures::{self, Figure};
+use commsense_core::json::{self, Fixed};
 use commsense_core::machines::table1;
 use commsense_core::manifest;
 use commsense_core::model::{fit_bandwidth, fit_latency};
@@ -1032,10 +1033,7 @@ fn run_scale(opts: &Opts) {
         "topology,kind,nodes,bisection_bytes_per_cycle,mean_hops,\
          sm_over_mp_base,fig8_crossover_bpc,fig10_crossover_cycles\n",
     );
-    let mut manifest = String::from(
-        "{\n  \"kind\": \"commsense-scale-manifest\",\n  \"schema_version\": 1,\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
+    for r in &rows {
         println!(
             "{:<16} {:>6} {:>8.1} {:>6.2} {:>6} {:>10} {:>12}",
             r.topo.describe(),
@@ -1057,24 +1055,31 @@ fn run_scale(opts: &Opts) {
             fmt_opt(r.fig8_crossover_bpc),
             fmt_opt(r.fig10_crossover_cycles),
         ));
-        let json_opt = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{:.3}", x));
-        manifest.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"kind\": \"{}\", \"nodes\": {}, \
-             \"bisection_bytes_per_cycle\": {:.3}, \"mean_hops\": {:.3}, \
-             \"sm_over_mp_base\": {}, \"fig8_crossover_bpc\": {}, \
-             \"fig10_crossover_cycles\": {}}}{}\n",
-            r.topo.describe(),
-            r.topo.kind(),
-            r.topo.num_nodes(),
-            r.bisection_bpc,
-            r.mean_hops,
-            json_opt(r.sm_over_mp),
-            json_opt(r.fig8_crossover_bpc),
-            json_opt(r.fig10_crossover_cycles),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
     }
-    manifest.push_str("  ]\n}\n");
+    let fixed = |x: f64| Fixed(x, 3);
+    let mut manifest = String::new();
+    json::object(&mut manifest, |o| {
+        o.field("kind", "commsense-scale-manifest")
+            .field("schema_version", 1u32)
+            .array("rows", |a| {
+                for r in &rows {
+                    a.object(|o| {
+                        o.field("topology", r.topo.describe())
+                            .field("kind", r.topo.kind())
+                            .field("nodes", r.topo.num_nodes())
+                            .field("bisection_bytes_per_cycle", fixed(r.bisection_bpc))
+                            .field("mean_hops", fixed(r.mean_hops))
+                            .field("sm_over_mp_base", r.sm_over_mp.map(fixed))
+                            .field("fig8_crossover_bpc", r.fig8_crossover_bpc.map(fixed))
+                            .field(
+                                "fig10_crossover_cycles",
+                                r.fig10_crossover_cycles.map(fixed),
+                            );
+                    });
+                }
+            });
+    });
+    manifest.push('\n');
     let summary_path = format!("{out_dir}/scale_summary.csv");
     std::fs::write(&summary_path, summary).expect("write scale summary");
     let manifest_path = format!("{out_dir}/scale_manifest.json");
@@ -1259,10 +1264,7 @@ fn run_hostile(opts: &Opts) {
         "variant,pattern,app,sm_runtime_cycles,mp_poll_runtime_cycles,sm_over_mp,\
          fig10_sm_growth,priority_bypasses,low_bypassed\n",
     );
-    let mut manifest = String::from(
-        "{\n  \"kind\": \"commsense-hostile-manifest\",\n  \"schema_version\": 1,\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
+    for r in &rows {
         let ratio = r.sm_runtime as f64 / r.mp_runtime as f64;
         println!(
             "{:<10} {:>8} {:>12} {:>12} {:>7.2} {:>10.2} {:>10}",
@@ -1286,24 +1288,29 @@ fn run_hostile(opts: &Opts) {
             r.priority_bypasses,
             r.low_bypassed,
         ));
-        manifest.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"pattern\": \"{}\", \"app\": \"{}\", \
-             \"sm_runtime_cycles\": {}, \"mp_poll_runtime_cycles\": {}, \
-             \"sm_over_mp\": {:.3}, \"fig10_sm_growth\": {:.3}, \
-             \"priority_bypasses\": {}, \"low_bypassed\": {}}}{}\n",
-            r.variant.label(),
-            r.pattern.label(),
-            spec.name(),
-            r.sm_runtime,
-            r.mp_runtime,
-            ratio,
-            r.fig10_growth,
-            r.priority_bypasses,
-            r.low_bypassed,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
     }
-    manifest.push_str("  ]\n}\n");
+    let mut manifest = String::new();
+    json::object(&mut manifest, |o| {
+        o.field("kind", "commsense-hostile-manifest")
+            .field("schema_version", 1u32)
+            .array("rows", |a| {
+                for r in &rows {
+                    let ratio = r.sm_runtime as f64 / r.mp_runtime as f64;
+                    a.object(|o| {
+                        o.field("variant", r.variant.label())
+                            .field("pattern", r.pattern.label())
+                            .field("app", spec.name())
+                            .field("sm_runtime_cycles", r.sm_runtime)
+                            .field("mp_poll_runtime_cycles", r.mp_runtime)
+                            .field("sm_over_mp", Fixed(ratio, 3))
+                            .field("fig10_sm_growth", Fixed(r.fig10_growth, 3))
+                            .field("priority_bypasses", r.priority_bypasses)
+                            .field("low_bypassed", r.low_bypassed);
+                    });
+                }
+            });
+    });
+    manifest.push('\n');
 
     // The headline: how much of the baseline's clean-traffic shared-memory
     // runtime the criticality-aware variant recovers under each pattern.

@@ -41,7 +41,7 @@
 pub mod engine;
 pub mod experiment;
 pub mod figures;
-pub mod json;
+pub use commsense_machine::json;
 pub mod machines;
 pub mod manifest;
 pub mod model;

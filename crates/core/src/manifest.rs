@@ -33,7 +33,7 @@ use commsense_machine::critpath::{CritPath, Stage};
 use commsense_machine::{Bucket, RunState};
 
 use crate::engine::RunRequest;
-use crate::json::{push_escaped, Json};
+use crate::json::{self, Fixed, Json};
 
 /// Version stamp written into every manifest; bump on breaking layout
 /// changes so downstream readers can dispatch. Version 2 replaced the
@@ -42,31 +42,6 @@ use crate::json::{push_escaped, Json};
 /// optional `critpath` block (critical-path stage breakdown and predicted
 /// latency slope, see [`manifest_json_with_analysis`]).
 pub const MANIFEST_SCHEMA_VERSION: u32 = 3;
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    push_escaped(out, key);
-    out.push(':');
-    push_escaped(out, value);
-}
-
-fn push_u64_field(out: &mut String, key: &str, value: u64) {
-    push_escaped(out, key);
-    out.push_str(&format!(":{value}"));
-}
-
-fn push_f64_field(out: &mut String, key: &str, value: f64) {
-    push_escaped(out, key);
-    if value.is_finite() {
-        out.push_str(&format!(":{value}"));
-    } else {
-        out.push_str(":null");
-    }
-}
-
-fn push_bool_field(out: &mut String, key: &str, value: bool) {
-    push_escaped(out, key);
-    out.push_str(if value { ":true" } else { ":false" });
-}
 
 /// Renders the manifest for one executed request as a JSON document.
 ///
@@ -89,212 +64,110 @@ pub fn manifest_json_with_analysis(
 ) -> String {
     let cfg = &req.cfg;
     let clock = cfg.clock();
+    let stats = &result.stats;
     let mut out = String::with_capacity(4096);
-    out.push('{');
-    push_u64_field(&mut out, "schema_version", MANIFEST_SCHEMA_VERSION as u64);
-    out.push(',');
-    push_str_field(&mut out, "kind", "commsense-run-manifest");
-    out.push(',');
+    json::object(&mut out, |o| {
+        o.field("schema_version", MANIFEST_SCHEMA_VERSION)
+            .field("kind", "commsense-run-manifest")
+            // The request: workload, mechanism, sweep point.
+            .field("app", result.app)
+            .field("spec", format!("{:?}", req.spec))
+            .field("mechanism", req.mechanism.label())
+            .field("sweep_x", sweep_x);
 
-    // The request: workload, mechanism, sweep point.
-    push_str_field(&mut out, "app", result.app);
-    out.push(',');
-    push_str_field(&mut out, "spec", &format!("{:?}", req.spec));
-    out.push(',');
-    push_str_field(&mut out, "mechanism", req.mechanism.label());
-    out.push(',');
-    push_escaped(&mut out, "sweep_x");
-    match sweep_x {
-        Some(x) if x.is_finite() => out.push_str(&format!(":{x}")),
-        _ => out.push_str(":null"),
-    }
-    out.push(',');
+        // The machine.
+        o.object("config", |o| {
+            o.field("nodes", cfg.nodes)
+                .field("topology", cfg.net.topo.build().describe())
+                .field("topology_kind", cfg.net.topo.kind())
+                .field("cpu_mhz", cfg.cpu_mhz)
+                .field("net_ps_per_byte", cfg.net.ps_per_byte)
+                .field("net_router_delay_ps", cfg.net.router_delay_ps)
+                .field("receive", format!("{:?}", cfg.receive))
+                .field("barrier", format!("{:?}", cfg.barrier))
+                .field("write_buffer", cfg.write_buffer)
+                .field("cross_traffic", cfg.cross_traffic.is_some())
+                .field(
+                    "latency_emulation_cycles",
+                    cfg.latency_emulation.map(|emu| emu.remote_miss_cycles),
+                );
+            match cfg.observe {
+                Some(obs) => o.object("observe", |o| {
+                    o.field("epoch_cycles", obs.epoch_cycles)
+                        .field("trace_capacity", obs.trace_capacity)
+                        .field("max_packets", obs.max_packets);
+                }),
+                None => o.field("observe", None::<u64>),
+            };
+        });
 
-    // The machine.
-    push_escaped(&mut out, "config");
-    out.push_str(":{");
-    push_u64_field(&mut out, "nodes", cfg.nodes as u64);
-    out.push(',');
-    push_str_field(&mut out, "topology", &cfg.net.topo.build().describe());
-    out.push(',');
-    push_str_field(&mut out, "topology_kind", cfg.net.topo.kind());
-    out.push(',');
-    push_f64_field(&mut out, "cpu_mhz", cfg.cpu_mhz);
-    out.push(',');
-    push_u64_field(&mut out, "net_ps_per_byte", cfg.net.ps_per_byte);
-    out.push(',');
-    push_u64_field(&mut out, "net_router_delay_ps", cfg.net.router_delay_ps);
-    out.push(',');
-    push_str_field(&mut out, "receive", &format!("{:?}", cfg.receive));
-    out.push(',');
-    push_str_field(&mut out, "barrier", &format!("{:?}", cfg.barrier));
-    out.push(',');
-    push_u64_field(&mut out, "write_buffer", cfg.write_buffer as u64);
-    out.push(',');
-    push_bool_field(&mut out, "cross_traffic", cfg.cross_traffic.is_some());
-    out.push(',');
-    push_escaped(&mut out, "latency_emulation_cycles");
-    match cfg.latency_emulation {
-        Some(emu) => out.push_str(&format!(":{}", emu.remote_miss_cycles)),
-        None => out.push_str(":null"),
-    }
-    out.push(',');
-    push_escaped(&mut out, "observe");
-    match cfg.observe {
-        Some(o) => out.push_str(&format!(
-            ":{{\"epoch_cycles\":{},\"trace_capacity\":{},\"max_packets\":{}}}",
-            o.epoch_cycles, o.trace_capacity, o.max_packets
-        )),
-        None => out.push_str(":null"),
-    }
-    out.push_str("},");
+        // The result summary.
+        o.object("result", |o| {
+            o.field("runtime_cycles", result.runtime_cycles)
+                .field("verified", result.verified)
+                .field("max_abs_err", result.max_abs_err)
+                .field("events", stats.events)
+                .field("messages_sent", stats.messages_sent)
+                .field("app_volume_bytes", stats.volume.app_total())
+                .field("bisection_bytes", stats.bisection.app_total())
+                .field("cache_hits", stats.cache_hit_miss.0)
+                .field("cache_misses", stats.cache_hit_miss.1)
+                .field(
+                    "mean_packet_latency_cycles",
+                    stats.mean_packet_latency.map(|t| clock.cycles_at_f64(t)),
+                )
+                .object("bucket_mean_cycles", |o| {
+                    for b in Bucket::ALL {
+                        o.field(b.label(), stats.mean_bucket_cycles(b, clock));
+                    }
+                });
+        });
 
-    // The result summary.
-    push_escaped(&mut out, "result");
-    out.push_str(":{");
-    push_u64_field(&mut out, "runtime_cycles", result.runtime_cycles);
-    out.push(',');
-    push_bool_field(&mut out, "verified", result.verified);
-    out.push(',');
-    push_f64_field(&mut out, "max_abs_err", result.max_abs_err);
-    out.push(',');
-    push_u64_field(&mut out, "events", result.stats.events);
-    out.push(',');
-    push_u64_field(&mut out, "messages_sent", result.stats.messages_sent);
-    out.push(',');
-    push_u64_field(
-        &mut out,
-        "app_volume_bytes",
-        result.stats.volume.app_total(),
-    );
-    out.push(',');
-    push_u64_field(
-        &mut out,
-        "bisection_bytes",
-        result.stats.bisection.app_total(),
-    );
-    out.push(',');
-    push_u64_field(&mut out, "cache_hits", result.stats.cache_hit_miss.0);
-    out.push(',');
-    push_u64_field(&mut out, "cache_misses", result.stats.cache_hit_miss.1);
-    out.push(',');
-    push_escaped(&mut out, "mean_packet_latency_cycles");
-    match result.stats.mean_packet_latency {
-        Some(t) => out.push_str(&format!(":{}", clock.cycles_at_f64(t))),
-        None => out.push_str(":null"),
-    }
-    out.push(',');
-    push_escaped(&mut out, "bucket_mean_cycles");
-    out.push_str(":{");
-    for (i, b) in Bucket::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        // The metric series, when observation was on.
+        if let Some(obs) = &result.observation {
+            let series = &obs.series;
+            o.object("series", |o| {
+                o.field("epoch_ps", series.epoch_ps)
+                    .field("samples", series.samples())
+                    .field("at_ps", series.at_ps.as_slice())
+                    .object("state_fraction", |o| {
+                        for state in RunState::ALL {
+                            o.array(state.label(), |a| {
+                                for s in 0..series.samples() {
+                                    a.item(Fixed(series.state_fraction(s, state), 4));
+                                }
+                            });
+                        }
+                    })
+                    .field("event_queue_depth", series.event_queue_depth.as_slice())
+                    .field("barrier_occupancy", series.barrier_occupancy.as_slice())
+                    .array("mean_link_utilization", |a| {
+                        for link in 0..series.links {
+                            a.item(Fixed(obs.mean_link_utilization(link), 4));
+                        }
+                    })
+                    .field("trace_events_dropped", obs.trace.dropped())
+                    .field("net_packets_dropped", obs.net.dropped_packets);
+            });
         }
-        push_f64_field(
-            &mut out,
-            b.label(),
-            result.stats.mean_bucket_cycles(*b, clock),
-        );
-    }
-    out.push_str("}}");
 
-    // The metric series, when observation was on.
-    if let Some(obs) = &result.observation {
-        let series = &obs.series;
-        out.push(',');
-        push_escaped(&mut out, "series");
-        out.push_str(":{");
-        push_u64_field(&mut out, "epoch_ps", series.epoch_ps);
-        out.push(',');
-        push_u64_field(&mut out, "samples", series.samples() as u64);
-        out.push(',');
-        push_escaped(&mut out, "at_ps");
-        out.push_str(":[");
-        for (i, t) in series.at_ps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{t}"));
+        // The critical-path analysis, when one was run.
+        if let Some(cp) = critpath {
+            o.object("critpath", |o| {
+                o.field("total_cycles", cp.total_cycles())
+                    .field("predicted_slope", cp.predicted_slope())
+                    .field("traversals", cp.traversals)
+                    .field("messages", cp.messages)
+                    .field("barrier_joins", cp.barrier_joins)
+                    .field("complete", cp.complete)
+                    .object("stage_cycles", |o| {
+                        for stage in Stage::ALL {
+                            o.field(stage.label(), cp.stage_cycles(stage));
+                        }
+                    });
+            });
         }
-        out.push_str("],");
-        push_escaped(&mut out, "state_fraction");
-        out.push_str(":{");
-        for (si, state) in RunState::ALL.iter().enumerate() {
-            if si > 0 {
-                out.push(',');
-            }
-            push_escaped(&mut out, state.label());
-            out.push_str(":[");
-            for s in 0..series.samples() {
-                if s > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{:.4}", series.state_fraction(s, *state)));
-            }
-            out.push(']');
-        }
-        out.push_str("},");
-        push_escaped(&mut out, "event_queue_depth");
-        out.push_str(":[");
-        for (i, d) in series.event_queue_depth.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{d}"));
-        }
-        out.push_str("],");
-        push_escaped(&mut out, "barrier_occupancy");
-        out.push_str(":[");
-        for (i, d) in series.barrier_occupancy.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{d}"));
-        }
-        out.push_str("],");
-        push_escaped(&mut out, "mean_link_utilization");
-        out.push_str(":[");
-        for link in 0..series.links {
-            if link > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{:.4}", obs.mean_link_utilization(link)));
-        }
-        out.push_str("],");
-        push_u64_field(&mut out, "trace_events_dropped", obs.trace.dropped());
-        out.push(',');
-        push_u64_field(&mut out, "net_packets_dropped", obs.net.dropped_packets);
-        out.push('}');
-    }
-
-    // The critical-path analysis, when one was run.
-    if let Some(cp) = critpath {
-        out.push(',');
-        push_escaped(&mut out, "critpath");
-        out.push_str(":{");
-        push_u64_field(&mut out, "total_cycles", cp.total_cycles());
-        out.push(',');
-        push_f64_field(&mut out, "predicted_slope", cp.predicted_slope());
-        out.push(',');
-        push_u64_field(&mut out, "traversals", cp.traversals);
-        out.push(',');
-        push_u64_field(&mut out, "messages", cp.messages);
-        out.push(',');
-        push_u64_field(&mut out, "barrier_joins", cp.barrier_joins);
-        out.push(',');
-        push_bool_field(&mut out, "complete", cp.complete);
-        out.push(',');
-        push_escaped(&mut out, "stage_cycles");
-        out.push_str(":{");
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_u64_field(&mut out, stage.label(), cp.stage_cycles(*stage));
-        }
-        out.push_str("}}");
-    }
-    out.push('}');
+    });
     out
 }
 

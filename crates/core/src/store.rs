@@ -52,6 +52,7 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+use std::fmt::{Display, Write as _};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,7 +64,7 @@ use commsense_machine::{LatencyHistogram, Mechanism, NodeStats, RunStats};
 use commsense_mesh::VolumeBreakdown;
 
 use crate::engine::RunRequest;
-use crate::json::{push_escaped, Json};
+use crate::json::{self, Json, Obj, Value};
 
 /// Model-version salt folded into every store key. Bump whenever the
 /// simulator can legitimately produce different cycle counts for the same
@@ -425,109 +426,88 @@ pub struct ScanReport {
 // bit-identical guarantee the engine tests pin. u64 fields encode as
 // decimal strings; f64 fields as the hex of their IEEE-754 bits.
 
-fn push_field(out: &mut String, key: &str, value: &str) {
-    if !out.ends_with('{') {
-        out.push(',');
+/// A record value written as a JSON string of its `Display` text: every
+/// number, and `verified`.
+struct Quoted<T>(T);
+
+impl<T: Display> Value for Quoted<T> {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.0);
     }
-    push_escaped(out, key);
-    out.push(':');
-    push_escaped(out, value);
 }
 
-fn push_u64(out: &mut String, key: &str, value: u64) {
-    push_field(out, key, &value.to_string());
-}
-
-fn push_time(out: &mut String, key: &str, value: Time) {
-    push_u64(out, key, value.as_ps());
-}
-
-fn push_f64_bits(out: &mut String, key: &str, value: f64) {
-    push_field(out, key, &format!("{:016x}", value.to_bits()));
-}
-
-fn push_volume(out: &mut String, key: &str, v: &VolumeBreakdown) {
-    if !out.ends_with('{') {
-        out.push(',');
-    }
-    push_escaped(out, key);
-    out.push_str(":{");
-    push_u64(out, "invalidates", v.invalidates);
-    push_u64(out, "requests", v.requests);
-    push_u64(out, "headers", v.headers);
-    push_u64(out, "data", v.data);
-    push_u64(out, "cross_traffic", v.cross_traffic);
-    out.push('}');
+fn volume(o: &mut Obj<'_>, v: &VolumeBreakdown) {
+    o.field("invalidates", Quoted(v.invalidates))
+        .field("requests", Quoted(v.requests))
+        .field("headers", Quoted(v.headers))
+        .field("data", Quoted(v.data))
+        .field("cross_traffic", Quoted(v.cross_traffic));
 }
 
 fn encode_payload(key: u128, req: &RunRequest, r: &RunResult) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push('{');
-    push_field(&mut out, "schema", RECORD_SCHEMA);
-    push_u64(&mut out, "model_version", MODEL_VERSION as u64);
-    push_field(&mut out, "key", &format!("{key:032x}"));
-    push_field(&mut out, "app", r.app);
-    push_field(&mut out, "mechanism", r.mechanism.label());
-    push_u64(&mut out, "runtime_cycles", r.runtime_cycles);
-    push_field(
-        &mut out,
-        "verified",
-        if r.verified { "true" } else { "false" },
-    );
-    push_f64_bits(&mut out, "max_abs_err", r.max_abs_err);
-    // Wall time is measurement metadata, but storing it lets a warm run
-    // reproduce the cold run's reports (e.g. the `repro fig4` footers) without
-    // pretending the replay took zero time.
-    push_u64(&mut out, "wall_nanos", r.wall.as_nanos() as u64);
-    out.push_str(",\"stats\":{");
+    let ps = |t: Time| Quoted(t.as_ps());
     let s = &r.stats;
-    push_time(&mut out, "runtime_ps", s.runtime);
-    push_u64(&mut out, "runtime_cycles", s.runtime_cycles);
-    push_u64(&mut out, "messages_sent", s.messages_sent);
-    push_u64(&mut out, "events", s.events);
-    match s.mean_packet_latency {
-        Some(t) => push_time(&mut out, "mean_packet_latency_ps", t),
-        None => push_field(&mut out, "mean_packet_latency_ps", "none"),
-    }
-    push_u64(&mut out, "useless_prefetches", s.useless_prefetches);
-    push_u64(&mut out, "useful_prefetches", s.useful_prefetches);
-    push_u64(&mut out, "priority_bypasses", s.priority_bypasses);
-    push_u64(&mut out, "low_bypassed", s.low_bypassed);
-    push_u64(&mut out, "cache_hits", s.cache_hit_miss.0);
-    push_u64(&mut out, "cache_misses", s.cache_hit_miss.1);
-    push_volume(&mut out, "volume", &s.volume);
-    push_volume(&mut out, "bisection", &s.bisection);
-    out.push_str(",\"proto\":{");
-    push_u64(&mut out, "read_misses", s.proto.read_misses);
-    push_u64(&mut out, "write_misses", s.proto.write_misses);
-    push_u64(&mut out, "invalidations", s.proto.invalidations);
-    push_u64(&mut out, "interventions", s.proto.interventions);
-    push_u64(&mut out, "limitless_traps", s.proto.limitless_traps);
-    push_u64(&mut out, "writebacks", s.proto.writebacks);
-    push_u64(&mut out, "deferred", s.proto.deferred);
-    out.push_str("},\"miss_latency\":{");
-    let h = &s.miss_latency;
-    push_field(
-        &mut out,
-        "buckets",
-        &h.buckets.map(|b| b.to_string()).join(" "),
-    );
-    push_u64(&mut out, "count", h.count);
-    push_u64(&mut out, "sum_cycles", h.sum_cycles);
-    push_u64(&mut out, "max_cycles", h.max_cycles);
-    out.push_str("},\"nodes\":[");
-    for (i, n) in s.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_time(&mut out, "sync", n.sync);
-        push_time(&mut out, "overhead", n.overhead);
-        push_time(&mut out, "mem", n.mem);
-        push_time(&mut out, "compute", n.compute);
-        out.push('}');
-    }
-    out.push_str("]}}");
+    let mut out = String::with_capacity(2048);
+    json::object(&mut out, |o| {
+        o.field("schema", RECORD_SCHEMA)
+            .field("model_version", Quoted(MODEL_VERSION))
+            .field("key", format!("{key:032x}"))
+            .field("app", r.app)
+            .field("mechanism", r.mechanism.label())
+            .field("runtime_cycles", Quoted(r.runtime_cycles))
+            .field("verified", Quoted(r.verified))
+            .field("max_abs_err", format!("{:016x}", r.max_abs_err.to_bits()))
+            // Wall time is measurement metadata, but storing it lets a warm
+            // run reproduce the cold run's reports (e.g. the `repro fig4`
+            // footers) without pretending the replay took zero time.
+            .field("wall_nanos", Quoted(r.wall.as_nanos() as u64))
+            .object("stats", |o| {
+                o.field("runtime_ps", ps(s.runtime))
+                    .field("runtime_cycles", Quoted(s.runtime_cycles))
+                    .field("messages_sent", Quoted(s.messages_sent))
+                    .field("events", Quoted(s.events));
+                match s.mean_packet_latency {
+                    Some(t) => o.field("mean_packet_latency_ps", ps(t)),
+                    None => o.field("mean_packet_latency_ps", "none"),
+                };
+                o.field("useless_prefetches", Quoted(s.useless_prefetches))
+                    .field("useful_prefetches", Quoted(s.useful_prefetches))
+                    .field("priority_bypasses", Quoted(s.priority_bypasses))
+                    .field("low_bypassed", Quoted(s.low_bypassed))
+                    .field("cache_hits", Quoted(s.cache_hit_miss.0))
+                    .field("cache_misses", Quoted(s.cache_hit_miss.1))
+                    .object("volume", |o| volume(o, &s.volume))
+                    .object("bisection", |o| volume(o, &s.bisection))
+                    .object("proto", |o| {
+                        let p = &s.proto;
+                        o.field("read_misses", Quoted(p.read_misses))
+                            .field("write_misses", Quoted(p.write_misses))
+                            .field("invalidations", Quoted(p.invalidations))
+                            .field("interventions", Quoted(p.interventions))
+                            .field("limitless_traps", Quoted(p.limitless_traps))
+                            .field("writebacks", Quoted(p.writebacks))
+                            .field("deferred", Quoted(p.deferred));
+                    })
+                    .object("miss_latency", |o| {
+                        let h = &s.miss_latency;
+                        let buckets = h.buckets.map(|b| b.to_string()).join(" ");
+                        o.field("buckets", buckets)
+                            .field("count", Quoted(h.count))
+                            .field("sum_cycles", Quoted(h.sum_cycles))
+                            .field("max_cycles", Quoted(h.max_cycles));
+                    })
+                    .array("nodes", |a| {
+                        for n in &s.nodes {
+                            a.object(|o| {
+                                o.field("sync", ps(n.sync))
+                                    .field("overhead", ps(n.overhead))
+                                    .field("mem", ps(n.mem))
+                                    .field("compute", ps(n.compute));
+                            });
+                        }
+                    });
+            });
+    });
     // The encoding request is only used for documentation-grade sanity: a
     // record always describes the request that keyed it.
     debug_assert_eq!(r.app, req.spec.name());

@@ -4,6 +4,8 @@
 
 use std::fmt;
 
+use crate::json;
+
 /// Why a machine run failed. Each payload string is the text after the
 /// variant's marker (`deadlock: `, `PROTOCOL-INVARIANT `, `SC-ORACLE `) in
 /// the [`Display`](fmt::Display) rendering, the stable, grep-able message
@@ -47,11 +49,11 @@ impl SimError {
     /// the line `repro --check` reports and CI greps for. For callers
     /// whose signature has no room for the error.
     pub fn raise(self) -> ! {
-        let mut line = String::from("CHECK-FAIL {\"class\":");
-        push_escaped(&mut line, self.class());
-        line.push_str(",\"detail\":");
-        push_escaped(&mut line, &self.to_string());
-        line.push('}');
+        let mut line = String::from("CHECK-FAIL ");
+        json::object(&mut line, |o| {
+            o.field("class", self.class())
+                .field("detail", self.to_string());
+        });
         panic!("{line}");
     }
 }
@@ -81,24 +83,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Appends `s` to `out` as a JSON string literal, escaping quotes,
-/// backslashes, and control characters.
-pub fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -148,12 +132,5 @@ mod tests {
         assert_eq!(panic_message(b.as_ref()), "owned");
         let b: Box<dyn std::any::Any + Send> = Box::new(42u32);
         assert_eq!(panic_message(b.as_ref()), "non-string panic payload");
-    }
-
-    #[test]
-    fn escapes_quotes_backslashes_and_controls() {
-        let mut out = String::new();
-        push_escaped(&mut out, "a\"b\\c\n\u{1}");
-        assert_eq!(out, r#""a\"b\\c\n\u0001""#);
     }
 }

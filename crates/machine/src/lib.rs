@@ -42,6 +42,7 @@ pub mod config;
 pub mod critpath;
 pub mod error;
 pub mod invariants;
+pub mod json;
 pub mod machine;
 pub mod metrics;
 pub mod oracle;
@@ -55,7 +56,7 @@ pub use config::{
     ProtoVariant, ReceiveMode,
 };
 pub use critpath::{analyze, CritPath, Stage};
-pub use error::{panic_message, push_escaped, SimError};
+pub use error::{panic_message, SimError};
 pub use machine::{DispatchKindProfile, DispatchProfile, Machine, MachineSpec};
 pub use metrics::{MetricsSeries, Observation, RunState};
 pub use program::{HandlerCtx, NodeCtx, Program, RmwOp, Step};

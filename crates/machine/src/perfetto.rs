@@ -20,6 +20,7 @@
 
 use commsense_mesh::NO_RECORD;
 
+use crate::json::{self, Arr, Obj};
 use crate::metrics::Observation;
 use crate::trace::TraceKind;
 
@@ -34,113 +35,110 @@ const PID_NODES: u32 = 1;
 const PID_LINKS: u32 = 2;
 const PID_COUNTERS: u32 = 3;
 
-/// One pending trace-event JSON object plus its sort key.
+/// One pending trace event plus its sort key.
 struct Entry {
     pid: u32,
     tid: u32,
     ts_ps: u64,
-    body: String,
+    event: Event,
 }
 
-/// `s` as a JSON string literal, quotes included.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    crate::error::push_escaped(&mut out, s);
-    out
+/// What an [`Entry`] draws, beyond the `ph`/`pid`/`tid`/`ts` every
+/// event carries.
+enum Event {
+    /// A duration slice (`ph: X`).
+    Slice { dur_ps: u64, name: String },
+    /// The thread-scoped `done` instant (`ph: i`) ending a node's track.
+    Done,
+    /// A flow step: `ph` is `s` (start), `t` (step) or `f` (finish).
+    Flow {
+        ph: &'static str,
+        id: u32,
+        bind_end: bool,
+        critical: bool,
+    },
+    /// A counter sample (`ph: C`).
+    Counter { name: &'static str, value: f64 },
 }
 
+/// Picoseconds as trace microseconds; the writer's shortest round-trip
+/// form keeps every picosecond and is deterministic.
 fn ts_us(ps: u64) -> f64 {
     ps as f64 / 1e6
 }
 
-/// Formats a microsecond timestamp with fixed precision so output is
-/// deterministic and sub-nanosecond resolution survives.
-fn fmt_us(v: f64) -> String {
-    let s = format!("{v:.6}");
-    s.trim_end_matches('0').trim_end_matches('.').to_string()
-}
-
 impl Entry {
-    fn slice(pid: u32, tid: u32, ts_ps: u64, dur_ps: u64, name: &str, extra: &str) -> Entry {
+    fn new(pid: u32, tid: u32, ts_ps: u64, event: Event) -> Entry {
         Entry {
             pid,
             tid,
             ts_ps,
-            body: format!(
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":{}{extra}}}",
-                fmt_us(ts_us(ts_ps)),
-                fmt_us(ts_us(dur_ps)),
-                esc(name),
-            ),
+            event,
         }
     }
 
-    fn instant(pid: u32, tid: u32, ts_ps: u64, name: &str) -> Entry {
-        Entry {
-            pid,
-            tid,
-            ts_ps,
-            body: format!(
-                "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\"name\":{}}}",
-                fmt_us(ts_us(ts_ps)),
-                esc(name),
-            ),
-        }
+    fn slice(pid: u32, tid: u32, ts_ps: u64, dur_ps: u64, name: String) -> Entry {
+        Entry::new(pid, tid, ts_ps, Event::Slice { dur_ps, name })
     }
 
-    fn flow(
-        pid: u32,
-        tid: u32,
-        ts_ps: u64,
-        ph: char,
-        id: u32,
-        bind_end: bool,
-        critical: bool,
-    ) -> Entry {
-        let bp = if bind_end { ",\"bp\":\"e\"" } else { "" };
-        // Critical-path flows get their own category (so they can be
-        // toggled/colored separately in the Perfetto UI) and an explicit
-        // arg for queries.
-        let (cat, args) = if critical {
-            ("msg-critical", ",\"args\":{\"critical\":true}")
-        } else {
-            ("msg", "")
+    fn write(&self, o: &mut Obj<'_>) {
+        let ph = match self.event {
+            Event::Slice { .. } => "X",
+            Event::Done => "i",
+            Event::Flow { ph, .. } => ph,
+            Event::Counter { .. } => "C",
         };
-        Entry {
-            pid,
-            tid,
-            ts_ps,
-            body: format!(
-                "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"id\":{id},\
-                 \"cat\":\"{cat}\",\"name\":\"{cat}\"{args}{bp}}}",
-                fmt_us(ts_us(ts_ps)),
-            ),
-        }
-    }
-
-    fn counter(pid: u32, tid: u32, ts_ps: u64, name: &str, value: f64) -> Entry {
-        Entry {
-            pid,
-            tid,
-            ts_ps,
-            body: format!(
-                "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":{},\
-                 \"args\":{{\"value\":{}}}}}",
-                fmt_us(ts_us(ts_ps)),
-                esc(name),
-                value,
-            ),
+        o.field("ph", ph)
+            .field("pid", self.pid)
+            .field("tid", self.tid)
+            .field("ts", ts_us(self.ts_ps));
+        match &self.event {
+            Event::Slice { dur_ps, name } => {
+                o.field("dur", ts_us(*dur_ps)).field("name", name);
+            }
+            Event::Done => {
+                o.field("s", "t").field("name", "done");
+            }
+            &Event::Flow {
+                id,
+                bind_end,
+                critical,
+                ..
+            } => {
+                // Critical-path flows get their own category (so they can
+                // be toggled/colored separately in the Perfetto UI) and an
+                // explicit arg for queries.
+                let cat = if critical { "msg-critical" } else { "msg" };
+                o.field("id", id).field("cat", cat).field("name", cat);
+                if critical {
+                    o.object("args", |a| {
+                        a.field("critical", true);
+                    });
+                }
+                if bind_end {
+                    o.field("bp", "e");
+                }
+            }
+            Event::Counter { name, value } => {
+                o.field("name", name).object("args", |a| {
+                    a.field("value", value);
+                });
+            }
         }
     }
 }
 
-fn metadata(out: &mut Vec<String>, pid: u32, tid: Option<u32>, what: &str, name: &str) {
-    let tid_field = tid.map_or(String::new(), |t| format!(",\"tid\":{t}"));
-    out.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{pid}{tid_field},\"name\":\"{what}\",\
-         \"args\":{{\"name\":{}}}}}",
-        esc(name)
-    ));
+/// A `ph: M` metadata event naming a process (`tid` absent) or thread.
+fn metadata(events: &mut Arr<'_>, pid: u32, tid: Option<u32>, what: &str, name: &str) {
+    events.object(|o| {
+        o.field("ph", "M").field("pid", pid);
+        if let Some(tid) = tid {
+            o.field("tid", tid);
+        }
+        o.field("name", what).object("args", |a| {
+            a.field("name", name);
+        });
+    });
 }
 
 /// Renders an [`Observation`] as a Chrome trace-event JSON document.
@@ -202,6 +200,12 @@ pub fn export_trace_critical(obs: &Observation, critical: &[u32]) -> String {
         }
     }
     let paired = |id: u32| id != NO_RECORD && sent.contains(&id) && received.contains(&id);
+    let flow = |ph, id, bind_end| Event::Flow {
+        ph,
+        id,
+        bind_end,
+        critical: is_critical(id),
+    };
 
     // Node tracks: block intervals (open at a Block*/Barrier event, closed
     // by the next Resume), handler slices, send slices, done markers.
@@ -219,22 +223,14 @@ pub fn export_trace_critical(obs: &Observation, critical: &[u32]) -> String {
             TraceKind::Resume => {
                 if let Some((start, label)) = open_block[e.node as usize].take() {
                     let dur = at.saturating_sub(start);
-                    entries.push(Entry::slice(PID_NODES, node, start, dur, label, ""));
+                    entries.push(Entry::slice(PID_NODES, node, start, dur, label.into()));
                 }
             }
             TraceKind::Send { dst, bytes, msg } => {
                 let name = format!("send->n{dst} {bytes}B");
-                entries.push(Entry::slice(PID_NODES, node, at, cycle_ps, &name, ""));
+                entries.push(Entry::slice(PID_NODES, node, at, cycle_ps, name));
                 if paired(msg) {
-                    entries.push(Entry::flow(
-                        PID_NODES,
-                        node,
-                        at,
-                        's',
-                        msg,
-                        false,
-                        is_critical(msg),
-                    ));
+                    entries.push(Entry::new(PID_NODES, node, at, flow("s", msg, false)));
                 }
             }
             TraceKind::Handler {
@@ -244,21 +240,13 @@ pub fn export_trace_critical(obs: &Observation, critical: &[u32]) -> String {
             } => {
                 let dur = cycles as u64 * cycle_ps;
                 let name = format!("handler {handler}");
-                entries.push(Entry::slice(PID_NODES, node, at, dur, &name, ""));
+                entries.push(Entry::slice(PID_NODES, node, at, dur, name));
                 if paired(msg) {
-                    entries.push(Entry::flow(
-                        PID_NODES,
-                        node,
-                        at,
-                        'f',
-                        msg,
-                        true,
-                        is_critical(msg),
-                    ));
+                    entries.push(Entry::new(PID_NODES, node, at, flow("f", msg, true)));
                 }
             }
             TraceKind::Done => {
-                entries.push(Entry::instant(PID_NODES, node, at, "done"));
+                entries.push(Entry::new(PID_NODES, node, at, Event::Done));
             }
         }
     }
@@ -269,94 +257,62 @@ pub fn export_trace_critical(obs: &Observation, critical: &[u32]) -> String {
         let name = format!("{:?} {}B", p.class, p.bytes);
         let start = h.start.as_ps();
         let dur = h.end.as_ps().saturating_sub(start);
-        entries.push(Entry::slice(PID_LINKS, h.link, start, dur, &name, ""));
+        entries.push(Entry::slice(PID_LINKS, h.link, start, dur, name));
         if paired(h.packet) {
-            entries.push(Entry::flow(
-                PID_LINKS,
-                h.link,
-                start,
-                't',
-                h.packet,
-                false,
-                is_critical(h.packet),
-            ));
+            let step = flow("t", h.packet, false);
+            entries.push(Entry::new(PID_LINKS, h.link, start, step));
         }
     }
 
     // Counter track: per-epoch series.
     let s = &obs.series;
+    let counter = |name, value| Event::Counter { name, value };
     for i in 0..s.samples() {
         let at = s.at_ps[i];
-        entries.push(Entry::counter(
-            PID_COUNTERS,
-            0,
-            at,
-            "event-queue depth",
-            s.event_queue_depth[i] as f64,
-        ));
-        entries.push(Entry::counter(
-            PID_COUNTERS,
-            1,
-            at,
-            "barrier occupancy",
-            s.barrier_occupancy[i] as f64,
-        ));
+        let depth = counter("event-queue depth", s.event_queue_depth[i] as f64);
+        entries.push(Entry::new(PID_COUNTERS, 0, at, depth));
+        let occupancy = counter("barrier occupancy", s.barrier_occupancy[i] as f64);
+        entries.push(Entry::new(PID_COUNTERS, 1, at, occupancy));
         if s.links > 0 {
             let mean: f64 =
                 (0..s.links).map(|l| s.link_utilization(i, l)).sum::<f64>() / s.links as f64;
-            entries.push(Entry::counter(
-                PID_COUNTERS,
-                2,
-                at,
-                "mean link utilization",
-                (mean * 1000.0).round() / 1000.0,
-            ));
+            let mean = counter("mean link utilization", (mean * 1000.0).round() / 1000.0);
+            entries.push(Entry::new(PID_COUNTERS, 2, at, mean));
         }
     }
 
     // Stable sort per track by timestamp: viewers require non-decreasing
     // `ts` within a track, and ties keep insertion order so the output is
     // deterministic.
-    entries.sort_by(|a, b| {
-        (a.pid, a.tid, a.ts_ps)
-            .partial_cmp(&(b.pid, b.tid, b.ts_ps))
-            .unwrap()
+    entries.sort_by_key(|e| (e.pid, e.tid, e.ts_ps));
+
+    let mut out = String::with_capacity(64 * (entries.len() + 8));
+    json::object(&mut out, |o| {
+        o.array("traceEvents", |events| {
+            metadata(events, PID_NODES, None, "process_name", "nodes");
+            metadata(events, PID_LINKS, None, "process_name", "links");
+            metadata(events, PID_COUNTERS, None, "process_name", "counters");
+            for n in 0..obs.nodes {
+                let name = format!("node {n}");
+                metadata(events, PID_NODES, Some(n as u32), "thread_name", &name);
+            }
+            // Link tracks are keyed by dense link id (hop records carry
+            // it); when the metric series is sampled, only the sampled
+            // links get names, but ids still line up.
+            for (label, &l) in obs.link_labels.iter().zip(&obs.series.link_ids) {
+                let name = format!("link {label}");
+                metadata(events, PID_LINKS, Some(l), "thread_name", &name);
+            }
+            for e in &entries {
+                events.object(|o| e.write(o));
+            }
+        })
+        .field("displayTimeUnit", "ns")
+        .object("otherData", |o| {
+            o.field("schema_version", TRACE_SCHEMA_VERSION)
+                .field("trace_dropped_events", obs.trace.dropped())
+                .field("net_dropped_packets", obs.net.dropped_packets);
+        });
     });
-
-    let mut events: Vec<String> = Vec::with_capacity(entries.len() + 8);
-    metadata(&mut events, PID_NODES, None, "process_name", "nodes");
-    metadata(&mut events, PID_LINKS, None, "process_name", "links");
-    metadata(&mut events, PID_COUNTERS, None, "process_name", "counters");
-    for n in 0..obs.nodes {
-        metadata(
-            &mut events,
-            PID_NODES,
-            Some(n as u32),
-            "thread_name",
-            &format!("node {n}"),
-        );
-    }
-    // Link tracks are keyed by dense link id (hop records carry it); when
-    // the metric series is sampled, only the sampled links get names, but
-    // ids still line up.
-    for (label, &l) in obs.link_labels.iter().zip(&obs.series.link_ids) {
-        metadata(
-            &mut events,
-            PID_LINKS,
-            Some(l),
-            "thread_name",
-            &format!("link {label}"),
-        );
-    }
-    events.extend(entries.into_iter().map(|e| e.body));
-
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ns\",\"otherData\":{{\
-         \"schema_version\":{TRACE_SCHEMA_VERSION},\
-         \"trace_dropped_events\":{},\
-         \"net_dropped_packets\":{}}}}}",
-        events.join(","),
-        obs.trace.dropped(),
-        obs.net.dropped_packets,
-    )
+    out
 }

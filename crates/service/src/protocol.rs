@@ -1,15 +1,14 @@
 //! The wire protocol: line-delimited JSON over a local TCP socket.
 //!
-//! Every message is a single line holding one `type`-tagged JSON object.
-//! Parsing reuses the repo's hand-rolled [`commsense_core::json`] parser;
-//! emission builds each line by hand around [`push_escaped`], so the
-//! protocol has no dependency beyond `commsense-core`. Both directions
-//! live here — [`ClientMsg`] is what the daemon parses, [`ServerMsg`] is
-//! what the reference client parses — which keeps the codec symmetric and
-//! testable without a socket.
+//! Every message is a single line holding one `type`-tagged JSON object,
+//! written and parsed with the workspace's own [`commsense_core::json`]
+//! writer and parser, so the protocol has no dependency beyond
+//! `commsense-core`. Both directions live here — [`ClientMsg`] is what
+//! the daemon parses, [`ServerMsg`] is what the reference client parses —
+//! which keeps the codec symmetric and testable without a socket.
 
 use commsense_apps::Scale;
-use commsense_core::json::{push_escaped, Json};
+use commsense_core::json::{self, Json};
 
 /// The figure whose sweep plan a submission requests: any figure of the
 /// [`commsense_core::figures`] registry.
@@ -95,38 +94,20 @@ impl ClientMsg {
     /// Serializes the message as one protocol line (no trailing newline).
     pub fn line(&self) -> String {
         let mut s = String::new();
-        match self {
-            ClientMsg::Submit { id, plan } => {
-                s.push_str("{\"type\":\"submit\",\"id\":");
-                push_escaped(&mut s, id);
-                s.push_str(",\"figure\":");
-                push_escaped(&mut s, plan.figure.label());
-                s.push_str(",\"scale\":");
-                push_escaped(&mut s, plan.scale.label());
-                s.push_str(",\"apps\":[");
-                for (i, a) in plan.apps.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    push_escaped(&mut s, a);
-                }
-                s.push_str("],\"mechanisms\":[");
-                for (i, m) in plan.mechanisms.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    push_escaped(&mut s, m);
-                }
-                s.push_str("]}");
-            }
-            ClientMsg::Cancel { id } => {
-                s.push_str("{\"type\":\"cancel\",\"id\":");
-                push_escaped(&mut s, id);
-                s.push('}');
-            }
-            ClientMsg::Stats => s.push_str("{\"type\":\"stats\"}"),
-            ClientMsg::Shutdown => s.push_str("{\"type\":\"shutdown\"}"),
-        }
+        json::object(&mut s, |o| {
+            match self {
+                ClientMsg::Submit { id, plan } => o
+                    .field("type", "submit")
+                    .field("id", id)
+                    .field("figure", plan.figure.label())
+                    .field("scale", plan.scale.label())
+                    .field("apps", plan.apps.as_slice())
+                    .field("mechanisms", plan.mechanisms.as_slice()),
+                ClientMsg::Cancel { id } => o.field("type", "cancel").field("id", id),
+                ClientMsg::Stats => o.field("type", "stats"),
+                ClientMsg::Shutdown => o.field("type", "shutdown"),
+            };
+        });
         s
     }
 
@@ -282,109 +263,84 @@ impl ServerMsg {
     /// Serializes the message as one protocol line (no trailing newline).
     pub fn line(&self) -> String {
         let mut s = String::new();
-        match self {
-            ServerMsg::Accepted { id, total } => {
-                s.push_str("{\"type\":\"accepted\",\"id\":");
-                push_escaped(&mut s, id);
-                s.push_str(&format!(",\"total\":{total}}}"));
-            }
-            ServerMsg::Progress {
-                id,
-                done,
-                total,
-                app,
-                mech,
-                x,
-                runtime_cycles,
-                source,
-            } => {
-                s.push_str("{\"type\":\"progress\",\"id\":");
-                push_escaped(&mut s, id);
-                s.push_str(&format!(",\"done\":{done},\"total\":{total},\"app\":"));
-                push_escaped(&mut s, app);
-                s.push_str(",\"mech\":");
-                push_escaped(&mut s, mech);
-                s.push_str(&format!(
-                    ",\"x\":{x},\"runtime_cycles\":{runtime_cycles},\"source\":"
-                ));
-                push_escaped(&mut s, source.label());
-                s.push('}');
-            }
-            ServerMsg::PointFailed {
-                id,
-                done,
-                total,
-                app,
-                mech,
-                x,
-                message,
-            } => {
-                s.push_str("{\"type\":\"point-failed\",\"id\":");
-                push_escaped(&mut s, id);
-                s.push_str(&format!(",\"done\":{done},\"total\":{total},\"app\":"));
-                push_escaped(&mut s, app);
-                s.push_str(",\"mech\":");
-                push_escaped(&mut s, mech);
-                s.push_str(&format!(",\"x\":{x},\"message\":"));
-                push_escaped(&mut s, message);
-                s.push('}');
-            }
-            ServerMsg::Done { id, stats, csvs } => {
-                s.push_str("{\"type\":\"done\",\"id\":");
-                push_escaped(&mut s, id);
-                s.push_str(&format!(
-                    ",\"total\":{},\"simulated\":{},\"store_hits\":{},\
-                     \"inflight_hits\":{},\"failed\":{},\"csv\":[",
-                    stats.total,
-                    stats.simulated,
-                    stats.store_hits,
-                    stats.inflight_hits,
-                    stats.failed
-                ));
-                for (i, (name, data)) in csvs.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
+        json::object(&mut s, |o| {
+            match self {
+                ServerMsg::Accepted { id, total } => o
+                    .field("type", "accepted")
+                    .field("id", id)
+                    .field("total", total),
+                ServerMsg::Progress {
+                    id,
+                    done,
+                    total,
+                    app,
+                    mech,
+                    x,
+                    runtime_cycles,
+                    source,
+                } => o
+                    .field("type", "progress")
+                    .field("id", id)
+                    .field("done", done)
+                    .field("total", total)
+                    .field("app", app)
+                    .field("mech", mech)
+                    .field("x", x)
+                    .field("runtime_cycles", runtime_cycles)
+                    .field("source", source.label()),
+                ServerMsg::PointFailed {
+                    id,
+                    done,
+                    total,
+                    app,
+                    mech,
+                    x,
+                    message,
+                } => o
+                    .field("type", "point-failed")
+                    .field("id", id)
+                    .field("done", done)
+                    .field("total", total)
+                    .field("app", app)
+                    .field("mech", mech)
+                    .field("x", x)
+                    .field("message", message),
+                ServerMsg::Done { id, stats, csvs } => o
+                    .field("type", "done")
+                    .field("id", id)
+                    .field("total", stats.total)
+                    .field("simulated", stats.simulated)
+                    .field("store_hits", stats.store_hits)
+                    .field("inflight_hits", stats.inflight_hits)
+                    .field("failed", stats.failed)
+                    .array("csv", |a| {
+                        for (name, data) in csvs {
+                            a.object(|o| {
+                                o.field("name", name).field("data", data);
+                            });
+                        }
+                    }),
+                ServerMsg::Cancelled { id } => o.field("type", "cancelled").field("id", id),
+                ServerMsg::Stats(st) => o
+                    .field("type", "stats")
+                    .field("clients", st.clients)
+                    .field("jobs_active", st.jobs_active)
+                    .field("jobs_done", st.jobs_done)
+                    .field("unique_runs", st.unique_runs)
+                    .field("runs_running", st.runs_running)
+                    .field("simulated", st.simulated)
+                    .field("store_hits", st.store_hits)
+                    .field("inflight_hits", st.inflight_hits),
+                ServerMsg::Error { id, message } => {
+                    o.field("type", "error");
+                    if let Some(id) = id {
+                        o.field("id", id);
                     }
-                    s.push_str("{\"name\":");
-                    push_escaped(&mut s, name);
-                    s.push_str(",\"data\":");
-                    push_escaped(&mut s, data);
-                    s.push('}');
+                    o.field("message", message)
                 }
-                s.push_str("]}");
-            }
-            ServerMsg::Cancelled { id } => {
-                s.push_str("{\"type\":\"cancelled\",\"id\":");
-                push_escaped(&mut s, id);
-                s.push('}');
-            }
-            ServerMsg::Stats(st) => {
-                s.push_str(&format!(
-                    "{{\"type\":\"stats\",\"clients\":{},\"jobs_active\":{},\
-                     \"jobs_done\":{},\"unique_runs\":{},\"runs_running\":{},\
-                     \"simulated\":{},\"store_hits\":{},\"inflight_hits\":{}}}",
-                    st.clients,
-                    st.jobs_active,
-                    st.jobs_done,
-                    st.unique_runs,
-                    st.runs_running,
-                    st.simulated,
-                    st.store_hits,
-                    st.inflight_hits
-                ));
-            }
-            ServerMsg::Error { id, message } => {
-                s.push_str("{\"type\":\"error\"");
-                if let Some(id) = id {
-                    s.push_str(",\"id\":");
-                    push_escaped(&mut s, id);
-                }
-                s.push_str(",\"message\":");
-                push_escaped(&mut s, message);
-                s.push('}');
-            }
-            ServerMsg::Stopping => s.push_str("{\"type\":\"stopping\"}"),
-        }
+                ServerMsg::Stopping => o.field("type", "stopping"),
+            };
+        });
         s
     }
 
@@ -431,7 +387,11 @@ impl ServerMsg {
                 let arr = v.get("csv").and_then(Json::as_arr).ok_or("missing 'csv'")?;
                 let mut csvs = Vec::with_capacity(arr.len());
                 for item in arr {
-                    csvs.push((str_field(item, "name")?, str_field(item, "data")?));
+                    let name = str_field(item, "name")?;
+                    if !is_bare_file_name(&name) {
+                        return Err(format!("csv name {name:?} is not a bare file name"));
+                    }
+                    csvs.push((name, str_field(item, "data")?));
                 }
                 Ok(ServerMsg::Done {
                     id: str_field(&v, "id")?,
@@ -460,6 +420,13 @@ impl ServerMsg {
             other => Err(format!("unknown server message type {other:?}")),
         }
     }
+}
+
+/// Whether `name` is safe to join onto a client's output directory: not
+/// empty, not `.` or `..`, and free of `/`, `\` and NUL, so a `done` line
+/// cannot make the client write outside that directory.
+fn is_bare_file_name(name: &str) -> bool {
+    !matches!(name, "" | "." | "..") && !name.contains(['/', '\\', '\0'])
 }
 
 fn str_field(v: &Json, key: &str) -> Result<String, String> {

@@ -5,6 +5,7 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
+use std::ops::Range;
 
 use commsense_apps::AppSpec;
 use commsense_cache::{Heap, LineHandle};
@@ -61,198 +62,79 @@ impl Program for Probe {
     }
 }
 
-/// Runs a two-phase probe: `setup` steps per node, a barrier, then node 0
-/// performs `k` accesses built by `access(i)`. Returns total runtime in
-/// cycles.
-fn probe_runtime(
-    cfg: &MachineConfig,
-    lines: LineHandle,
-    heap: Heap,
-    setup: impl Fn(usize) -> Vec<Step>,
-    k: usize,
-    access: impl Fn(usize) -> Step,
-) -> u64 {
-    let initial = vec![0.0; heap.total_words()];
-    let programs: Vec<Box<dyn Program>> = (0..cfg.nodes)
-        .map(|p| {
-            let mut steps = setup(p);
-            steps.push(Step::Barrier);
-            if p == 0 {
-                for i in 0..k {
-                    steps.push(access(i));
-                }
-            }
-            Probe::boxed(steps)
-        })
-        .collect();
-    let _ = lines;
-    let mut m = Machine::new(
-        cfg.clone(),
-        MachineSpec {
-            heap,
-            initial,
-            programs,
-        },
-    );
-    m.run().unwrap_or_else(|e| e.raise()).runtime_cycles
-}
+/// One Figure 3 case: its name, the paper's cycles, the home node of the
+/// probed lines, the nodes that touch every line before the barrier (and
+/// whether they write it), and whether node 0 then writes instead of
+/// reads.
+type Case = (&'static str, f64, usize, Range<usize>, bool, bool);
 
-/// Measures one case by differencing runs with `k` and `2k` accesses.
-fn measure(
-    cfg: &MachineConfig,
-    build: impl Fn() -> (Heap, LineHandle),
-    setup: impl Fn(&LineHandle, usize) -> Vec<Step> + Copy,
-    access: impl Fn(&LineHandle, usize) -> Step + Copy,
-    k: usize,
-) -> f64 {
-    let run = |n: usize| {
-        let (heap, lines) = build();
-        let l2 = lines;
-        probe_runtime(cfg, lines, heap, |p| setup(&l2, p), n, |i| access(&l2, i))
-    };
-    let t1 = run(k);
-    let t2 = run(2 * k);
-    (t2 as f64 - t1 as f64) / k as f64
-}
+/// The Figure 3 cost-table rows, each reproducing the cache/directory
+/// state the row names.
+const CASES: [Case; 6] = [
+    // Node 0 reads its own uncached lines.
+    ("local clean read", 11.0, 0, 0..0, false, false),
+    // Home is node 0, but node 1 holds them dirty.
+    ("local dirty read", 38.0, 0, 1..2, true, false),
+    // Node 0 reads node 1's uncached lines.
+    ("remote clean read", 42.0, 1, 0..0, false, false),
+    // Two-party: home node 2, dirty at node 1.
+    ("remote dirty read", 63.0, 2, 1..2, true, false),
+    // Node 0 writes node 1's clean lines.
+    ("remote clean write", 43.0, 1, 0..0, false, true),
+    // Six sharers before node 0's read overflow the five hardware
+    // pointers, trapping the home into software.
+    ("LimitLESS sw read", 425.0, 1, 2..8, false, false),
+];
 
 /// Regenerates the Figure 3 miss-penalty table on the live machine model.
 ///
-/// Measurements come from steady-state pointer-chase probes on a 32-node
-/// machine; each case reproduces the cache/directory state named by the
-/// Figure 3 cost table before timing node 0's accesses.
+/// Each case runs a two-phase probe on a 32-node machine: the case's
+/// nodes touch every line, a barrier, then node 0 accesses `k` lines. The
+/// penalty is the steady-state difference between `k` and `2k` accesses.
 pub fn miss_penalties(cfg: &MachineConfig) -> Vec<MissPenalty> {
     let n = 64; // lines per probe (node 0 touches each once)
     let k = 32;
-    let mut out = Vec::new();
-
-    // Local clean read miss: node 0 reads its own uncached lines.
-    let local_clean = measure(
-        cfg,
-        || {
-            let mut heap = Heap::new(cfg.nodes);
-            let lines = heap.alloc(n, |_| 0);
-            (heap, lines)
-        },
-        |_, _| Vec::new(),
-        |l, i| Step::Load(l.word(i, 0)),
-        k,
-    );
-    out.push(MissPenalty {
-        case: "local clean read",
-        paper_cycles: 11.0,
-        measured_cycles: local_clean,
-    });
-
-    // Local dirty read miss: home is node 0, but node 1 holds them dirty.
-    let local_dirty = measure(
-        cfg,
-        || {
-            let mut heap = Heap::new(cfg.nodes);
-            let lines = heap.alloc(n, |_| 0);
-            (heap, lines)
-        },
-        |l, p| {
-            if p == 1 {
-                (0..n).map(|i| Step::Store(l.word(i, 0), 1.0)).collect()
-            } else {
-                Vec::new()
+    let touch = |l: &LineHandle, i: usize, write: bool, v: f64| {
+        if write {
+            Step::Store(l.word(i, 0), v)
+        } else {
+            Step::Load(l.word(i, 0))
+        }
+    };
+    CASES
+        .into_iter()
+        .map(|(case, paper_cycles, home, before, dirty, write)| {
+            let run = |accesses: usize| {
+                let mut heap = Heap::new(cfg.nodes);
+                let lines = heap.alloc(n, |_| home);
+                let programs = (0..cfg.nodes)
+                    .map(|p| {
+                        let touches = if before.contains(&p) { n } else { 0 };
+                        let mut steps: Vec<Step> =
+                            (0..touches).map(|i| touch(&lines, i, dirty, 1.0)).collect();
+                        steps.push(Step::Barrier);
+                        if p == 0 {
+                            steps.extend((0..accesses).map(|i| touch(&lines, i, write, 2.0)));
+                        }
+                        Probe::boxed(steps)
+                    })
+                    .collect();
+                let initial = vec![0.0; heap.total_words()];
+                let spec = MachineSpec {
+                    heap,
+                    initial,
+                    programs,
+                };
+                let mut m = Machine::new(cfg.clone(), spec);
+                m.run().unwrap_or_else(|e| e.raise()).runtime_cycles as f64
+            };
+            MissPenalty {
+                case,
+                paper_cycles,
+                measured_cycles: (run(2 * k) - run(k)) / k as f64,
             }
-        },
-        |l, i| Step::Load(l.word(i, 0)),
-        k,
-    );
-    out.push(MissPenalty {
-        case: "local dirty read",
-        paper_cycles: 38.0,
-        measured_cycles: local_dirty,
-    });
-
-    // Remote clean read miss: node 0 reads node 1's uncached lines.
-    let remote_clean = measure(
-        cfg,
-        || {
-            let mut heap = Heap::new(cfg.nodes);
-            let lines = heap.alloc(n, |_| 1);
-            (heap, lines)
-        },
-        |_, _| Vec::new(),
-        |l, i| Step::Load(l.word(i, 0)),
-        k,
-    );
-    out.push(MissPenalty {
-        case: "remote clean read",
-        paper_cycles: 42.0,
-        measured_cycles: remote_clean,
-    });
-
-    // Remote dirty (two-party) read miss: home node 2, dirty at node 1.
-    let remote_dirty = measure(
-        cfg,
-        || {
-            let mut heap = Heap::new(cfg.nodes);
-            let lines = heap.alloc(n, |_| 2);
-            (heap, lines)
-        },
-        |l, p| {
-            if p == 1 {
-                (0..n).map(|i| Step::Store(l.word(i, 0), 1.0)).collect()
-            } else {
-                Vec::new()
-            }
-        },
-        |l, i| Step::Load(l.word(i, 0)),
-        k,
-    );
-    out.push(MissPenalty {
-        case: "remote dirty read",
-        paper_cycles: 63.0,
-        measured_cycles: remote_dirty,
-    });
-
-    // Remote write miss (clean): node 0 writes node 1's lines.
-    let remote_write = measure(
-        cfg,
-        || {
-            let mut heap = Heap::new(cfg.nodes);
-            let lines = heap.alloc(n, |_| 1);
-            (heap, lines)
-        },
-        |_, _| Vec::new(),
-        |l, i| Step::Store(l.word(i, 0), 2.0),
-        k,
-    );
-    out.push(MissPenalty {
-        case: "remote clean write",
-        paper_cycles: 43.0,
-        measured_cycles: remote_write,
-    });
-
-    // LimitLESS read: six sharers before node 0's read overflow the five
-    // hardware pointers, trapping the home into software.
-    let limitless = measure(
-        cfg,
-        || {
-            let mut heap = Heap::new(cfg.nodes);
-            let lines = heap.alloc(n, |_| 1);
-            (heap, lines)
-        },
-        |l, p| {
-            if (2..8).contains(&p) {
-                (0..n).map(|i| Step::Load(l.word(i, 0))).collect()
-            } else {
-                Vec::new()
-            }
-        },
-        |l, i| Step::Load(l.word(i, 0)),
-        k,
-    );
-    out.push(MissPenalty {
-        case: "LimitLESS sw read",
-        paper_cycles: 425.0,
-        measured_cycles: limitless,
-    });
-
-    out
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -311,12 +193,29 @@ fn em3d_small_spec() -> AppSpec {
     AppSpec::Em3d(p)
 }
 
-/// Executes labeled requests on an environment-sized [`Runner`] — one
-/// shared workload preparation per distinct spec, points possibly in
-/// parallel — and folds the results into ablation points in label order.
-fn run_points(labeled: Vec<(String, RunRequest)>) -> Vec<AblationPoint> {
-    let (labels, requests): (Vec<String>, Vec<RunRequest>) = labeled.into_iter().unzip();
-    let results = Runner::from_env().run(&requests);
+/// Runs `spec` once per labeled `(mechanism, config)` point on `runner` —
+/// one shared workload preparation, points possibly in parallel — and
+/// folds the results into ablation points in label order.
+fn run_points(
+    runner: &Runner,
+    spec: AppSpec,
+    points: impl IntoIterator<Item = (String, Mechanism, MachineConfig)>,
+) -> Vec<AblationPoint> {
+    let (labels, requests): (Vec<String>, Vec<RunRequest>) = points
+        .into_iter()
+        .map(|(label, mechanism, cfg)| {
+            let spec = spec.clone();
+            (
+                label,
+                RunRequest {
+                    spec,
+                    mechanism,
+                    cfg,
+                },
+            )
+        })
+        .unzip();
+    let results = runner.run(&requests);
     labels
         .into_iter()
         .zip(results)
@@ -330,132 +229,86 @@ fn run_points(labeled: Vec<(String, RunRequest)>) -> Vec<AblationPoint> {
 
 /// LimitLESS directory width: hardware pointers before the software trap.
 /// Narrow directories trap constantly on shared data; wide ones never do.
-pub fn ablate_limitless(cfg: &MachineConfig) -> Vec<AblationPoint> {
-    let spec = em3d_small_spec();
-    run_points(
-        [1usize, 2, 5, 8, 32]
-            .iter()
-            .map(|&ptrs| {
-                let mut cfg = cfg.clone();
-                cfg.proto.hw_ptrs = ptrs;
-                (
-                    format!("{ptrs} hw pointers"),
-                    RunRequest {
-                        spec: spec.clone(),
-                        mechanism: Mechanism::SharedMem,
-                        cfg,
-                    },
-                )
-            })
-            .collect(),
-    )
+pub fn ablate_limitless(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
+    let points = [1usize, 2, 5, 8, 32].map(|ptrs| {
+        let mut cfg = cfg.clone();
+        cfg.proto.hw_ptrs = ptrs;
+        (format!("{ptrs} hw pointers"), Mechanism::SharedMem, cfg)
+    });
+    run_points(runner, em3d_small_spec(), points)
 }
 
 /// Mesh aspect ratio at a fixed 32 nodes: the bisection (and thus the
 /// shared-memory story) is set by the number of rows crossing the cut.
-pub fn ablate_topology(cfg: &MachineConfig) -> Vec<AblationPoint> {
-    let spec = em3d_small_spec();
-    let mut labeled = Vec::new();
+pub fn ablate_topology(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
+    let mut points = Vec::new();
     for (w, h) in [(16u16, 2u16), (8, 4), (4, 8)] {
         for mech in [Mechanism::SharedMem, Mechanism::MsgPoll] {
             let mut cfg = cfg.clone().with_mechanism(mech);
             cfg.net.topo = commsense_mesh::TopoSpec::mesh(w, h);
             let bpc = cfg.net.bisection_bytes_per_cycle(cfg.clock());
-            labeled.push((
+            points.push((
                 format!("{w}x{h} ({bpc:.0} B/cyc) {}", mech.label()),
-                RunRequest {
-                    spec: spec.clone(),
-                    mechanism: mech,
-                    cfg,
-                },
+                mech,
+                cfg,
             ));
         }
     }
-    run_points(labeled)
+    run_points(runner, em3d_small_spec(), points)
 }
 
 /// Interrupt entry cost: how expensive traps must get before polling's
 /// advantage dominates (ICCG, the most message-bound application).
-pub fn ablate_interrupt_cost(cfg: &MachineConfig) -> Vec<AblationPoint> {
-    let spec = AppSpec::Iccg(IccgParams::small());
-    run_points(
-        [20u64, 40, 74, 120, 200]
-            .iter()
-            .map(|&c| {
-                let mut cfg = cfg.clone().with_mechanism(Mechanism::MsgInterrupt);
-                cfg.msg.interrupt_base = c;
-                (
-                    format!("interrupt {c} cycles"),
-                    RunRequest {
-                        spec: spec.clone(),
-                        mechanism: Mechanism::MsgInterrupt,
-                        cfg,
-                    },
-                )
-            })
-            .collect(),
-    )
+pub fn ablate_interrupt_cost(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
+    let points = [20u64, 40, 74, 120, 200].map(|c| {
+        let mut cfg = cfg.clone().with_mechanism(Mechanism::MsgInterrupt);
+        cfg.msg.interrupt_base = c;
+        (
+            format!("interrupt {c} cycles"),
+            Mechanism::MsgInterrupt,
+            cfg,
+        )
+    });
+    run_points(runner, AppSpec::Iccg(IccgParams::small()), points)
 }
 
 /// Prefetch (transaction) buffer depth under prefetching EM3D.
-pub fn ablate_prefetch_buffer(cfg: &MachineConfig) -> Vec<AblationPoint> {
-    let spec = em3d_small_spec();
-    run_points(
-        [1usize, 2, 4, 16]
-            .iter()
-            .map(|&n| {
-                let mut cfg = cfg.clone().with_mechanism(Mechanism::SharedMemPrefetch);
-                cfg.proto.prefetch_entries = n;
-                (
-                    format!("{n} prefetch entries"),
-                    RunRequest {
-                        spec: spec.clone(),
-                        mechanism: Mechanism::SharedMemPrefetch,
-                        cfg,
-                    },
-                )
-            })
-            .collect(),
-    )
+pub fn ablate_prefetch_buffer(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
+    let points = [1usize, 2, 4, 16].map(|n| {
+        let mut cfg = cfg.clone().with_mechanism(Mechanism::SharedMemPrefetch);
+        cfg.proto.prefetch_entries = n;
+        (
+            format!("{n} prefetch entries"),
+            Mechanism::SharedMemPrefetch,
+            cfg,
+        )
+    });
+    run_points(runner, em3d_small_spec(), points)
 }
 
 /// Cache associativity under capacity pressure: Alewife's full-size
 /// direct-mapped cache has no conflicts on these working sets, so the
 /// ablation shrinks the cache to 64 lines where the irregular access
 /// stream collides, then varies the ways.
-pub fn ablate_associativity(cfg: &MachineConfig) -> Vec<AblationPoint> {
-    let spec = em3d_small_spec();
-    let mut labeled = vec![(
-        "4096 lines, 1-way (Alewife)".to_string(),
-        RunRequest {
-            spec: spec.clone(),
-            mechanism: Mechanism::SharedMem,
-            cfg: cfg.clone(),
-        },
-    )];
-    for ways in [1usize, 2, 4] {
+pub fn ablate_associativity(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
+    let alewife = ("4096 lines, 1-way (Alewife)".to_string(), cfg.clone());
+    let shrunk = [1usize, 2, 4].map(|ways| {
         let mut cfg = cfg.clone();
         cfg.proto.cache_lines = 64;
         cfg.proto.cache_ways = ways;
-        labeled.push((
-            format!("64 lines, {ways}-way"),
-            RunRequest {
-                spec: spec.clone(),
-                mechanism: Mechanism::SharedMem,
-                cfg,
-            },
-        ));
-    }
-    run_points(labeled)
+        (format!("64 lines, {ways}-way"), cfg)
+    });
+    let points = std::iter::once(alewife).chain(shrunk);
+    let points = points.map(|(label, cfg)| (label, Mechanism::SharedMem, cfg));
+    run_points(runner, em3d_small_spec(), points)
 }
 
 /// Relaxed writes (release consistency) vs. sequential consistency under
 /// emulated latency — the §2 latency-tolerance technique the paper
 /// contrasts with SC.
-pub fn ablate_write_buffer(cfg: &MachineConfig) -> Vec<AblationPoint> {
+pub fn ablate_write_buffer(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
     use commsense_machine::LatencyEmulation;
-    let spec = em3d_small_spec();
-    let mut labeled = Vec::new();
+    let mut points = Vec::new();
     for lat in [0u64, 200] {
         for wb in [0usize, 4] {
             let mut cfg = cfg.clone().with_mechanism(Mechanism::SharedMem);
@@ -469,17 +322,10 @@ pub fn ablate_write_buffer(cfg: &MachineConfig) -> Vec<AblationPoint> {
             } else {
                 format!("{lat}-cyc misses")
             };
-            labeled.push((
-                format!("{model}, {net}"),
-                RunRequest {
-                    spec: spec.clone(),
-                    mechanism: Mechanism::SharedMem,
-                    cfg,
-                },
-            ));
+            points.push((format!("{model}, {net}"), Mechanism::SharedMem, cfg));
         }
     }
-    run_points(labeled)
+    run_points(runner, em3d_small_spec(), points)
 }
 
 /// Partition strategy: blocked index ranges vs. Chaco-style graph

@@ -6,27 +6,27 @@
 //! into per-mechanism [`Sweep`]s in deterministic order. Plans execute on a
 //! [`Runner`](crate::engine::Runner) — serial or parallel, with identical
 //! output — sharing one prepared workload (graph, reference solution,
-//! exchange plans) across all points and mechanisms. The `*_sweep`
-//! functions are convenience wrappers that build and immediately run the
-//! plan on an environment-sized runner.
+//! exchange plans) across all points and mechanisms.
 //!
 //! # Examples
 //!
 //! ```
-//! use commsense_core::experiment::bisection_sweep;
+//! use commsense_core::engine::Runner;
+//! use commsense_core::experiment::bisection_plan;
 //! use commsense_machine::{MachineConfig, Mechanism};
 //! use commsense_apps::AppSpec;
 //! use commsense_workloads::bipartite::Em3dParams;
 //!
 //! let mut p = Em3dParams::small();
 //! p.iterations = 1;
-//! let sweeps = bisection_sweep(
+//! let sweeps = bisection_plan(
 //!     &AppSpec::Em3d(p),
 //!     &[Mechanism::MsgPoll],
 //!     &MachineConfig::alewife(),
 //!     &[0.0, 12.0],
 //!     64,
-//! );
+//! )
+//! .run(&Runner::from_env());
 //! sweeps[0].assert_verified();
 //! assert_eq!(sweeps[0].points.len(), 2);
 //! ```
@@ -35,7 +35,7 @@ use commsense_apps::{AppSpec, RunResult};
 use commsense_machine::{LatencyEmulation, MachineConfig, Mechanism};
 use commsense_mesh::CrossTrafficConfig;
 
-use crate::engine::{ExperimentPlan, RunRequest, Runner};
+use crate::engine::{ExperimentPlan, RunRequest};
 
 /// One measured point of a sweep.
 #[derive(Debug, Clone)]
@@ -115,12 +115,6 @@ pub fn base_comparison_requests(spec: &AppSpec, cfg: &MachineConfig) -> Vec<RunR
         .collect()
 }
 
-/// Figure 4 / Figure 5: runs `spec` under every mechanism on the base
-/// machine, returning the five results in [`Mechanism::ALL`] order.
-pub fn base_comparison(spec: &AppSpec, cfg: &MachineConfig) -> Vec<RunResult> {
-    Runner::from_env().run(&base_comparison_requests(spec, cfg))
-}
-
 /// Figure 8 (and Figure 1's measured analogue): plans a sweep of emulated
 /// bisection bandwidth, consuming `consumed_bytes_per_cycle` of the base
 /// machine's bisection with cross-traffic of `msg_bytes`-byte messages.
@@ -159,19 +153,6 @@ pub fn bisection_plan(
     plan
 }
 
-/// Figure 8 as a one-call sweep: builds [`bisection_plan`] and runs it on
-/// an environment-sized runner.
-pub fn bisection_sweep(
-    spec: &AppSpec,
-    mechanisms: &[Mechanism],
-    cfg: &MachineConfig,
-    consumed_bytes_per_cycle: &[f64],
-    msg_bytes: u32,
-) -> Vec<Sweep> {
-    bisection_plan(spec, mechanisms, cfg, consumed_bytes_per_cycle, msg_bytes)
-        .run(&Runner::from_env())
-}
-
 /// Figure 7: plans a sweep of cross-traffic message length at a fixed
 /// bisection consumption. `x` is the message length in bytes.
 pub fn msg_len_plan(
@@ -202,17 +183,6 @@ pub fn msg_len_plan(
     plan
 }
 
-/// Figure 7 as a one-call sweep.
-pub fn msg_len_sweep(
-    spec: &AppSpec,
-    mechanisms: &[Mechanism],
-    cfg: &MachineConfig,
-    consumed_bytes_per_cycle: f64,
-    msg_lens: &[u32],
-) -> Vec<Sweep> {
-    msg_len_plan(spec, mechanisms, cfg, consumed_bytes_per_cycle, msg_lens).run(&Runner::from_env())
-}
-
 /// Figure 9 (and Figure 2's measured analogue): plans a sweep of relative
 /// network latency by scaling the processor clock against the fixed
 /// wall-clock network. `x` is the one-way 24-byte latency in processor
@@ -237,16 +207,6 @@ pub fn clock_plan(
         }
     }
     plan
-}
-
-/// Figure 9 as a one-call sweep.
-pub fn clock_sweep(
-    spec: &AppSpec,
-    mechanisms: &[Mechanism],
-    cfg: &MachineConfig,
-    mhz_values: &[f64],
-) -> Vec<Sweep> {
-    clock_plan(spec, mechanisms, cfg, mhz_values).run(&Runner::from_env())
 }
 
 /// Figure 10: plans uniform remote-miss latency emulation on an ideal
@@ -288,19 +248,10 @@ pub fn ctx_switch_plan(
     plan
 }
 
-/// Figure 10 as a one-call sweep.
-pub fn ctx_switch_sweep(
-    spec: &AppSpec,
-    mechanisms: &[Mechanism],
-    cfg: &MachineConfig,
-    latencies: &[u64],
-) -> Vec<Sweep> {
-    ctx_switch_plan(spec, mechanisms, cfg, latencies).run(&Runner::from_env())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Runner;
 
     fn tiny_spec() -> AppSpec {
         let mut p = commsense_workloads::bipartite::Em3dParams::small();
@@ -320,7 +271,10 @@ mod tests {
 
     #[test]
     fn base_comparison_covers_all_mechanisms() {
-        let results = base_comparison(&tiny_spec(), &MachineConfig::alewife());
+        let results = Runner::from_env().run(&base_comparison_requests(
+            &tiny_spec(),
+            &MachineConfig::alewife(),
+        ));
         assert_eq!(results.len(), 5);
         for (r, mech) in results.iter().zip(Mechanism::ALL) {
             assert!(r.verified);
@@ -334,13 +288,14 @@ mod tests {
     #[test]
     fn bisection_sweep_shapes() {
         let cfg = MachineConfig::alewife();
-        let sweeps = bisection_sweep(
+        let sweeps = bisection_plan(
             &tiny_spec(),
             &[Mechanism::SharedMem, Mechanism::MsgPoll],
             &cfg,
             &[0.0, 12.0],
             64,
-        );
+        )
+        .run(&Runner::from_env());
         assert_eq!(sweeps.len(), 2);
         for s in &sweeps {
             s.assert_verified();
@@ -356,7 +311,8 @@ mod tests {
     #[test]
     fn clock_sweep_scales_relative_latency() {
         let cfg = MachineConfig::alewife();
-        let sweeps = clock_sweep(&tiny_spec(), &[Mechanism::SharedMem], &cfg, &[20.0, 14.0]);
+        let sweeps = clock_plan(&tiny_spec(), &[Mechanism::SharedMem], &cfg, &[20.0, 14.0])
+            .run(&Runner::from_env());
         let s = &sweeps[0];
         s.assert_verified();
         // Slower clock => fewer cycles of relative network latency.
@@ -367,12 +323,13 @@ mod tests {
     #[test]
     fn ctx_switch_sweep_flatlines_message_passing() {
         let cfg = MachineConfig::alewife();
-        let sweeps = ctx_switch_sweep(
+        let sweeps = ctx_switch_plan(
             &tiny_spec(),
             &[Mechanism::SharedMem, Mechanism::MsgPoll],
             &cfg,
             &[50, 400],
-        );
+        )
+        .run(&Runner::from_env());
         let sm = &sweeps[0];
         let mp = &sweeps[1];
         assert!(
@@ -402,7 +359,8 @@ mod tests {
     #[test]
     fn point_at_tolerates_float_noise() {
         let cfg = MachineConfig::alewife();
-        let sweeps = ctx_switch_sweep(&tiny_spec(), &[Mechanism::SharedMem], &cfg, &[100]);
+        let sweeps = ctx_switch_plan(&tiny_spec(), &[Mechanism::SharedMem], &cfg, &[100])
+            .run(&Runner::from_env());
         let p = sweeps[0].point_at(100.0).expect("point exists");
         assert_eq!(p.x, 100.0);
         assert!(sweeps[0].point_at(100.0 + 1e-5).is_some(), "near match");

@@ -205,7 +205,8 @@ pub fn fit_latency(sweep: &Sweep) -> Option<LatencyModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{bisection_sweep, ctx_switch_sweep};
+    use crate::engine::Runner;
+    use crate::experiment::{bisection_plan, ctx_switch_plan};
     use commsense_apps::AppSpec;
     use commsense_machine::{MachineConfig, Mechanism};
     use commsense_workloads::bipartite::Em3dParams;
@@ -260,12 +261,13 @@ mod tests {
     #[test]
     fn measured_latency_sweep_is_linear_for_sm_and_flat_for_mp() {
         let cfg = MachineConfig::alewife();
-        let sweeps = ctx_switch_sweep(
+        let sweeps = ctx_switch_plan(
             &em3d(),
             &[Mechanism::SharedMem, Mechanism::MsgPoll],
             &cfg,
             &[50, 100, 200, 400],
-        );
+        )
+        .run(&Runner::from_env());
         let sm = fit_latency(&sweeps[0]).expect("sm fit");
         let mp = fit_latency(&sweeps[1]).expect("mp fit");
         assert!(
@@ -280,13 +282,14 @@ mod tests {
     #[test]
     fn measured_bandwidth_sweep_fits_and_interpolates() {
         let cfg = MachineConfig::alewife();
-        let sweeps = bisection_sweep(
+        let sweeps = bisection_plan(
             &em3d(),
             &[Mechanism::SharedMem],
             &cfg,
             &[0.0, 6.0, 10.0, 14.0, 16.0],
             64,
-        );
+        )
+        .run(&Runner::from_env());
         let m = fit_bandwidth(&sweeps[0]).expect("fit");
         assert!(
             m.r2 > 0.85,
@@ -294,7 +297,8 @@ mod tests {
             m.r2
         );
         // Interpolate a held-out point (12 consumed = 6 B/cycle emulated).
-        let held = bisection_sweep(&em3d(), &[Mechanism::SharedMem], &cfg, &[12.0], 64);
+        let held = bisection_plan(&em3d(), &[Mechanism::SharedMem], &cfg, &[12.0], 64)
+            .run(&Runner::from_env());
         let got = held[0].points[0].result.runtime_cycles as f64;
         let pred = m.predict(held[0].points[0].x);
         let err = (pred - got).abs() / got;

@@ -82,15 +82,21 @@ pub fn classify(sweep: &Sweep, stress: &[f64], flat_tol: f64, super_ratio: f64) 
 
 /// Finds the crossover `x` where curve `a` first becomes slower than curve
 /// `b`, interpolating linearly between sweep points. Returns `None` if `a`
-/// never crosses above `b` (or starts above it).
-///
-/// Both sweeps must be measured at identical `x` values in identical
-/// order.
+/// never crosses above `b` (or starts above it), and also when the two
+/// sweeps are not measured at identical `x` values in identical order — a
+/// fault-tolerant run drops failed points, so its sweeps may come back
+/// ragged, and a ragged pair cannot be interpolated.
 pub fn crossover(a: &Sweep, b: &Sweep) -> Option<f64> {
-    assert_eq!(a.points.len(), b.points.len(), "sweeps must align");
+    let aligned = a.points.len() == b.points.len()
+        && a.points
+            .iter()
+            .zip(&b.points)
+            .all(|(pa, pb)| (pa.x - pb.x).abs() < 1e-9);
+    if !aligned {
+        return None;
+    }
     let mut prev: Option<(f64, f64)> = None; // (x, diff)
     for (pa, pb) in a.points.iter().zip(&b.points) {
-        assert!((pa.x - pb.x).abs() < 1e-9, "sweeps must share x values");
         let diff = pa.result.runtime_cycles as f64 - pb.result.runtime_cycles as f64;
         if let Some((px, pdiff)) = prev {
             if pdiff <= 0.0 && diff > 0.0 {
@@ -179,6 +185,21 @@ mod tests {
         let a = fake_sweep(&[18.0, 6.0], &[100, 120]);
         let b = fake_sweep(&[18.0, 6.0], &[150, 150]);
         assert_eq!(crossover(&a, &b), None);
+    }
+
+    #[test]
+    fn ragged_or_empty_sweeps_have_no_crossover() {
+        // `a` crosses `b` between 12 and 6, but `b` lost its 12 point.
+        let a = fake_sweep(&[18.0, 12.0, 6.0], &[100, 100, 300]);
+        let b = fake_sweep(&[18.0, 6.0], &[150, 150]);
+        assert_eq!(crossover(&a, &b), None);
+        assert_eq!(crossover(&b, &a), None);
+        // Same length, different x values.
+        let c = fake_sweep(&[18.0, 10.0, 6.0], &[150, 150, 150]);
+        assert_eq!(crossover(&a, &c), None);
+        let empty = fake_sweep(&[], &[0]);
+        assert_eq!(crossover(&empty, &b), None);
+        assert_eq!(crossover(&empty, &empty), None);
     }
 
     #[test]

@@ -355,14 +355,15 @@ mod tests {
 
     #[test]
     fn breakdown_outputs_cover_all_mechanisms() {
-        use crate::experiment::base_comparison;
+        use crate::engine::Runner;
+        use crate::experiment::base_comparison_requests;
         use commsense_apps::AppSpec;
         use commsense_machine::MachineConfig;
         let mut p = commsense_workloads::bipartite::Em3dParams::small();
         p.nodes = 200;
         p.iterations = 1;
         let cfg = MachineConfig::alewife();
-        let results = base_comparison(&AppSpec::Em3d(p), &cfg);
+        let results = Runner::from_env().run(&base_comparison_requests(&AppSpec::Em3d(p), &cfg));
         let table = breakdown_table("EM3D", &results, &cfg);
         let bars = breakdown_bars("EM3D", &results, &cfg, 40);
         let vols = volume_table("EM3D", &results);
@@ -440,19 +441,21 @@ mod tests {
 
     #[test]
     fn sweep_csv_matches_table_data() {
-        use crate::experiment::bisection_sweep;
+        use crate::engine::Runner;
+        use crate::experiment::bisection_plan;
         use commsense_apps::AppSpec;
         use commsense_machine::{MachineConfig, Mechanism};
         let mut p = commsense_workloads::bipartite::Em3dParams::small();
         p.nodes = 200;
         p.iterations = 1;
-        let sweeps = bisection_sweep(
+        let sweeps = bisection_plan(
             &AppSpec::Em3d(p),
             &[Mechanism::MsgPoll],
             &MachineConfig::alewife(),
             &[0.0, 12.0],
             64,
-        );
+        )
+        .run(&Runner::from_env());
         let csv = sweep_csv("bpc", &sweeps);
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("bpc,mp-poll"));

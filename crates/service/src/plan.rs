@@ -6,9 +6,10 @@
 //! run writes. That holds because both paths take each figure's apps,
 //! mechanisms, plan, CSV name and rendering from the one registry in
 //! [`commsense_core::figures`] — the service adds scheduling, not policy.
+//! `repro`'s figure commands resolve and fold through this module too.
 
 use commsense_apps::AppSpec;
-use commsense_core::engine::{ExperimentPlan, RunOutcome, RunRequest};
+use commsense_core::engine::{ExperimentPlan, PlanRun, RunOutcome, RunRequest};
 use commsense_machine::{MachineConfig, Mechanism};
 
 use crate::protocol::PlanSpec;
@@ -19,8 +20,8 @@ use crate::protocol::PlanSpec;
 pub struct JobPlan {
     /// The submitted spec in [`canonical`] form.
     pub spec: PlanSpec,
-    /// The base machine configuration (always the Alewife base machine,
-    /// as `repro` uses without `--check`).
+    /// The base machine configuration: the Alewife base machine for the
+    /// daemon, with the correctness harness on under `repro --check`.
     pub cfg: MachineConfig,
     /// The requests to execute: each app's figure plan in turn.
     pub requests: Vec<RunRequest>,
@@ -89,6 +90,11 @@ pub fn canonical(spec: &PlanSpec) -> Result<PlanSpec, String> {
 /// every request the job needs; the service machine deduplicates them
 /// against runs it already owns.
 pub fn resolve(spec: &PlanSpec) -> Result<JobPlan, String> {
+    resolve_on(spec, MachineConfig::alewife())
+}
+
+/// [`resolve`] on the base machine `cfg` instead of the Alewife default.
+pub fn resolve_on(spec: &PlanSpec, cfg: MachineConfig) -> Result<JobPlan, String> {
     let spec = canonical(spec)?;
     let fig = spec.figure;
     let mechanisms: Vec<Mechanism> = spec
@@ -97,7 +103,7 @@ pub fn resolve(spec: &PlanSpec) -> Result<JobPlan, String> {
         .filter_map(|l| Mechanism::from_label(l))
         .collect();
     let mut job = JobPlan {
-        cfg: MachineConfig::alewife(),
+        cfg,
         requests: Vec::new(),
         xs: Vec::new(),
         plans: Vec::new(),
@@ -123,20 +129,35 @@ pub fn resolve(spec: &PlanSpec) -> Result<JobPlan, String> {
     Ok(job)
 }
 
+impl JobPlan {
+    /// Folds a finished job's outcomes (parallel to `requests`) into one
+    /// fault-tolerant [`PlanRun`] per app, in app order: failed points are
+    /// dropped from their curves and listed separately.
+    pub fn fold<'a>(
+        &'a self,
+        outcomes: &'a [RunOutcome],
+    ) -> impl Iterator<Item = (&'static str, PlanRun)> + 'a {
+        let mut rest = outcomes;
+        self.plans.iter().map(move |(app, p)| {
+            let (mine, tail) = rest.split_at(p.len());
+            rest = tail;
+            (*app, p.assemble_outcomes(mine))
+        })
+    }
+
+    /// The CSV artifact `(file name, contents)` of one app's folded run.
+    pub fn csv(&self, app: &str, run: &PlanRun) -> (String, String) {
+        let fig = self.spec.figure;
+        (fig.csv_name(app), fig.render(app, &run.sweeps, &self.cfg))
+    }
+}
+
 /// Folds a finished job's outcomes (parallel to `plan.requests`) into its
 /// CSV artifacts, dropping failed points exactly as the direct `repro`
 /// path does.
 pub fn assemble_csvs(plan: &JobPlan, outcomes: &[RunOutcome]) -> Vec<(String, String)> {
-    let fig = plan.spec.figure;
-    let mut rest = outcomes;
-    plan.plans
-        .iter()
-        .map(|(app, p)| {
-            let (mine, tail) = rest.split_at(p.len());
-            rest = tail;
-            let sweeps = p.assemble_outcomes(mine).sweeps;
-            (fig.csv_name(app), fig.render(app, &sweeps, &plan.cfg))
-        })
+    plan.fold(outcomes)
+        .map(|(app, run)| plan.csv(app, &run))
         .collect()
 }
 

@@ -1,6 +1,6 @@
 //! Integration: the paper's sensitivity results hold in miniature.
 
-use commsense::core::experiment::{bisection_sweep, clock_sweep, ctx_switch_sweep};
+use commsense::core::experiment::{bisection_plan, clock_plan, ctx_switch_plan};
 use commsense::prelude::*;
 
 fn em3d() -> AppSpec {
@@ -16,13 +16,14 @@ fn shared_memory_is_bandwidth_sensitive_message_passing_is_not() {
     // to the bisection/processor ratio, message passing's is largely
     // insensitive.
     let cfg = MachineConfig::alewife();
-    let sweeps = bisection_sweep(
+    let sweeps = bisection_plan(
         &em3d(),
         &[Mechanism::SharedMem, Mechanism::MsgPoll],
         &cfg,
         &[0.0, 14.0],
         64,
-    );
+    )
+    .run(&Runner::from_env());
     for s in &sweeps {
         s.assert_verified();
     }
@@ -50,12 +51,13 @@ fn clock_scaling_changes_relative_latency() {
     // reduces the network's relative cost, so shared memory improves (in
     // cycles) while message passing barely moves.
     let cfg = MachineConfig::alewife();
-    let sweeps = clock_sweep(
+    let sweeps = clock_plan(
         &em3d(),
         &[Mechanism::SharedMem, Mechanism::MsgPoll],
         &cfg,
         &[20.0, 14.0],
-    );
+    )
+    .run(&Runner::from_env());
     let sm = sweeps[0].runtimes();
     let mp = sweeps[1].runtimes();
     assert!(
@@ -76,12 +78,13 @@ fn latency_emulation_reproduces_the_chandra_comparison() {
     // message-passing EM3D roughly 2x faster than shared memory. Our
     // emulation puts sm/mp in the 1.3-3x band at 100-200 cycles.
     let cfg = MachineConfig::alewife();
-    let sweeps = ctx_switch_sweep(
+    let sweeps = ctx_switch_plan(
         &em3d(),
         &[Mechanism::SharedMem, Mechanism::MsgPoll],
         &cfg,
         &[100, 200],
-    );
+    )
+    .run(&Runner::from_env());
     let sm = sweeps[0].runtimes();
     let mp = sweeps[1].runtimes();
     let r100 = sm[0] as f64 / mp[0] as f64;

@@ -281,10 +281,6 @@ impl Program for Em3dSm {
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {
         unreachable!("shared-memory EM3D receives no user messages");
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -459,10 +455,6 @@ impl Program for Em3dMp {
         // Indexed ghost-buffer writes.
         ctx.charge(GHOST_WRITE_CYCLES * n as u64);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -576,8 +568,7 @@ fn run_mp(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
     let mut got_e = vec![0.0; g.e.len()];
     let mut got_h = vec![0.0; g.h.len()];
     for prog in machine.into_programs() {
-        let p = prog
-            .as_any()
+        let p = (&*prog as &dyn Any)
             .downcast_ref::<Em3dMp>()
             .expect("EM3D MP program");
         for &i in &p.my[0] {

@@ -226,10 +226,6 @@ impl Program for IccgSm {
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {
         unreachable!("shared-memory ICCG receives no user messages");
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -424,10 +420,6 @@ impl Program for IccgMp {
             other => unreachable!("unknown ICCG handler {other}"),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -532,8 +524,7 @@ fn run_mp(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
     let profile = machine.take_dispatch_profile();
     let mut got = vec![0.0; n];
     for prog in machine.into_programs() {
-        let p = prog
-            .as_any()
+        let p = (&*prog as &dyn Any)
             .downcast_ref::<IccgMp>()
             .expect("ICCG MP program");
         for (i, slot) in got.iter_mut().enumerate() {

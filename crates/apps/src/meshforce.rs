@@ -398,10 +398,6 @@ impl Program for MeshSm {
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {
         unreachable!("shared-memory variant receives no user messages");
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -661,10 +657,6 @@ impl Program for MeshMp {
             other => unreachable!("unknown handler {other}"),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -766,8 +758,7 @@ fn run_mp(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> Result<Run
     let profile = machine.take_dispatch_profile();
     let mut got = vec![0.0; m.len()];
     for prog in machine.into_programs() {
-        let p = prog
-            .as_any()
+        let p = (&*prog as &dyn Any)
             .downcast_ref::<MeshMp>()
             .expect("mesh MP program");
         for &i in &p.my_nodes {

@@ -8,8 +8,6 @@
 //! directly; `examples/custom_app.rs` shows how to write the equivalent
 //! programs by hand.
 
-use std::any::Any;
-
 use commsense_cache::{Heap, Word};
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
 use commsense_machine::{Machine, MachineConfig, MachineSpec};
@@ -31,9 +29,6 @@ impl Program for Idle {
         Step::Done
     }
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 enum PingSt {
@@ -88,10 +83,6 @@ impl Program for SmPing {
     }
 
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 struct MpPing {
@@ -118,10 +109,6 @@ impl Program for MpPing {
         if self.me == 1 {
             ctx.send(ActiveMessage::new(0, HandlerId(1), vec![self.acked as u64]));
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -183,9 +170,6 @@ impl Program for BarrierOnly {
         Step::Barrier
     }
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Measures the per-episode cost (cycles) of `episodes` machine-wide
@@ -232,9 +216,6 @@ impl Program for HotspotRmw {
         Step::Rmw(self.line, commsense_machine::RmwOp::IncW0)
     }
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// All nodes hammer one line with atomic increments (`ops` each); returns

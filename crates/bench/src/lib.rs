@@ -1,15 +1,15 @@
-//! Shared pieces of the benchmark harness: bench-scale workload profiles
-//! and the Figure 3 miss-penalty microbenchmarks.
+//! Shared pieces of the benchmark harness: bench-scale workload profiles,
+//! the Figure 3 miss-penalty microbenchmarks, and the design-choice
+//! ablations `repro ablate` runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::any::Any;
 use std::ops::Range;
 
 use commsense_apps::AppSpec;
 use commsense_cache::{Heap, LineHandle};
-use commsense_core::engine::{RunRequest, Runner};
+use commsense_core::engine::{RunOutcome, RunRequest};
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
 use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism};
 use commsense_workloads::bipartite::Em3dParams;
@@ -56,10 +56,6 @@ impl Program for Probe {
     }
 
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// One Figure 3 case: its name, the paper's cycles, the home node of the
@@ -137,6 +133,187 @@ pub fn miss_penalties(cfg: &MachineConfig) -> Vec<MissPenalty> {
         .collect()
 }
 
+// ---------------------------------------------------------------------
+// Ablations (DESIGN.md §7): design-choice sensitivity studies
+// ---------------------------------------------------------------------
+
+/// An ablation's labelled runs, in display order. The ablation builders
+/// only plan; `repro ablate` runs every ablation's requests in one pass.
+pub type Ablation = Vec<(String, RunRequest)>;
+
+fn em3d_small_spec() -> AppSpec {
+    let mut p = Em3dParams::small();
+    p.nodes = 1000;
+    p.iterations = 3;
+    AppSpec::Em3d(p)
+}
+
+/// `spec` under each labelled `(mechanism, config)` point.
+fn ablation(
+    spec: AppSpec,
+    points: impl IntoIterator<Item = (String, Mechanism, MachineConfig)>,
+) -> Ablation {
+    let request = |(label, mechanism, cfg)| {
+        let spec = spec.clone();
+        (
+            label,
+            RunRequest {
+                spec,
+                mechanism,
+                cfg,
+            },
+        )
+    };
+    points.into_iter().map(request).collect()
+}
+
+/// LimitLESS directory width: hardware pointers before the software trap.
+/// Narrow directories trap constantly on shared data; wide ones never do.
+pub fn ablate_limitless(cfg: &MachineConfig) -> Ablation {
+    let points = [1usize, 2, 5, 8, 32].map(|ptrs| {
+        let mut cfg = cfg.clone();
+        cfg.proto.hw_ptrs = ptrs;
+        (format!("{ptrs} hw pointers"), Mechanism::SharedMem, cfg)
+    });
+    ablation(em3d_small_spec(), points)
+}
+
+/// Mesh aspect ratio at a fixed 32 nodes: the bisection (and thus the
+/// shared-memory story) is set by the number of rows crossing the cut.
+pub fn ablate_topology(cfg: &MachineConfig) -> Ablation {
+    let mut points = Vec::new();
+    for (w, h) in [(16u16, 2u16), (8, 4), (4, 8)] {
+        for mech in [Mechanism::SharedMem, Mechanism::MsgPoll] {
+            let mut cfg = cfg.clone().with_mechanism(mech);
+            cfg.net.topo = commsense_mesh::TopoSpec::mesh(w, h);
+            let bpc = cfg.net.bisection_bytes_per_cycle(cfg.clock());
+            points.push((
+                format!("{w}x{h} ({bpc:.0} B/cyc) {}", mech.label()),
+                mech,
+                cfg,
+            ));
+        }
+    }
+    ablation(em3d_small_spec(), points)
+}
+
+/// Interrupt entry cost: how expensive traps must get before polling's
+/// advantage dominates (ICCG, the most message-bound application).
+pub fn ablate_interrupt_cost(cfg: &MachineConfig) -> Ablation {
+    let points = [20u64, 40, 74, 120, 200].map(|c| {
+        let mut cfg = cfg.clone().with_mechanism(Mechanism::MsgInterrupt);
+        cfg.msg.interrupt_base = c;
+        (
+            format!("interrupt {c} cycles"),
+            Mechanism::MsgInterrupt,
+            cfg,
+        )
+    });
+    ablation(AppSpec::Iccg(IccgParams::small()), points)
+}
+
+/// Prefetch (transaction) buffer depth under prefetching EM3D.
+pub fn ablate_prefetch_buffer(cfg: &MachineConfig) -> Ablation {
+    let points = [1usize, 2, 4, 16].map(|n| {
+        let mut cfg = cfg.clone().with_mechanism(Mechanism::SharedMemPrefetch);
+        cfg.proto.prefetch_entries = n;
+        (
+            format!("{n} prefetch entries"),
+            Mechanism::SharedMemPrefetch,
+            cfg,
+        )
+    });
+    ablation(em3d_small_spec(), points)
+}
+
+/// Cache associativity under capacity pressure: Alewife's full-size
+/// direct-mapped cache has no conflicts on these working sets, so the
+/// ablation shrinks the cache to 64 lines where the irregular access
+/// stream collides, then varies the ways.
+pub fn ablate_associativity(cfg: &MachineConfig) -> Ablation {
+    let alewife = ("4096 lines, 1-way (Alewife)".to_string(), cfg.clone());
+    let shrunk = [1usize, 2, 4].map(|ways| {
+        let mut cfg = cfg.clone();
+        cfg.proto.cache_lines = 64;
+        cfg.proto.cache_ways = ways;
+        (format!("64 lines, {ways}-way"), cfg)
+    });
+    let points = std::iter::once(alewife).chain(shrunk);
+    let points = points.map(|(label, cfg)| (label, Mechanism::SharedMem, cfg));
+    ablation(em3d_small_spec(), points)
+}
+
+/// Relaxed writes (release consistency) vs. sequential consistency under
+/// emulated latency — the §2 latency-tolerance technique the paper
+/// contrasts with SC.
+pub fn ablate_write_buffer(cfg: &MachineConfig) -> Ablation {
+    use commsense_machine::LatencyEmulation;
+    let mut points = Vec::new();
+    for lat in [0u64, 200] {
+        for wb in [0usize, 4] {
+            let mut cfg = cfg.clone().with_mechanism(Mechanism::SharedMem);
+            cfg.write_buffer = wb;
+            if lat > 0 {
+                cfg.latency_emulation = Some(LatencyEmulation::uniform(lat));
+            }
+            let model = if wb == 0 { "SC" } else { "RC(4)" };
+            let net = if lat == 0 {
+                "base net".to_string()
+            } else {
+                format!("{lat}-cyc misses")
+            };
+            points.push((format!("{model}, {net}"), Mechanism::SharedMem, cfg));
+        }
+    }
+    ablation(em3d_small_spec(), points)
+}
+
+/// Partition strategy: blocked index ranges vs. Chaco-style graph
+/// growing, on UNSTRUC under shared memory (partition quality drives the
+/// remote fraction that everything else amplifies). Unlike the other
+/// ablations it runs here, directly: no [`AppSpec`] names a re-partitioned
+/// mesh, so there is no request to plan.
+pub fn ablate_partition(cfg: &MachineConfig) -> Vec<(String, RunOutcome)> {
+    use commsense_apps::unstruc::run_mesh;
+    use commsense_workloads::unstruct::{PartitionStrategy, UnstrucMesh, UnstrucParams};
+    let params = UnstrucParams::small();
+    [PartitionStrategy::Blocked, PartitionStrategy::GraphGrown]
+        .iter()
+        .map(|&st| {
+            let mesh = UnstrucMesh::generate_with_partition(&params, cfg.nodes, st);
+            let result = run_mesh(&mesh, Mechanism::SharedMem, cfg).unwrap_or_else(|e| e.raise());
+            let label = format!("{st:?} (cut {:.0}%)", 100.0 * mesh.cut_fraction());
+            (
+                label,
+                RunOutcome::Done {
+                    result,
+                    cached: false,
+                },
+            )
+        })
+        .collect()
+}
+
+/// Renders an ablation's labelled outcomes as an aligned text table.
+pub fn ablation_table<'a>(
+    title: &str,
+    points: impl IntoIterator<Item = (&'a String, &'a RunOutcome)>,
+) -> String {
+    let mut out = format!("{title}\n");
+    for (label, outcome) in points {
+        out.push_str(&match outcome {
+            RunOutcome::Done { result: r, .. } => format!(
+                "  {label:<28} {:>10} cycles  verified={}\n",
+                r.runtime_cycles, r.verified
+            ),
+            RunOutcome::Failed { attempts, message } => {
+                format!("  {label:<28} FAILED after {attempts} attempts: {message}\n")
+            }
+        });
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,195 +346,4 @@ mod tests {
         assert!(by_name("remote clean read") < by_name("remote dirty read"));
         assert!(by_name("remote dirty read") < by_name("LimitLESS sw read"));
     }
-}
-
-// ---------------------------------------------------------------------
-// Ablations (DESIGN.md §7): design-choice sensitivity studies
-// ---------------------------------------------------------------------
-
-/// One ablation measurement: a labeled parameter value and the runtime.
-#[derive(Debug, Clone)]
-pub struct AblationPoint {
-    /// Parameter setting label.
-    pub label: String,
-    /// Runtime in processor cycles.
-    pub runtime_cycles: u64,
-    /// Whether the run verified.
-    pub verified: bool,
-}
-
-fn em3d_small_spec() -> AppSpec {
-    let mut p = Em3dParams::small();
-    p.nodes = 1000;
-    p.iterations = 3;
-    AppSpec::Em3d(p)
-}
-
-/// Runs `spec` once per labeled `(mechanism, config)` point on `runner` —
-/// one shared workload preparation, points possibly in parallel — and
-/// folds the results into ablation points in label order.
-fn run_points(
-    runner: &Runner,
-    spec: AppSpec,
-    points: impl IntoIterator<Item = (String, Mechanism, MachineConfig)>,
-) -> Vec<AblationPoint> {
-    let (labels, requests): (Vec<String>, Vec<RunRequest>) = points
-        .into_iter()
-        .map(|(label, mechanism, cfg)| {
-            let spec = spec.clone();
-            (
-                label,
-                RunRequest {
-                    spec,
-                    mechanism,
-                    cfg,
-                },
-            )
-        })
-        .unzip();
-    let results = runner.run(&requests);
-    labels
-        .into_iter()
-        .zip(results)
-        .map(|(label, r)| AblationPoint {
-            label,
-            runtime_cycles: r.runtime_cycles,
-            verified: r.verified,
-        })
-        .collect()
-}
-
-/// LimitLESS directory width: hardware pointers before the software trap.
-/// Narrow directories trap constantly on shared data; wide ones never do.
-pub fn ablate_limitless(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
-    let points = [1usize, 2, 5, 8, 32].map(|ptrs| {
-        let mut cfg = cfg.clone();
-        cfg.proto.hw_ptrs = ptrs;
-        (format!("{ptrs} hw pointers"), Mechanism::SharedMem, cfg)
-    });
-    run_points(runner, em3d_small_spec(), points)
-}
-
-/// Mesh aspect ratio at a fixed 32 nodes: the bisection (and thus the
-/// shared-memory story) is set by the number of rows crossing the cut.
-pub fn ablate_topology(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
-    let mut points = Vec::new();
-    for (w, h) in [(16u16, 2u16), (8, 4), (4, 8)] {
-        for mech in [Mechanism::SharedMem, Mechanism::MsgPoll] {
-            let mut cfg = cfg.clone().with_mechanism(mech);
-            cfg.net.topo = commsense_mesh::TopoSpec::mesh(w, h);
-            let bpc = cfg.net.bisection_bytes_per_cycle(cfg.clock());
-            points.push((
-                format!("{w}x{h} ({bpc:.0} B/cyc) {}", mech.label()),
-                mech,
-                cfg,
-            ));
-        }
-    }
-    run_points(runner, em3d_small_spec(), points)
-}
-
-/// Interrupt entry cost: how expensive traps must get before polling's
-/// advantage dominates (ICCG, the most message-bound application).
-pub fn ablate_interrupt_cost(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
-    let points = [20u64, 40, 74, 120, 200].map(|c| {
-        let mut cfg = cfg.clone().with_mechanism(Mechanism::MsgInterrupt);
-        cfg.msg.interrupt_base = c;
-        (
-            format!("interrupt {c} cycles"),
-            Mechanism::MsgInterrupt,
-            cfg,
-        )
-    });
-    run_points(runner, AppSpec::Iccg(IccgParams::small()), points)
-}
-
-/// Prefetch (transaction) buffer depth under prefetching EM3D.
-pub fn ablate_prefetch_buffer(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
-    let points = [1usize, 2, 4, 16].map(|n| {
-        let mut cfg = cfg.clone().with_mechanism(Mechanism::SharedMemPrefetch);
-        cfg.proto.prefetch_entries = n;
-        (
-            format!("{n} prefetch entries"),
-            Mechanism::SharedMemPrefetch,
-            cfg,
-        )
-    });
-    run_points(runner, em3d_small_spec(), points)
-}
-
-/// Cache associativity under capacity pressure: Alewife's full-size
-/// direct-mapped cache has no conflicts on these working sets, so the
-/// ablation shrinks the cache to 64 lines where the irregular access
-/// stream collides, then varies the ways.
-pub fn ablate_associativity(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
-    let alewife = ("4096 lines, 1-way (Alewife)".to_string(), cfg.clone());
-    let shrunk = [1usize, 2, 4].map(|ways| {
-        let mut cfg = cfg.clone();
-        cfg.proto.cache_lines = 64;
-        cfg.proto.cache_ways = ways;
-        (format!("64 lines, {ways}-way"), cfg)
-    });
-    let points = std::iter::once(alewife).chain(shrunk);
-    let points = points.map(|(label, cfg)| (label, Mechanism::SharedMem, cfg));
-    run_points(runner, em3d_small_spec(), points)
-}
-
-/// Relaxed writes (release consistency) vs. sequential consistency under
-/// emulated latency — the §2 latency-tolerance technique the paper
-/// contrasts with SC.
-pub fn ablate_write_buffer(cfg: &MachineConfig, runner: &Runner) -> Vec<AblationPoint> {
-    use commsense_machine::LatencyEmulation;
-    let mut points = Vec::new();
-    for lat in [0u64, 200] {
-        for wb in [0usize, 4] {
-            let mut cfg = cfg.clone().with_mechanism(Mechanism::SharedMem);
-            cfg.write_buffer = wb;
-            if lat > 0 {
-                cfg.latency_emulation = Some(LatencyEmulation::uniform(lat));
-            }
-            let model = if wb == 0 { "SC" } else { "RC(4)" };
-            let net = if lat == 0 {
-                "base net".to_string()
-            } else {
-                format!("{lat}-cyc misses")
-            };
-            points.push((format!("{model}, {net}"), Mechanism::SharedMem, cfg));
-        }
-    }
-    run_points(runner, em3d_small_spec(), points)
-}
-
-/// Partition strategy: blocked index ranges vs. Chaco-style graph
-/// growing, on UNSTRUC under shared memory (partition quality drives the
-/// remote fraction that everything else amplifies).
-pub fn ablate_partition(cfg: &MachineConfig) -> Vec<AblationPoint> {
-    use commsense_apps::unstruc::run_mesh;
-    use commsense_machine::Mechanism;
-    use commsense_workloads::unstruct::{PartitionStrategy, UnstrucMesh, UnstrucParams};
-    let params = UnstrucParams::small();
-    [PartitionStrategy::Blocked, PartitionStrategy::GraphGrown]
-        .iter()
-        .map(|&st| {
-            let mesh = UnstrucMesh::generate_with_partition(&params, cfg.nodes, st);
-            let r = run_mesh(&mesh, Mechanism::SharedMem, cfg).unwrap_or_else(|e| e.raise());
-            AblationPoint {
-                label: format!("{st:?} (cut {:.0}%)", 100.0 * mesh.cut_fraction()),
-                runtime_cycles: r.runtime_cycles,
-                verified: r.verified,
-            }
-        })
-        .collect()
-}
-
-/// Renders an ablation as an aligned text table.
-pub fn ablation_table(title: &str, points: &[AblationPoint]) -> String {
-    let mut out = format!("{title}\n");
-    for p in points {
-        out.push_str(&format!(
-            "  {:<28} {:>10} cycles  verified={}\n",
-            p.label, p.runtime_cycles, p.verified
-        ));
-    }
-    out
 }

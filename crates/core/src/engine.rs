@@ -436,6 +436,11 @@ impl ExperimentPlan {
         }
     }
 
+    /// The application the plan measures.
+    pub fn app(&self) -> &'static str {
+        self.app
+    }
+
     /// The requests, in index order.
     pub fn requests(&self) -> &[RunRequest] {
         &self.requests

@@ -30,6 +30,8 @@
 //! * [`manifest`] — self-describing JSON run manifests (versioned by
 //!   [`manifest::MANIFEST_SCHEMA_VERSION`]) for observability artifacts,
 //!   validated with the dependency-free parser in [`json`].
+//! * [`table`] — summary tables of named columns and typed cells, written
+//!   as CSV and as a JSON manifest from the same cells.
 //! * [`store`] — a persistent, content-addressed [`store::ResultStore`]:
 //!   finished runs are durable units of work keyed by a stable hash of
 //!   their request, so interrupted sweeps resume instead of restarting
@@ -49,3 +51,4 @@ pub mod regions;
 pub mod report;
 pub mod store;
 pub mod survey;
+pub mod table;

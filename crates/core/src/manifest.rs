@@ -9,6 +9,10 @@
 //! [`MANIFEST_SCHEMA_VERSION`] and checked by [`validate_manifest`], which
 //! CI runs against freshly produced manifests.
 //!
+//! A summary [`Table`](crate::table::Table)'s manifest is the JSON twin
+//! of its CSV; [`validate_table_manifest`] checks one against the CSV
+//! header before `repro` writes it.
+//!
 //! # Examples
 //!
 //! ```
@@ -42,6 +46,10 @@ use crate::json::{self, Fixed, Json};
 /// optional `critpath` block (critical-path stage breakdown and predicted
 /// latency slope, see [`manifest_json_with_analysis`]).
 pub const MANIFEST_SCHEMA_VERSION: u32 = 3;
+
+/// Version stamp of the table manifests
+/// ([`Table::manifest`](crate::table::Table::manifest)).
+pub const TABLE_SCHEMA_VERSION: u32 = 1;
 
 /// Renders the manifest for one executed request as a JSON document.
 ///
@@ -171,111 +179,111 @@ pub fn manifest_json_with_analysis(
     out
 }
 
+/// `v[key]` read by `as_t`, or the error naming the missing field (`in_`
+/// names the enclosing block, e.g. `"config "`).
+fn field<'a, T>(
+    v: &'a Json,
+    in_: &str,
+    key: &str,
+    as_t: fn(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(as_t)
+        .ok_or_else(|| format!("missing {in_}field {key:?}"))
+}
+
+/// Checks `v`'s `schema_version` and `kind` stamp.
+fn check_stamp(v: &Json, kind: &str, version: u32) -> Result<(), String> {
+    let found = field(v, "", "schema_version", Json::as_u64)?;
+    if found != version as u64 {
+        return Err(format!("unknown schema_version {found}"));
+    }
+    if v.get("kind").and_then(Json::as_str) != Some(kind) {
+        return Err(format!("kind is not {kind:?}"));
+    }
+    Ok(())
+}
+
 /// Checks that `text` parses as JSON and satisfies the manifest schema:
 /// required keys present with the right types, the schema version known,
 /// and (when present) every series array consistent with the advertised
 /// sample count.
 pub fn validate_manifest(text: &str) -> Result<(), String> {
     let v = Json::parse(text)?;
-    let version = v
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("missing schema_version")?;
-    if version != MANIFEST_SCHEMA_VERSION as u64 {
-        return Err(format!("unknown schema_version {version}"));
-    }
-    if v.get("kind").and_then(Json::as_str) != Some("commsense-run-manifest") {
-        return Err("missing or wrong kind".to_string());
-    }
+    check_stamp(&v, "commsense-run-manifest", MANIFEST_SCHEMA_VERSION)?;
     for key in ["app", "spec", "mechanism"] {
-        v.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing string field {key:?}"))?;
+        field(&v, "", key, Json::as_str)?;
     }
     let cfg = v.get("config").ok_or("missing config")?;
     for key in ["nodes", "write_buffer"] {
-        cfg.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing config field {key:?}"))?;
+        field(cfg, "config ", key, Json::as_u64)?;
     }
     for key in ["topology", "topology_kind"] {
-        cfg.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing config field {key:?}"))?;
+        field(cfg, "config ", key, Json::as_str)?;
     }
-    cfg.get("cpu_mhz")
-        .and_then(Json::as_f64)
-        .ok_or("missing config field \"cpu_mhz\"")?;
+    field(cfg, "config ", "cpu_mhz", Json::as_f64)?;
     let result = v.get("result").ok_or("missing result")?;
     for key in ["runtime_cycles", "events", "messages_sent"] {
-        result
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing result field {key:?}"))?;
+        field(result, "result ", key, Json::as_u64)?;
     }
-    result
-        .get("verified")
-        .and_then(Json::as_bool)
-        .ok_or("missing result field \"verified\"")?;
-    let buckets = result
-        .get("bucket_mean_cycles")
-        .and_then(Json::as_obj)
-        .ok_or("missing result field \"bucket_mean_cycles\"")?;
-    if buckets.len() != Bucket::ALL.len() {
+    field(result, "result ", "verified", Json::as_bool)?;
+    if field(result, "result ", "bucket_mean_cycles", Json::as_obj)?.len() != Bucket::ALL.len() {
         return Err("bucket_mean_cycles must cover every bucket".to_string());
     }
     if let Some(series) = v.get("series") {
-        let samples = series
-            .get("samples")
-            .and_then(Json::as_u64)
-            .ok_or("missing series field \"samples\"")? as usize;
-        for key in ["at_ps", "event_queue_depth", "barrier_occupancy"] {
-            let arr = series
-                .get(key)
+        let samples = field(series, "series ", "samples", Json::as_u64)? as usize;
+        let fractions = field(series, "series ", "state_fraction", Json::as_obj)?;
+        let arrays =
+            ["at_ps", "event_queue_depth", "barrier_occupancy"].map(|k| (k, series.get(k)));
+        let fractions = fractions.iter().map(|(k, arr)| (k.as_str(), Some(arr)));
+        for (key, arr) in arrays.into_iter().chain(fractions) {
+            let n = arr
                 .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing series array {key:?}"))?;
-            if arr.len() != samples {
+                .ok_or_else(|| format!("missing series array {key:?}"))?
+                .len();
+            if n != samples {
                 return Err(format!(
-                    "series array {key:?} has {} entries, expected {samples}",
-                    arr.len()
+                    "series array {key:?} has {n} entries, expected {samples}"
                 ));
             }
         }
-        let fractions = series
-            .get("state_fraction")
-            .and_then(Json::as_obj)
-            .ok_or("missing series field \"state_fraction\"")?;
-        for (state, arr) in fractions {
-            let arr = arr
-                .as_arr()
-                .ok_or_else(|| format!("state_fraction[{state:?}] is not an array"))?;
-            if arr.len() != samples {
-                return Err(format!(
-                    "state_fraction[{state:?}] has {} entries, expected {samples}",
-                    arr.len()
-                ));
-            }
-        }
-        series
-            .get("mean_link_utilization")
-            .and_then(Json::as_arr)
-            .ok_or("missing series array \"mean_link_utilization\"")?;
+        field(series, "series ", "mean_link_utilization", Json::as_arr)?;
     }
     if let Some(cp) = v.get("critpath") {
         for key in ["total_cycles", "traversals", "messages", "barrier_joins"] {
-            cp.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing critpath field {key:?}"))?;
+            field(cp, "critpath ", key, Json::as_u64)?;
         }
-        cp.get("predicted_slope")
-            .and_then(Json::as_f64)
-            .ok_or("missing critpath field \"predicted_slope\"")?;
-        let stages = cp
-            .get("stage_cycles")
-            .and_then(Json::as_obj)
-            .ok_or("missing critpath field \"stage_cycles\"")?;
-        if stages.len() != Stage::ALL.len() {
+        field(cp, "critpath ", "predicted_slope", Json::as_f64)?;
+        if field(cp, "critpath ", "stage_cycles", Json::as_obj)?.len() != Stage::ALL.len() {
             return Err("stage_cycles must cover every stage".to_string());
+        }
+    }
+    Ok(())
+}
+
+/// Checks that `text` is the manifest of a table whose CSV starts with
+/// the line `csv_header`: it parses, its `kind` is `kind`, its
+/// `schema_version` is [`TABLE_SCHEMA_VERSION`], and every row is an
+/// object of scalars keyed by the header's column names, in order.
+pub fn validate_table_manifest(text: &str, kind: &str, csv_header: &str) -> Result<(), String> {
+    let v = Json::parse(text)?;
+    check_stamp(&v, kind, TABLE_SCHEMA_VERSION)?;
+    let columns: Vec<&str> = csv_header.split(',').collect();
+    for (i, row) in field(&v, "", "rows", Json::as_arr)?.iter().enumerate() {
+        let fields = row
+            .as_obj()
+            .ok_or_else(|| format!("row {i} is not an object"))?;
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        if keys != columns {
+            return Err(format!(
+                "row {i} has keys {keys:?}, the CSV header {columns:?}"
+            ));
+        }
+        if let Some((key, _)) = fields
+            .iter()
+            .find(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)))
+        {
+            return Err(format!("row {i}: {key:?} is not a scalar"));
         }
     }
     Ok(())
@@ -370,5 +378,42 @@ mod tests {
         let no_result = text.replace("\"result\"", "\"resultx\"");
         assert!(validate_manifest(&no_result).is_err());
         assert!(validate_manifest("not json").is_err());
+    }
+
+    #[test]
+    fn table_manifests_must_match_their_csv_header() {
+        use crate::table::{Cell, Table};
+        let table = Table::new("a,b", [vec![Cell::Int(1), Cell::Empty]]);
+        let text = table.manifest("commsense-t-manifest");
+        let check = |text: &str, kind: &str, header: &str| {
+            validate_table_manifest(text, kind, header).map_err(|e| e.to_string())
+        };
+        assert_eq!(check(&text, "commsense-t-manifest", "a,b"), Ok(()));
+        for (text, kind, header, err) in [
+            (text.as_str(), "commsense-u-manifest", "a,b", "kind is not"),
+            (&text, "commsense-t-manifest", "b,a", "has keys"),
+            (&text, "commsense-t-manifest", "a,b,c", "has keys"),
+            (
+                &text.replace(":1,\"rows", ":2,\"rows"),
+                "commsense-t-manifest",
+                "a,b",
+                "unknown schema_version",
+            ),
+            (
+                &text.replace("\"b\":null", "\"b\":[]"),
+                "commsense-t-manifest",
+                "a,b",
+                "not a scalar",
+            ),
+            (
+                &text.replace("\"rows\"", "\"rowz\""),
+                "commsense-t-manifest",
+                "a,b",
+                "missing field \"rows\"",
+            ),
+        ] {
+            let got = check(text, kind, header).unwrap_err();
+            assert!(got.contains(err), "{got:?} lacks {err:?} for {text}");
+        }
     }
 }

@@ -8,6 +8,7 @@ use commsense_mesh::PacketClass;
 
 use crate::experiment::Sweep;
 use crate::machines::MachineRow;
+use crate::table::{Cell, Table};
 
 /// Formats an optional float to one decimal, or a placeholder.
 fn opt(v: Option<f64>, width: usize) -> String {
@@ -272,22 +273,16 @@ pub fn breakdown_csv<R: Borrow<RunResult>>(
     cfg: &MachineConfig,
 ) -> String {
     let clk = cfg.clock();
-    let mut out =
-        String::from("app,mech,runtime_cycles,sync,msg_overhead,mem_ni_wait,compute,verified\n");
-    for r in results {
+    let rows = results.iter().map(|r| {
         let r = r.borrow();
-        out.push_str(&format!(
-            "{app},{},{},{:.1},{:.1},{:.1},{:.1},{}\n",
-            r.mechanism.label(),
-            r.runtime_cycles,
-            r.stats.mean_bucket_cycles(Bucket::Sync, clk),
-            r.stats.mean_bucket_cycles(Bucket::MsgOverhead, clk),
-            r.stats.mean_bucket_cycles(Bucket::MemWait, clk),
-            r.stats.mean_bucket_cycles(Bucket::Compute, clk),
-            r.verified,
-        ));
-    }
-    out
+        let mut cells = vec![Cell::text(app), Cell::text(r.mechanism.label())];
+        cells.push(Cell::int(r.runtime_cycles));
+        cells.extend(Bucket::ALL.map(|b| Cell::fixed(r.stats.mean_bucket_cycles(b, clk), 1)));
+        cells.push(Cell::Bool(r.verified));
+        cells
+    });
+    let header = "app,mech,runtime_cycles,sync,msg_overhead,mem_ni_wait,compute,verified";
+    Table::new(header, rows).csv()
 }
 
 /// Table 1 rendering.

@@ -485,7 +485,6 @@ impl Ev {
 /// A two-node producer/consumer over shared memory:
 ///
 /// ```
-/// use std::any::Any;
 /// use commsense_cache::{Heap, Word};
 /// use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
 /// use commsense_machine::{Machine, MachineConfig, MachineSpec};
@@ -498,7 +497,6 @@ impl Ev {
 ///         s
 ///     }
 ///     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-///     fn as_any(&self) -> &dyn Any { self }
 /// }
 ///
 /// let cfg = MachineConfig::tiny(); // 2x2 mesh

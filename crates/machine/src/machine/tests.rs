@@ -44,10 +44,6 @@ impl Program for Script {
     fn on_message(&mut self, handler: u16, args: &[u64], _bulk: &[u64], _ctx: &mut HandlerCtx) {
         self.received.push((handler, args.to_vec()));
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 fn empty_spec(cfg: &MachineConfig, programs: Vec<Box<dyn Program>>) -> MachineSpec {
@@ -204,7 +200,7 @@ fn store_then_load_transfers_value() {
     m.run().unwrap();
     assert_eq!(m.master_word(w), 42.5);
     let progs = m.into_programs();
-    let p1 = progs[1].as_any().downcast_ref::<Script>().unwrap();
+    let p1 = (&*progs[1] as &dyn Any).downcast_ref::<Script>().unwrap();
     assert_eq!(p1.last_loaded, 42.5, "node 1 observed node 0's store");
 }
 
@@ -224,7 +220,7 @@ fn active_message_delivery_interrupt_mode() {
     let stats = m.run().unwrap();
     assert_eq!(stats.messages_sent, 1);
     let progs = m.into_programs();
-    let p1 = progs[1].as_any().downcast_ref::<Script>().unwrap();
+    let p1 = (&*progs[1] as &dyn Any).downcast_ref::<Script>().unwrap();
     assert_eq!(p1.received.len(), 1);
     assert_eq!(p1.received[0].0, 7);
     assert_eq!(bits_f64(p1.received[0].1[0]), 2.5);
@@ -247,7 +243,7 @@ fn poll_mode_defers_until_poll() {
     let mut m = Machine::new(cfg.clone(), spec);
     let stats = m.run().unwrap();
     let progs = m.into_programs();
-    let p1 = progs[1].as_any().downcast_ref::<Script>().unwrap();
+    let p1 = (&*progs[1] as &dyn Any).downcast_ref::<Script>().unwrap();
     assert_eq!(p1.received.len(), 1);
     // Node 1 ran at least its 5000 compute cycles before finishing.
     assert!(stats.runtime_cycles >= 5000);
@@ -271,9 +267,6 @@ fn handlers_can_reply() {
                 ctx.send(ActiveMessage::new(0, HandlerId(2), vec![77]));
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
     let cfg = MachineConfig::tiny().with_mechanism(Mechanism::MsgInterrupt);
     let programs: Vec<Box<dyn Program>> = (0..4)
@@ -290,7 +283,7 @@ fn handlers_can_reply() {
     let mut m = Machine::new(cfg, spec);
     m.run().unwrap();
     let progs = m.into_programs();
-    let p0 = progs[0].as_any().downcast_ref::<Script>().unwrap();
+    let p0 = (&*progs[0] as &dyn Any).downcast_ref::<Script>().unwrap();
     assert_eq!(p0.received, vec![(2, vec![77])]);
     let _ = Replier { acked: true }.acked;
 }
@@ -1047,7 +1040,7 @@ fn write_buffer_fence_at_barrier() {
     );
     m.run().unwrap();
     let progs = m.into_programs();
-    let p1 = progs[1].as_any().downcast_ref::<Script>().unwrap();
+    let p1 = (&*progs[1] as &dyn Any).downcast_ref::<Script>().unwrap();
     assert_eq!(
         p1.last_loaded, 7.5,
         "fence must order the posted store before the barrier"
@@ -1083,7 +1076,7 @@ fn write_buffer_read_after_posted_write_merges() {
     );
     m.run().unwrap();
     let progs = m.into_programs();
-    let p0 = progs[0].as_any().downcast_ref::<Script>().unwrap();
+    let p0 = (&*progs[0] as &dyn Any).downcast_ref::<Script>().unwrap();
     assert_eq!(p0.last_loaded, 3.25);
 }
 
@@ -1359,9 +1352,6 @@ fn ejection_backpressure_under_message_burst() {
         fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {
             self.got += 1;
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
     let programs: Vec<Box<dyn Program>> = (0..32)
         .map(|n| {
@@ -1386,7 +1376,7 @@ fn ejection_backpressure_under_message_burst() {
         stats.runtime_cycles
     );
     let progs = m.into_programs();
-    let p0 = progs[0].as_any().downcast_ref::<Sink>().unwrap();
+    let p0 = (&*progs[0] as &dyn Any).downcast_ref::<Sink>().unwrap();
     assert_eq!(p0.got, 124, "no message lost in the burst");
 }
 

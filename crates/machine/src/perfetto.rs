@@ -157,7 +157,6 @@ fn metadata(events: &mut Arr<'_>, pid: u32, tid: Option<u32>, what: &str, name: 
 /// # impl Program for Idle {
 /// #     fn resume(&mut self, _ctx: &mut NodeCtx) -> Step { Step::Done }
 /// #     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-/// #     fn as_any(&self) -> &dyn std::any::Any { self }
 /// # }
 /// let mut cfg = MachineConfig::tiny();
 /// cfg.observe = Some(ObserveConfig::default());

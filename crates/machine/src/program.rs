@@ -147,7 +147,12 @@ impl HandlerCtx {
 /// Programs are state machines: `resume` returns the next step given the
 /// results of the previous one (in `ctx`), and `on_message` reacts to
 /// arriving active messages. See `commsense-apps` for full implementations.
-pub trait Program {
+///
+/// Every program is [`Any`], so a caller can recover a finished program's
+/// state from `machine.into_programs()` by upcasting and downcasting:
+/// `(&*prog as &dyn Any).downcast_ref::<T>()`. (Writing `&prog` instead
+/// would upcast the `Box` itself, and the downcast would return `None`.)
+pub trait Program: Any {
     /// Produces the next step. Called again after the previous step's cost
     /// (and any blocking) has elapsed.
     fn resume(&mut self, ctx: &mut NodeCtx) -> Step;
@@ -155,10 +160,6 @@ pub trait Program {
     /// Handles an arriving active message (interrupt or poll delivery).
     /// `bulk` is the modeled content of any DMA-appended payload.
     fn on_message(&mut self, handler: u16, args: &[u64], bulk: &[u64], ctx: &mut HandlerCtx);
-
-    /// Downcasting hook so applications can extract final state after a
-    /// run (`machine.into_programs()`).
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// Reinterprets an `f64` as message-argument bits.

@@ -2,8 +2,6 @@
 //! counts) always terminate, keep per-node accounting consistent with
 //! wall time, and leave the protocol coherent.
 
-use std::any::Any;
-
 use commsense_cache::{Heap, Word};
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
 use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism};
@@ -19,9 +17,6 @@ impl Program for Script {
         s
     }
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// A step chosen from the non-blocking-on-others subset (no WaitMsg, so a

@@ -579,160 +579,6 @@ impl RouteTable {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn alewife() -> Mesh {
-        Mesh::new(8, 4)
-    }
-
-    #[test]
-    fn link_count_matches_formula() {
-        let m = alewife();
-        assert_eq!(m.num_links(), 2 * (7 * 4) + 2 * (3 * 8));
-    }
-
-    #[test]
-    fn link_ids_are_dense_and_unique() {
-        let m = alewife();
-        let mut seen = vec![false; m.num_links()];
-        for y in 0..4 {
-            for x in 0..8 {
-                let c = RouterCoord::new(x, y);
-                for dir in [
-                    RouteDir::East,
-                    RouteDir::West,
-                    RouteDir::South,
-                    RouteDir::North,
-                ] {
-                    let ok = match dir {
-                        RouteDir::East => x + 1 < 8,
-                        RouteDir::West => x >= 1,
-                        RouteDir::South => y + 1 < 4,
-                        RouteDir::North => y >= 1,
-                    };
-                    if ok {
-                        let id = m.link_id(c, dir);
-                        assert!(!seen[id], "duplicate link id {id}");
-                        seen[id] = true;
-                    }
-                }
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "all link ids covered");
-    }
-
-    #[test]
-    fn coord_roundtrip() {
-        let m = alewife();
-        for id in 0..m.num_nodes() {
-            assert_eq!(m.node_at(m.coord(id)), id);
-        }
-    }
-
-    #[test]
-    fn hops_corner_to_corner() {
-        let m = alewife();
-        assert_eq!(m.hops(0, 31), 10);
-        assert_eq!(m.hops(0, 0), 0);
-        assert_eq!(m.hops(0, 1), 1);
-    }
-
-    #[test]
-    fn route_length_equals_hops() {
-        let m = alewife();
-        for a in 0..m.num_nodes() {
-            for b in 0..m.num_nodes() {
-                if a != b {
-                    let r = m.route(Endpoint::node(a), Endpoint::node(b));
-                    assert_eq!(r.len(), m.hops(a, b), "{a}->{b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn route_is_x_first() {
-        let m = alewife();
-        // 0 (0,0) -> 25 (1,3): one east link then three south links.
-        let r = m.route(Endpoint::node(0), Endpoint::node(25));
-        assert_eq!(r[0], m.link_id(RouterCoord::new(0, 0), RouteDir::East));
-        assert_eq!(r[1], m.link_id(RouterCoord::new(1, 0), RouteDir::South));
-    }
-
-    #[test]
-    fn bisection_links_count() {
-        let m = alewife();
-        let cut = m.bisection_links();
-        assert_eq!(cut.len(), 8, "4 rows x 2 directions");
-        for l in cut {
-            assert!(m.crosses_bisection(l));
-        }
-    }
-
-    #[test]
-    fn cross_traffic_route_crosses_bisection() {
-        let m = alewife();
-        let east = m.route(Endpoint::IoWest(2), Endpoint::IoEast(2));
-        assert_eq!(east.len(), 7);
-        assert_eq!(east.iter().filter(|&&l| m.crosses_bisection(l)).count(), 1);
-        let west = m.route(Endpoint::IoEast(1), Endpoint::IoWest(1));
-        assert_eq!(west.len(), 7);
-        assert_eq!(west.iter().filter(|&&l| m.crosses_bisection(l)).count(), 1);
-    }
-
-    #[test]
-    fn mean_hops_is_sane() {
-        let m = alewife();
-        let mh = m.mean_hops();
-        assert!(mh > 3.0 && mh < 5.0, "mean hops {mh}");
-    }
-
-    #[test]
-    #[should_panic(expected = "local traffic")]
-    fn local_route_panics() {
-        let m = alewife();
-        let _ = m.route(Endpoint::node(3), Endpoint::node(3));
-    }
-
-    #[test]
-    fn route_table_matches_fresh_routes() {
-        let m = alewife();
-        let table = RouteTable::new(&m);
-        for a in 0..m.num_nodes() {
-            for b in 0..m.num_nodes() {
-                if a == b {
-                    continue;
-                }
-                let fresh: Vec<u32> = m
-                    .route(Endpoint::node(a), Endpoint::node(b))
-                    .into_iter()
-                    .map(|l| l as u32)
-                    .collect();
-                let key = table.key(Endpoint::node(a), Endpoint::node(b));
-                assert_eq!(table.route(key), &fresh[..], "{a}->{b}");
-            }
-        }
-        for row in 0..m.height() {
-            for (src, dst) in [
-                (Endpoint::IoWest(row), Endpoint::IoEast(row)),
-                (Endpoint::IoEast(row), Endpoint::IoWest(row)),
-            ] {
-                let fresh: Vec<u32> = m.route(src, dst).into_iter().map(|l| l as u32).collect();
-                assert_eq!(table.route(table.key(src, dst)), &fresh[..]);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "local traffic")]
-    fn route_table_local_key_panics() {
-        let table = RouteTable::new(&alewife());
-        let _ = table.key(Endpoint::node(3), Endpoint::node(3));
-    }
-}
-
 /// The interconnect-topology contract the network simulator routes through.
 ///
 /// Implementations describe a fabric of `num_nodes` compute endpoints joined
@@ -2339,5 +2185,159 @@ mod topo_tests {
         let big = Mesh::new(256, 256);
         assert_eq!(big.num_nodes(), 65536);
         check_node_route(&big, 0, 65535);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn alewife() -> Mesh {
+        Mesh::new(8, 4)
+    }
+
+    #[test]
+    fn link_count_matches_formula() {
+        let m = alewife();
+        assert_eq!(m.num_links(), 2 * (7 * 4) + 2 * (3 * 8));
+    }
+
+    #[test]
+    fn link_ids_are_dense_and_unique() {
+        let m = alewife();
+        let mut seen = vec![false; m.num_links()];
+        for y in 0..4 {
+            for x in 0..8 {
+                let c = RouterCoord::new(x, y);
+                for dir in [
+                    RouteDir::East,
+                    RouteDir::West,
+                    RouteDir::South,
+                    RouteDir::North,
+                ] {
+                    let ok = match dir {
+                        RouteDir::East => x + 1 < 8,
+                        RouteDir::West => x >= 1,
+                        RouteDir::South => y + 1 < 4,
+                        RouteDir::North => y >= 1,
+                    };
+                    if ok {
+                        let id = m.link_id(c, dir);
+                        assert!(!seen[id], "duplicate link id {id}");
+                        seen[id] = true;
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "all link ids covered");
+    }
+
+    #[test]
+    fn coord_roundtrip() {
+        let m = alewife();
+        for id in 0..m.num_nodes() {
+            assert_eq!(m.node_at(m.coord(id)), id);
+        }
+    }
+
+    #[test]
+    fn hops_corner_to_corner() {
+        let m = alewife();
+        assert_eq!(m.hops(0, 31), 10);
+        assert_eq!(m.hops(0, 0), 0);
+        assert_eq!(m.hops(0, 1), 1);
+    }
+
+    #[test]
+    fn route_length_equals_hops() {
+        let m = alewife();
+        for a in 0..m.num_nodes() {
+            for b in 0..m.num_nodes() {
+                if a != b {
+                    let r = m.route(Endpoint::node(a), Endpoint::node(b));
+                    assert_eq!(r.len(), m.hops(a, b), "{a}->{b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_is_x_first() {
+        let m = alewife();
+        // 0 (0,0) -> 25 (1,3): one east link then three south links.
+        let r = m.route(Endpoint::node(0), Endpoint::node(25));
+        assert_eq!(r[0], m.link_id(RouterCoord::new(0, 0), RouteDir::East));
+        assert_eq!(r[1], m.link_id(RouterCoord::new(1, 0), RouteDir::South));
+    }
+
+    #[test]
+    fn bisection_links_count() {
+        let m = alewife();
+        let cut = m.bisection_links();
+        assert_eq!(cut.len(), 8, "4 rows x 2 directions");
+        for l in cut {
+            assert!(m.crosses_bisection(l));
+        }
+    }
+
+    #[test]
+    fn cross_traffic_route_crosses_bisection() {
+        let m = alewife();
+        let east = m.route(Endpoint::IoWest(2), Endpoint::IoEast(2));
+        assert_eq!(east.len(), 7);
+        assert_eq!(east.iter().filter(|&&l| m.crosses_bisection(l)).count(), 1);
+        let west = m.route(Endpoint::IoEast(1), Endpoint::IoWest(1));
+        assert_eq!(west.len(), 7);
+        assert_eq!(west.iter().filter(|&&l| m.crosses_bisection(l)).count(), 1);
+    }
+
+    #[test]
+    fn mean_hops_is_sane() {
+        let m = alewife();
+        let mh = m.mean_hops();
+        assert!(mh > 3.0 && mh < 5.0, "mean hops {mh}");
+    }
+
+    #[test]
+    #[should_panic(expected = "local traffic")]
+    fn local_route_panics() {
+        let m = alewife();
+        let _ = m.route(Endpoint::node(3), Endpoint::node(3));
+    }
+
+    #[test]
+    fn route_table_matches_fresh_routes() {
+        let m = alewife();
+        let table = RouteTable::new(&m);
+        for a in 0..m.num_nodes() {
+            for b in 0..m.num_nodes() {
+                if a == b {
+                    continue;
+                }
+                let fresh: Vec<u32> = m
+                    .route(Endpoint::node(a), Endpoint::node(b))
+                    .into_iter()
+                    .map(|l| l as u32)
+                    .collect();
+                let key = table.key(Endpoint::node(a), Endpoint::node(b));
+                assert_eq!(table.route(key), &fresh[..], "{a}->{b}");
+            }
+        }
+        for row in 0..m.height() {
+            for (src, dst) in [
+                (Endpoint::IoWest(row), Endpoint::IoEast(row)),
+                (Endpoint::IoEast(row), Endpoint::IoWest(row)),
+            ] {
+                let fresh: Vec<u32> = m.route(src, dst).into_iter().map(|l| l as u32).collect();
+                assert_eq!(table.route(table.key(src, dst)), &fresh[..]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "local traffic")]
+    fn route_table_local_key_panics() {
+        let table = RouteTable::new(&alewife());
+        let _ = table.key(Endpoint::node(3), Endpoint::node(3));
     }
 }

@@ -1,7 +1,7 @@
 //! The daemon's decoders never panic: every truncation and every
 //! single-byte substitution that keeps the text valid UTF-8, applied to
-//! each canonical protocol line and to one real run manifest, must make
-//! the decoder return `Ok` or `Err`. A decoder panic on a client's line
+//! each canonical protocol line, to one real run manifest and to one
+//! summary-table manifest, must make the decoder return `Ok` or `Err`. A decoder panic on a client's line
 //! would kill the reader thread it runs on instead of yielding an error
 //! reply.
 
@@ -10,7 +10,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use commsense_apps::{run_prepared, AppSpec, Scale};
 use commsense_core::engine::RunRequest;
 use commsense_core::json::Json;
-use commsense_core::manifest::{manifest_json, validate_manifest};
+use commsense_core::manifest::{manifest_json, validate_manifest, validate_table_manifest};
+use commsense_core::table::{Cell, Table};
 use commsense_machine::{MachineConfig, Mechanism};
 use commsense_service::protocol::{
     ClientMsg, Figure, JobStats, PlanSpec, ServerMsg, ServiceStats, Source,
@@ -176,6 +177,36 @@ fn manifest_validation_survives_every_byte_mutation() {
     validate_manifest(&manifest).expect("the pristine manifest validates");
     never_panics("manifest", &manifest, |text| {
         let _ = validate_manifest(text);
+    });
+}
+
+#[test]
+fn table_manifest_validation_survives_every_byte_mutation() {
+    let table = Table::new(
+        "topology,nodes,ok,ratio,crossover",
+        [
+            vec![
+                Cell::text("mesh 8x8"),
+                Cell::Int(64),
+                Cell::Bool(true),
+                Cell::fixed(1.339, 3),
+                Cell::Empty,
+            ],
+            vec![
+                Cell::text("torus 8x8"),
+                Cell::Int(64),
+                Cell::Bool(false),
+                Cell::fixed(0.5, 1),
+                Cell::fixed(12.25, 2),
+            ],
+        ],
+    );
+    let kind = "commsense-scale-manifest";
+    let header = table.header();
+    let manifest = table.manifest(kind);
+    validate_table_manifest(&manifest, kind, header).expect("the pristine manifest validates");
+    never_panics("table manifest", &manifest, |text| {
+        let _ = validate_table_manifest(text, kind, header);
     });
 }
 

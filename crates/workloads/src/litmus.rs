@@ -407,10 +407,6 @@ impl Program for ReplayProgram {
     fn on_message(&mut self, _handler: u16, args: &[u64], _bulk: &[u64], ctx: &mut HandlerCtx) {
         ctx.charge(2 + args.len() as u64);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// One point of the sweep-extreme grid a litmus program is run under.

@@ -235,92 +235,6 @@ impl IccgSystem {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn deterministic_generation() {
-        let p = IccgParams::small();
-        let a = IccgSystem::generate(&p, 8);
-        let b = IccgSystem::generate(&p, 8);
-        assert_eq!(a.cols, b.cols);
-        assert_eq!(a.b, b.b);
-    }
-
-    #[test]
-    fn strictly_lower_triangular() {
-        let s = IccgSystem::generate(&IccgParams::small(), 8);
-        for i in 0..s.len() {
-            for (j, _) in s.in_edges(i) {
-                assert!((j as usize) < i, "entry ({i},{j}) not strictly lower");
-            }
-        }
-    }
-
-    #[test]
-    fn levels_form_topological_order() {
-        let s = IccgSystem::generate(&IccgParams::small(), 8);
-        for i in 0..s.len() {
-            for (j, _) in s.in_edges(i) {
-                assert!(s.level[j as usize] < s.level[i], "level order violated");
-            }
-        }
-    }
-
-    #[test]
-    fn out_edges_mirror_in_edges() {
-        let s = IccgSystem::generate(&IccgParams::small(), 8);
-        let mut count = 0;
-        for j in 0..s.len() {
-            for &i in &s.out_edges[j] {
-                count += 1;
-                assert!(s.in_edges(i as usize).any(|(c, _)| c == j as u32));
-            }
-        }
-        assert_eq!(count, s.nnz());
-    }
-
-    #[test]
-    fn partition_is_balanced() {
-        let s = IccgSystem::generate(&IccgParams::paper(), 32);
-        let counts: Vec<usize> = (0..32).map(|p| s.rows_of(p).len()).collect();
-        let (min, max) = (*counts.iter().min().unwrap(), *counts.iter().max().unwrap());
-        assert!(max - min <= s.len() / 32, "imbalanced {counts:?}");
-    }
-
-    #[test]
-    fn cut_fraction_is_moderate_for_chunked_partition() {
-        // The paper notes ICCG's ratio of remote data is low even though
-        // it sends many messages: the banded structure keeps most
-        // dependencies within a chunk, while far fill still crosses.
-        let s = IccgSystem::generate(&IccgParams::paper(), 32);
-        let f = s.cut_fraction();
-        assert!(f > 0.05 && f < 0.5, "cut {f}");
-    }
-
-    #[test]
-    fn reference_solves_the_system() {
-        let s = IccgSystem::generate(&IccgParams::small(), 4);
-        let y = s.reference();
-        // Verify L y == b.
-        for i in 0..s.len() {
-            let mut lhs = y[i];
-            for (j, v) in s.in_edges(i) {
-                lhs += v * y[j as usize];
-            }
-            assert!((lhs - s.b[i]).abs() < 1e-9, "row {i}: {lhs} != {}", s.b[i]);
-        }
-    }
-
-    #[test]
-    fn first_row_has_no_dependencies() {
-        let s = IccgSystem::generate(&IccgParams::small(), 4);
-        assert_eq!(s.in_degree(0), 0);
-        assert_eq!(s.level[0], 0);
-    }
-}
-
 /// Error parsing a MatrixMarket file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseMatrixError {
@@ -598,5 +512,91 @@ mod matrix_market_tests {
             }
             assert!((lhs - sys.b[i]).abs() < 1e-9);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn deterministic_generation() {
+        let p = IccgParams::small();
+        let a = IccgSystem::generate(&p, 8);
+        let b = IccgSystem::generate(&p, 8);
+        assert_eq!(a.cols, b.cols);
+        assert_eq!(a.b, b.b);
+    }
+
+    #[test]
+    fn strictly_lower_triangular() {
+        let s = IccgSystem::generate(&IccgParams::small(), 8);
+        for i in 0..s.len() {
+            for (j, _) in s.in_edges(i) {
+                assert!((j as usize) < i, "entry ({i},{j}) not strictly lower");
+            }
+        }
+    }
+
+    #[test]
+    fn levels_form_topological_order() {
+        let s = IccgSystem::generate(&IccgParams::small(), 8);
+        for i in 0..s.len() {
+            for (j, _) in s.in_edges(i) {
+                assert!(s.level[j as usize] < s.level[i], "level order violated");
+            }
+        }
+    }
+
+    #[test]
+    fn out_edges_mirror_in_edges() {
+        let s = IccgSystem::generate(&IccgParams::small(), 8);
+        let mut count = 0;
+        for j in 0..s.len() {
+            for &i in &s.out_edges[j] {
+                count += 1;
+                assert!(s.in_edges(i as usize).any(|(c, _)| c == j as u32));
+            }
+        }
+        assert_eq!(count, s.nnz());
+    }
+
+    #[test]
+    fn partition_is_balanced() {
+        let s = IccgSystem::generate(&IccgParams::paper(), 32);
+        let counts: Vec<usize> = (0..32).map(|p| s.rows_of(p).len()).collect();
+        let (min, max) = (*counts.iter().min().unwrap(), *counts.iter().max().unwrap());
+        assert!(max - min <= s.len() / 32, "imbalanced {counts:?}");
+    }
+
+    #[test]
+    fn cut_fraction_is_moderate_for_chunked_partition() {
+        // The paper notes ICCG's ratio of remote data is low even though
+        // it sends many messages: the banded structure keeps most
+        // dependencies within a chunk, while far fill still crosses.
+        let s = IccgSystem::generate(&IccgParams::paper(), 32);
+        let f = s.cut_fraction();
+        assert!(f > 0.05 && f < 0.5, "cut {f}");
+    }
+
+    #[test]
+    fn reference_solves_the_system() {
+        let s = IccgSystem::generate(&IccgParams::small(), 4);
+        let y = s.reference();
+        // Verify L y == b.
+        for i in 0..s.len() {
+            let mut lhs = y[i];
+            for (j, v) in s.in_edges(i) {
+                lhs += v * y[j as usize];
+            }
+            assert!((lhs - s.b[i]).abs() < 1e-9, "row {i}: {lhs} != {}", s.b[i]);
+        }
+    }
+
+    #[test]
+    fn first_row_has_no_dependencies() {
+        let s = IccgSystem::generate(&IccgParams::small(), 4);
+        assert_eq!(s.in_degree(0), 0);
+        assert_eq!(s.level[0], 0);
     }
 }

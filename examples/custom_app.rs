@@ -7,8 +7,6 @@
 //! cargo run --release --example custom_app
 //! ```
 
-use std::any::Any;
-
 use commsense::cache::{Heap, Word};
 use commsense::machine::program::{HandlerCtx, NodeCtx, Program, Step};
 use commsense::machine::{Machine, MachineSpec};
@@ -83,10 +81,6 @@ impl Program for SmPing {
     }
 
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Active-message ping-pong: node 0 sends PING(r) and waits for PONG(r);
@@ -116,10 +110,6 @@ impl Program for MpPing {
             ctx.send(ActiveMessage::new(0, HandlerId(1), vec![r as u64]));
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Idles immediately (the other 30 nodes).
@@ -130,9 +120,6 @@ impl Program for Idle {
         Step::Done
     }
     fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 fn run_sm(cfg: &MachineConfig) -> u64 {

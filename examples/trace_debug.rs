@@ -5,8 +5,6 @@
 //! cargo run --release --example trace_debug [node]
 //! ```
 
-use std::any::Any;
-
 use commsense::cache::Heap;
 use commsense::machine::program::{HandlerCtx, NodeCtx, Program, Step};
 use commsense::machine::{Machine, MachineSpec, TraceKind};
@@ -49,10 +47,6 @@ impl Program for Ring {
     fn on_message(&mut self, _h: u16, _args: &[u64], _b: &[u64], ctx: &mut HandlerCtx) {
         self.got_token = true;
         ctx.charge(8);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -275,7 +275,7 @@ impl Default for CostModel {
 /// cfg.observe = Some(ObserveConfig::default());
 /// assert_eq!(cfg.observe.unwrap().epoch_cycles, 1_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObserveConfig {
     /// Sampling period of the metric series, in processor cycles.
     pub epoch_cycles: u64,
@@ -331,7 +331,7 @@ impl Default for ObserveConfig {
 /// cfg.check = Some(CheckConfig::default());
 /// assert!(!cfg.check.unwrap().oracle);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CheckConfig {
     /// Record the applied memory-access stream and verify it against the
     /// sequential-consistency oracle when the run finishes. Off by default:

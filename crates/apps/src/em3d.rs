@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use commsense_cache::Heap;
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
-use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, SimError};
+use commsense_machine::{ConfigError, Machine, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_workloads::bipartite::{Em3dGraph, Em3dParams, Side};
 
 use crate::common::{
@@ -101,10 +101,13 @@ pub fn run_prepared(
     mech: Mechanism,
     cfg: &MachineConfig,
 ) -> Result<RunResult, SimError> {
-    assert_eq!(
-        w.nprocs, cfg.nodes,
-        "workload was prepared for a different machine size"
-    );
+    if w.nprocs != cfg.nodes {
+        return Err(ConfigError::PreparedNodes {
+            prepared_nodes: w.nprocs,
+            nodes: cfg.nodes,
+        }
+        .into());
+    }
     if mech.is_shared_memory() {
         run_sm(w, mech, cfg)
     } else {
@@ -500,7 +503,7 @@ fn run_sm(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
             initial,
             programs,
         },
-    );
+    )?;
     let stats = machine.run()?;
 
     let got_e: Vec<f64> = (0..g.e.len())
@@ -559,7 +562,7 @@ fn run_mp(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
             initial: Vec::new(),
             programs,
         },
-    );
+    )?;
     let stats = machine.run()?;
     let observation = machine.take_observation().map(Arc::new);
     let profile = machine.take_dispatch_profile();
@@ -628,6 +631,33 @@ mod tests {
             assert_eq!(shared.runtime_cycles, fresh.runtime_cycles);
             assert_eq!(shared.max_abs_err, fresh.max_abs_err);
         }
+    }
+
+    #[test]
+    fn workload_prepared_for_another_size_is_a_config_error() {
+        for spec in crate::suite(crate::Scale::Small) {
+            let w = spec.prepare(16);
+            let err = crate::try_run_prepared(&w, Mechanism::SharedMem, &cfg()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "config: workload prepared for 16 nodes on a 32-node machine",
+                "{}",
+                spec.name()
+            );
+        }
+    }
+
+    #[test]
+    fn bad_node_count_for_the_topology_is_a_config_error() {
+        let mut c = cfg();
+        c.nodes = 16;
+        let w = AppSpec::Em3d(Em3dParams::small()).prepare(c.nodes);
+        let err = crate::try_run_prepared(&w, Mechanism::SharedMem, &c).unwrap_err();
+        assert_eq!(err.class(), "config");
+        assert_eq!(
+            err.to_string(),
+            "config: machine configured with 16 nodes but its network is a mesh 8x4 with 32 nodes"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use commsense_cache::{Heap, LineHandle};
 use commsense_machine::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step};
-use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, SimError};
+use commsense_machine::{ConfigError, Machine, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 use commsense_workloads::sparse::{IccgParams, IccgSystem};
 
@@ -71,10 +71,13 @@ pub fn run_prepared(
     mech: Mechanism,
     cfg: &MachineConfig,
 ) -> Result<RunResult, SimError> {
-    assert_eq!(
-        w.nprocs, cfg.nodes,
-        "system was prepared for a different machine size"
-    );
+    if w.nprocs != cfg.nodes {
+        return Err(ConfigError::PreparedNodes {
+            prepared_nodes: w.nprocs,
+            nodes: cfg.nodes,
+        }
+        .into());
+    }
     if mech.is_shared_memory() {
         run_sm(w, mech, cfg)
     } else {
@@ -458,7 +461,7 @@ fn run_sm(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
             initial,
             programs,
         },
-    );
+    )?;
     let stats = machine.run()?;
     let got: Vec<f64> = (0..sys.len())
         .map(|i| machine.master_word(rows_line.word(i, 0)))
@@ -518,7 +521,7 @@ fn run_mp(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
             initial: Vec::new(),
             programs,
         },
-    );
+    )?;
     let stats = machine.run()?;
     let observation = machine.take_observation().map(Arc::new);
     let profile = machine.take_dispatch_profile();

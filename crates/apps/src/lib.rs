@@ -354,9 +354,10 @@ pub fn run_app(spec: &AppSpec, mech: Mechanism, cfg: &MachineConfig) -> RunResul
 ///
 /// # Panics
 ///
-/// Panics if `cfg.nodes` differs from the processor count the workload
-/// was prepared for, and raises a failed run ([`SimError::raise`]);
-/// [`try_run_prepared`] returns the failure instead.
+/// Raises a failed run ([`SimError::raise`]), including a `cfg.nodes`
+/// that differs from the processor count the workload was prepared for
+/// or from the topology ([`SimError::Config`]); [`try_run_prepared`]
+/// returns the failure instead.
 pub fn run_prepared(w: &PreparedWorkload, mech: Mechanism, cfg: &MachineConfig) -> RunResult {
     try_run_prepared(w, mech, cfg).unwrap_or_else(|e| e.raise())
 }

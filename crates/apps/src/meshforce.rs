@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use commsense_cache::{Heap, LineHandle};
 use commsense_machine::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step};
-use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, SimError};
+use commsense_machine::{ConfigError, Machine, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 
 use crate::common::{
@@ -200,10 +200,13 @@ impl PreparedModel {
     /// Runs the prepared model under `mech`. The preparation is read-only
     /// and can be shared across concurrent runs.
     pub fn run(&self, mech: Mechanism, cfg: &MachineConfig) -> Result<RunResult, SimError> {
-        assert_eq!(
-            self.nprocs, cfg.nodes,
-            "model was prepared for a different machine size"
-        );
+        if self.nprocs != cfg.nodes {
+            return Err(ConfigError::PreparedNodes {
+                prepared_nodes: self.nprocs,
+                nodes: cfg.nodes,
+            }
+            .into());
+        }
         if mech.is_shared_memory() {
             run_sm(self, mech, cfg)
         } else {
@@ -697,7 +700,7 @@ fn run_sm(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> Result<Run
             initial,
             programs,
         },
-    );
+    )?;
     let stats = machine.run()?;
     let got: Vec<f64> = (0..m.len())
         .map(|i| machine.master_word(vals.word(i)))
@@ -752,7 +755,7 @@ fn run_mp(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> Result<Run
             initial: Vec::new(),
             programs,
         },
-    );
+    )?;
     let stats = machine.run()?;
     let observation = machine.take_observation().map(Arc::new);
     let profile = machine.take_dispatch_profile();

@@ -10,7 +10,7 @@
 
 use commsense_cache::{Heap, Word};
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
-use commsense_machine::{Machine, MachineConfig, MachineSpec};
+use commsense_machine::{Machine, MachineConfig, MachineSpec, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 
 /// Which flavor of round trip [`ping_pong`] measures.
@@ -151,7 +151,8 @@ pub fn ping_pong(cfg: &MachineConfig, rounds: usize, kind: PingKind) -> f64 {
             programs,
         },
     )
-    .run()
+    .map_err(SimError::from)
+    .and_then(|mut m| m.run())
     .unwrap_or_else(|e| e.raise())
     .runtime_cycles;
     cycles as f64 / rounds as f64
@@ -196,7 +197,8 @@ pub fn barrier_episode(cfg: &MachineConfig, episodes: usize) -> f64 {
             programs,
         },
     )
-    .run()
+    .map_err(SimError::from)
+    .and_then(|mut m| m.run())
     .unwrap_or_else(|e| e.raise())
     .runtime_cycles;
     cycles as f64 / episodes as f64
@@ -245,7 +247,8 @@ pub fn hotspot_rmw(cfg: &MachineConfig, ops: usize) -> f64 {
             initial,
             programs,
         },
-    );
+    )
+    .unwrap_or_else(|e| SimError::from(e).raise());
     let cycles = machine.run().unwrap_or_else(|e| e.raise()).runtime_cycles;
     let total = machine.master_word(Word::new(line, 0));
     assert_eq!(total as usize, ops * cfg.nodes, "atomicity");

@@ -11,7 +11,7 @@ use commsense_apps::AppSpec;
 use commsense_cache::{Heap, LineHandle};
 use commsense_core::engine::{RunOutcome, RunRequest};
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
-use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism};
+use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_workloads::bipartite::Em3dParams;
 use commsense_workloads::sparse::IccgParams;
 
@@ -121,8 +121,11 @@ pub fn miss_penalties(cfg: &MachineConfig) -> Vec<MissPenalty> {
                     initial,
                     programs,
                 };
-                let mut m = Machine::new(cfg.clone(), spec);
-                m.run().unwrap_or_else(|e| e.raise()).runtime_cycles as f64
+                Machine::new(cfg.clone(), spec)
+                    .map_err(SimError::from)
+                    .and_then(|mut m| m.run())
+                    .unwrap_or_else(|e| e.raise())
+                    .runtime_cycles as f64
             };
             MissPenalty {
                 case,

@@ -3,10 +3,14 @@
 //! Determinism is a documented invariant of the simulator (DESIGN.md §4):
 //! identical inputs must produce identical event interleavings and hence
 //! identical cycle counts, no matter how the hot path is restructured.
-//! These constants were captured before the PR 2 hot-path overhaul
-//! (calendar queue, route table, slab tables, allocation elimination) and
-//! verified unchanged after it. If a perf change moves any of these
-//! numbers, it changed simulation *behaviour*, not just speed.
+//! These constants were captured before the hot-path overhaul (calendar
+//! queue, route table, slab tables, allocation elimination) and verified
+//! unchanged after it. They were re-recorded once, when links stopped
+//! serializing two packets at once (the link-capacity invariant of the
+//! checker) and idle links stopped scheduling wake events: shared-memory
+//! cycles moved, message-passing cycles did not, and every event count
+//! fell. If a perf change moves any of these numbers, it changed
+//! simulation *behaviour*, not just speed.
 //!
 //! Ignored by default because it simulates the full fig4-scale workload
 //! (slow without optimizations); run it with
@@ -18,11 +22,11 @@ use commsense_machine::{MachineConfig, Mechanism};
 
 /// (mechanism label, runtime cycles, simulation events) at fig4 scale.
 const EXPECTED: [(&str, u64, u64); 5] = [
-    ("sm", 88246, 355583),
-    ("sm+pf", 82769, 352673),
-    ("mp-int", 84467, 50453),
-    ("mp-poll", 70974, 48425),
-    ("bulk", 93943, 33121),
+    ("sm", 87767, 246211),
+    ("sm+pf", 81157, 244824),
+    ("mp-int", 84467, 38233),
+    ("mp-poll", 70974, 39258),
+    ("bulk", 93943, 25252),
 ];
 
 #[test]
@@ -37,11 +41,11 @@ fn fig4_scale_cycle_counts_are_bit_identical() {
         assert!(run.verified, "{mech} failed verification");
         assert_eq!(
             run.runtime_cycles, cycles,
-            "{mech}: cycle count drifted from the pre-overhaul capture"
+            "{mech}: cycle count drifted from the pinned capture"
         );
         assert_eq!(
             run.stats.events, events,
-            "{mech}: event count drifted from the pre-overhaul capture"
+            "{mech}: event count drifted from the pinned capture"
         );
     }
 }

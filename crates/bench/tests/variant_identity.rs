@@ -44,13 +44,15 @@ fn hostile_patterns(nodes: u16) -> [TrafficPattern; 3] {
 
 /// Baseline + uniform cross-traffic cycle/event counts, captured at the
 /// commit immediately before the variant layer landed (verified identical
-/// from a pre-variant worktree). Pinned in `Mechanism::ALL` order.
+/// from a pre-variant worktree), then re-recorded once when links stopped
+/// serializing two packets at once and idle links stopped scheduling wake
+/// events. Pinned in `Mechanism::ALL` order.
 const EXPECTED: [(&str, u64, u64); 5] = [
-    ("sm", 98_466, 541_962),
-    ("sm+pf", 90_125, 524_376),
-    ("mp-int", 84_556, 210_231),
-    ("mp-poll", 72_322, 185_165),
-    ("bulk", 94_469, 211_642),
+    ("sm", 95_433, 367_704),
+    ("sm+pf", 90_251, 362_667),
+    ("mp-int", 84_556, 130_639),
+    ("mp-poll", 72_322, 120_285),
+    ("bulk", 94_469, 125_087),
 ];
 
 /// Bench-scale pin: the baseline variant under uniform cross-traffic is

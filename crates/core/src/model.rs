@@ -110,16 +110,6 @@ impl BandwidthModel {
         assert!(b > 0.0, "bandwidth must be positive");
         self.c0 + self.c1 / b + self.c2 / (b * b)
     }
-
-    /// The bandwidth below which the congestion term exceeds the
-    /// latency-dominated term (the Figure 1 region boundary), if the fit
-    /// has a meaningful congestion component.
-    pub fn congestion_knee(&self) -> Option<f64> {
-        if self.c2 <= 0.0 || self.c1 <= 0.0 {
-            return None;
-        }
-        Some(self.c2 / self.c1)
-    }
 }
 
 /// Fits the bandwidth model to a sweep whose `x` is bisection bytes/cycle.

@@ -71,7 +71,7 @@ use crate::json::{self, Json, Obj, Value};
 /// request (cost-model recalibration, protocol changes, workload-generator
 /// changes): old records become unreachable instead of wrong, and
 /// [`ResultStore::gc`] reclaims them.
-pub const MODEL_VERSION: u32 = 1;
+pub const MODEL_VERSION: u32 = 2;
 
 /// Magic bytes opening every record file (version in the name).
 const RECORD_MAGIC: &[u8; 8] = b"CSSTORE1";

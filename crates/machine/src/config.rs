@@ -4,6 +4,8 @@ use commsense_cache::ProtoConfig;
 use commsense_mesh::{CrossTrafficConfig, NetConfig, TopoSpec};
 use commsense_msgpass::MsgCosts;
 
+use crate::error::ConfigError;
+
 /// The five communication mechanisms compared by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mechanism {
@@ -530,19 +532,20 @@ impl MachineConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a message naming the topology shape if `nodes` does not
-    /// match it.
-    pub fn validate(&self) {
-        assert_eq!(
-            self.nodes,
-            self.net.topo.num_nodes(),
-            "machine configured with {} nodes but its network is a {} with {} nodes",
-            self.nodes,
-            self.net.topo.describe(),
-            self.net.topo.num_nodes()
-        );
+    /// [`ConfigError::TopologyNodes`], naming the topology shape, if
+    /// `nodes` does not match it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let topology_nodes = self.net.topo.num_nodes();
+        if self.nodes != topology_nodes {
+            return Err(ConfigError::TopologyNodes {
+                nodes: self.nodes,
+                topology: self.net.topo.describe(),
+                topology_nodes,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -578,7 +581,7 @@ mod tests {
     #[test]
     fn alewife_config_is_consistent() {
         let cfg = MachineConfig::alewife();
-        cfg.validate();
+        cfg.validate().unwrap();
         assert_eq!(cfg.clock().cycle_ps(), 50_000);
     }
 
@@ -590,18 +593,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "16 nodes but its network is a mesh 8x4")]
     fn validate_catches_mismatch() {
         let mut cfg = MachineConfig::alewife();
         cfg.nodes = 16;
-        cfg.validate();
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ConfigError::TopologyNodes {
+                    nodes: 16,
+                    topology_nodes: 32,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err
+            .to_string()
+            .contains("16 nodes but its network is a mesh 8x4"));
     }
 
     #[test]
     fn scaled_configs_are_consistent() {
         for kind in TopoSpec::KINDS {
             let cfg = MachineConfig::scaled(kind, 1024);
-            cfg.validate();
+            cfg.validate().unwrap();
             assert_eq!(cfg.nodes, 1024, "{kind}");
             assert_eq!(cfg.net.topo.kind(), kind);
         }

@@ -1,10 +1,92 @@
-//! Typed simulation failures: [`Machine::run`](crate::Machine::run)
-//! returns a [`SimError`], and [`SimError::raise`] is the one place a
-//! failure becomes a panic.
+//! Typed simulation failures: [`Machine::new`](crate::Machine::new)
+//! returns a [`ConfigError`] for an inconsistent machine,
+//! [`Machine::run`](crate::Machine::run) returns a [`SimError`], and
+//! [`SimError::raise`] is the one place a failure becomes a panic.
 
 use std::fmt;
 
 use crate::json;
+
+/// Why a machine could not be built: its configuration and its
+/// [`MachineSpec`](crate::MachineSpec) disagree about the machine's size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `MachineConfig::nodes` differs from the topology's node count.
+    TopologyNodes {
+        /// Configured node count.
+        nodes: usize,
+        /// The topology's shape (`TopoSpec::describe`).
+        topology: String,
+        /// The topology's node count.
+        topology_nodes: usize,
+    },
+    /// The initial values do not cover the heap word for word.
+    InitialValues {
+        /// Initial values supplied.
+        values: usize,
+        /// Words in the heap.
+        heap_words: usize,
+    },
+    /// The program count differs from the node count.
+    Programs {
+        /// Programs supplied.
+        programs: usize,
+        /// Configured node count.
+        nodes: usize,
+    },
+    /// The heap was laid out for a different node count.
+    HeapNodes {
+        /// Nodes the heap homes lines on.
+        heap_nodes: usize,
+        /// Configured node count.
+        nodes: usize,
+    },
+    /// A prepared workload was partitioned for a different node count.
+    PreparedNodes {
+        /// Nodes the workload was prepared for.
+        prepared_nodes: usize,
+        /// Configured node count.
+        nodes: usize,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::TopologyNodes {
+                nodes,
+                topology,
+                topology_nodes,
+            } => write!(
+                f,
+                "machine configured with {nodes} nodes but its network is a \
+                 {topology} with {topology_nodes} nodes"
+            ),
+            ConfigError::InitialValues { values, heap_words } => write!(
+                f,
+                "{values} initial values for a heap of {heap_words} words"
+            ),
+            ConfigError::Programs { programs, nodes } => {
+                write!(f, "{programs} programs for {nodes} nodes (one per node)")
+            }
+            ConfigError::HeapNodes { heap_nodes, nodes } => {
+                write!(
+                    f,
+                    "heap laid out for {heap_nodes} nodes on a {nodes}-node machine"
+                )
+            }
+            ConfigError::PreparedNodes {
+                prepared_nodes,
+                nodes,
+            } => write!(
+                f,
+                "workload prepared for {prepared_nodes} nodes on a {nodes}-node machine"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Why a machine run failed. Each payload string is the text after the
 /// variant's marker (`deadlock: `, `PROTOCOL-INVARIANT `, `SC-ORACLE `) in
@@ -30,17 +112,26 @@ pub enum SimError {
     /// [`MachineConfig::inject_panic`](crate::MachineConfig::inject_panic)
     /// was set, so the run failed before simulating anything.
     InjectedFault,
+    /// The machine could not be built (see [`ConfigError`]).
+    Config(ConfigError),
+}
+
+impl From<ConfigError> for SimError {
+    fn from(e: ConfigError) -> SimError {
+        SimError::Config(e)
+    }
 }
 
 impl SimError {
-    /// Short machine-readable class: `deadlock`, `invariant`, `oracle` or
-    /// `injected-fault`.
+    /// Short machine-readable class: `deadlock`, `invariant`, `oracle`,
+    /// `injected-fault` or `config`.
     pub fn class(&self) -> &'static str {
         match self {
             SimError::Deadlock { .. } => "deadlock",
             SimError::Invariant(_) => "invariant",
             SimError::Oracle(_) => "oracle",
             SimError::InjectedFault => "injected-fault",
+            SimError::Config(_) => "config",
         }
     }
 
@@ -67,6 +158,7 @@ impl fmt::Display for SimError {
             SimError::InjectedFault => f.write_str(
                 "INJECTED-FAULT: deliberate panic requested by MachineConfig::inject_panic",
             ),
+            SimError::Config(e) => write!(f, "config: {e}"),
         }
     }
 }
@@ -115,6 +207,14 @@ mod tests {
             (
                 SimError::InjectedFault,
                 r#"CHECK-FAIL {"class":"injected-fault","detail":"INJECTED-FAULT: deliberate panic requested by MachineConfig::inject_panic"}"#,
+            ),
+            (
+                ConfigError::Programs {
+                    programs: 3,
+                    nodes: 4,
+                }
+                .into(),
+                r#"CHECK-FAIL {"class":"config","detail":"config: 3 programs for 4 nodes (one per node)"}"#,
             ),
         ];
         for (e, want) in cases {

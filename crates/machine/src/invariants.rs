@@ -18,6 +18,10 @@
 //!   `mesh::recorder` packet ids: no duplicated deliveries, no packets the
 //!   network delivered that the machine never consumed, and at the end of
 //!   the run `injected = consumed + in-flight envelopes`.
+//! * **Link capacity** — a link serializes one packet at a time: no hop on
+//!   any link starts before the link's previous hop ends. The network
+//!   recorder checks every hop of all traffic, recorded packet or not, and
+//!   the checker reports the first overlap at the end of the run.
 //!
 //! Checking is bookkeeping plus assertions only — it never schedules
 //! events or feeds any time computation, so simulated cycle counts are
@@ -27,7 +31,7 @@
 //! dispatch, and returns it from [`crate::Machine::run`].
 
 use commsense_cache::{LineId, Protocol};
-use commsense_mesh::{Endpoint, PacketClass, PacketRecord, NO_RECORD};
+use commsense_mesh::{Endpoint, LinkOverlap, PacketClass, PacketRecord, NO_RECORD};
 
 use crate::config::CheckConfig;
 use crate::error::SimError;
@@ -108,15 +112,21 @@ impl Checker {
         self.transitions
     }
 
-    /// End-of-run conservation check. `live_envelopes` is the number of
-    /// message envelopes still in flight when the last program retired
-    /// (runs may legitimately end with writebacks or stale acks still
-    /// traversing the mesh); `records` is the recorder's packet table.
+    /// End-of-run link-capacity and conservation checks. `overlap` is the
+    /// recorder's first link-capacity violation; `live_envelopes` is the
+    /// number of message envelopes still in flight when the last program
+    /// retired (runs may legitimately end with writebacks or stale acks
+    /// still traversing the mesh); `records` is the recorder's packet
+    /// table.
     pub(crate) fn final_check(
         &self,
+        overlap: Option<LinkOverlap>,
         live_envelopes: usize,
         records: Option<&[PacketRecord]>,
     ) -> Result<(), SimError> {
+        if let Some(o) = overlap {
+            return Err(violation(format!("link capacity: {o}")));
+        }
         if self.consumed + live_envelopes as u64 != self.injected {
             return Err(violation(format!(
                 "message conservation: injected {} != consumed {} + in-flight {}",

@@ -56,7 +56,7 @@ pub use config::{
     ProtoVariant, ReceiveMode,
 };
 pub use critpath::{analyze, CritPath, Stage};
-pub use error::{panic_message, SimError};
+pub use error::{panic_message, ConfigError, SimError};
 pub use machine::{DispatchKindProfile, DispatchProfile, Machine, MachineSpec};
 pub use metrics::{MetricsSeries, Observation, RunState};
 pub use program::{HandlerCtx, NodeCtx, Program, RmwOp, Step};

@@ -12,7 +12,7 @@ use commsense_mesh::{
 use commsense_msgpass::{ActiveMessage, BarrierTree, HandlerId, RemoteQueue};
 
 use crate::config::{BarrierStyle, MachineConfig, ProtoVariant, ReceiveMode};
-use crate::error::SimError;
+use crate::error::{ConfigError, SimError};
 use crate::invariants::Checker;
 use crate::metrics::{MetricsSeries, Observation, RunState};
 use crate::oracle::{OracleLog, OracleOp};
@@ -511,10 +511,11 @@ impl Ev {
 ///     }, 0)) as Box<dyn Program>)
 ///     .collect();
 /// let initial = vec![0.0; heap.total_words()];
-/// let mut machine = Machine::new(cfg, MachineSpec { heap, initial, programs });
-/// let stats = machine.run().expect("run finishes");
+/// let mut machine = Machine::new(cfg, MachineSpec { heap, initial, programs })?;
+/// let stats = machine.run()?;
 /// assert!(stats.runtime_cycles > 0);
 /// assert_eq!(machine.master_word(w), 6.5);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Machine {
     cfg: MachineConfig,
@@ -634,29 +635,37 @@ pub struct DispatchKindProfile {
 impl Machine {
     /// Builds a machine from a configuration and an application spec.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the config is inconsistent, if `spec.initial` does not
-    /// match the heap size, or if the program count differs from the node
-    /// count.
-    pub fn new(cfg: MachineConfig, spec: MachineSpec) -> Self {
-        cfg.validate();
+    /// A [`ConfigError`] if the config is inconsistent
+    /// ([`MachineConfig::validate`]), if `spec.initial` does not cover the
+    /// heap, or if the program count or the heap's node count differs from
+    /// the machine's node count.
+    pub fn new(cfg: MachineConfig, spec: MachineSpec) -> Result<Self, ConfigError> {
+        cfg.validate()?;
         let MachineSpec {
             mut heap,
             mut initial,
             programs,
         } = spec;
-        assert_eq!(
-            initial.len(),
-            heap.total_words(),
-            "initial values must cover the heap"
-        );
-        assert_eq!(programs.len(), cfg.nodes, "one program per node");
-        assert_eq!(
-            heap.nodes(),
-            cfg.nodes,
-            "heap node count must match machine"
-        );
+        if initial.len() != heap.total_words() {
+            return Err(ConfigError::InitialValues {
+                values: initial.len(),
+                heap_words: heap.total_words(),
+            });
+        }
+        if programs.len() != cfg.nodes {
+            return Err(ConfigError::Programs {
+                programs: programs.len(),
+                nodes: cfg.nodes,
+            });
+        }
+        if heap.nodes() != cfg.nodes {
+            return Err(ConfigError::HeapNodes {
+                heap_nodes: heap.nodes(),
+                nodes: cfg.nodes,
+            });
+        }
 
         // Machine-internal barrier lines: per node, [counter, flag] x 2
         // parities, homed at the owning node (combining-tree layout).
@@ -768,7 +777,7 @@ impl Machine {
         if let Some(iv) = m.cross.as_ref().and_then(|c| c.interval()) {
             m.queue.schedule(iv, Ev::CROSS_TICK);
         }
-        m
+        Ok(m)
     }
 
     /// Runs the machine until every program is done.
@@ -887,8 +896,8 @@ impl Machine {
     }
 
     /// End-of-run verification (check mode only): whole-heap protocol
-    /// invariants, message conservation against the recorder, and the SC
-    /// oracle replay.
+    /// invariants, link capacity and message conservation against the
+    /// recorder, and the SC oracle replay.
     #[cold]
     #[inline(never)]
     fn final_run_checks(&self) -> Result<(), SimError> {
@@ -896,7 +905,11 @@ impl Machine {
             .verify_invariants((0..self.proto.num_lines()).map(LineId))
             .map_err(|e| SimError::Invariant(format!("violated at end of run: {e}")))?;
         if let Some(ch) = self.checker.as_ref() {
-            ch.final_check(self.net_live, self.net.peek_recording())?;
+            ch.final_check(
+                self.net.link_overlap(),
+                self.net_live,
+                self.net.peek_recording(),
+            )?;
         }
         if let Some(o) = self.oracle.as_ref() {
             crate::oracle::verify(o, self.cfg.write_buffer > 0)

@@ -61,7 +61,7 @@ fn compute_only_runtime() {
         .map(|_| Script::new(vec![Step::Compute(100)]) as Box<dyn Program>)
         .collect();
     let spec = empty_spec(&cfg, programs);
-    let mut m = Machine::new(cfg.clone(), spec);
+    let mut m = Machine::new(cfg.clone(), spec).unwrap();
     let stats = m.run().unwrap();
     assert_eq!(stats.runtime_cycles, 100);
     for n in &stats.nodes {
@@ -96,7 +96,8 @@ fn buckets_sum_to_finish_time() {
             initial: vec![0.0; 16],
             programs,
         },
-    );
+    )
+    .unwrap();
     m.run().unwrap();
     for i in 0..m.cfg.nodes {
         let finish = m.nodes.finish[i].expect("finished");
@@ -132,7 +133,8 @@ fn local_miss_penalty_near_alewife() {
             initial: vec![0.0; 8],
             programs,
         },
-    );
+    )
+    .unwrap();
     let stats = m.run().unwrap();
     // Figure 3: local clean read miss = 11 cycles.
     assert!(
@@ -164,7 +166,8 @@ fn remote_miss_penalty_near_alewife() {
             initial: vec![0.0; 8],
             programs,
         },
-    );
+    )
+    .unwrap();
     let stats = m.run().unwrap();
     // Figure 3: remote clean read miss = 42 cycles + 1.6/hop.
     assert!(
@@ -196,7 +199,8 @@ fn store_then_load_transfers_value() {
             initial: vec![0.0; 4],
             programs,
         },
-    );
+    )
+    .unwrap();
     m.run().unwrap();
     assert_eq!(m.master_word(w), 42.5);
     let progs = m.into_programs();
@@ -216,7 +220,7 @@ fn active_message_delivery_interrupt_mode() {
         } as Box<dyn Program>)
         .collect();
     let spec = empty_spec(&cfg, programs);
-    let mut m = Machine::new(cfg, spec);
+    let mut m = Machine::new(cfg, spec).unwrap();
     let stats = m.run().unwrap();
     assert_eq!(stats.messages_sent, 1);
     let progs = m.into_programs();
@@ -240,7 +244,7 @@ fn poll_mode_defers_until_poll() {
         } as Box<dyn Program>)
         .collect();
     let spec = empty_spec(&cfg, programs);
-    let mut m = Machine::new(cfg.clone(), spec);
+    let mut m = Machine::new(cfg.clone(), spec).unwrap();
     let stats = m.run().unwrap();
     let progs = m.into_programs();
     let p1 = (&*progs[1] as &dyn Any).downcast_ref::<Script>().unwrap();
@@ -280,7 +284,7 @@ fn handlers_can_reply() {
         })
         .collect();
     let spec = empty_spec(&cfg, programs);
-    let mut m = Machine::new(cfg, spec);
+    let mut m = Machine::new(cfg, spec).unwrap();
     m.run().unwrap();
     let progs = m.into_programs();
     let p0 = (&*progs[0] as &dyn Any).downcast_ref::<Script>().unwrap();
@@ -307,7 +311,7 @@ fn barrier_synchronizes(cfg: MachineConfig) {
         })
         .collect();
     let spec = empty_spec(&cfg, programs);
-    let mut m = Machine::new(cfg.clone(), spec);
+    let mut m = Machine::new(cfg.clone(), spec).unwrap();
     let stats = m.run().unwrap();
     // All nodes finish at/after the slowest node's compute.
     assert!(
@@ -337,7 +341,7 @@ fn repeated_barriers_do_not_deadlock() {
             })
             .collect();
         let spec = empty_spec(&cfg, programs);
-        let mut m = Machine::new(cfg, spec);
+        let mut m = Machine::new(cfg, spec).unwrap();
         m.run().unwrap();
     }
 }
@@ -365,7 +369,8 @@ fn rmw_is_atomic_under_contention() {
             initial: vec![0.0; 2],
             programs,
         },
-    );
+    )
+    .unwrap();
     m.run().unwrap();
     assert_eq!(m.master_word(Word::new(line, 0)), 100.0);
 }
@@ -404,7 +409,8 @@ fn prefetch_hides_remote_latency() {
                 initial: vec![0.0; 8],
                 programs,
             },
-        );
+        )
+        .unwrap();
         m.run().unwrap().runtime_cycles
     };
     let with = run(true);
@@ -440,7 +446,8 @@ fn useless_prefetch_only_costs_issue() {
             initial: vec![0.0; 4],
             programs,
         },
-    );
+    )
+    .unwrap();
     m.run().unwrap();
     assert_eq!(m.useless_prefetches, 1);
 }
@@ -464,7 +471,7 @@ fn deterministic_across_runs() {
             })
             .collect();
         let spec = empty_spec(&cfg, programs);
-        let mut m = Machine::new(cfg, spec);
+        let mut m = Machine::new(cfg, spec).unwrap();
         let s = m.run().unwrap();
         (s.runtime_cycles, s.events, s.messages_sent)
     };
@@ -502,7 +509,7 @@ fn observation_does_not_change_simulated_cycles() {
             })
             .collect();
         let spec = empty_spec(&cfg, programs);
-        let mut m = Machine::new(cfg, spec);
+        let mut m = Machine::new(cfg, spec).unwrap();
         let s = m.run().unwrap();
         format!(
             "{:?}",
@@ -536,7 +543,7 @@ fn observation_collects_series_trace_and_packets() {
         })
         .collect();
     let spec = empty_spec(&cfg, programs);
-    let mut m = Machine::new(cfg, spec);
+    let mut m = Machine::new(cfg, spec).unwrap();
     m.run().unwrap();
     let obs = m.take_observation().expect("observation enabled");
     assert!(m.take_observation().is_none(), "observation is taken once");
@@ -633,7 +640,8 @@ fn checked_run(
             initial: vec![0.0; 18],
             programs,
         },
-    );
+    )
+    .unwrap();
     if fault {
         m.fault_ignore_next_invalidation();
     }
@@ -716,7 +724,8 @@ fn oracle_log_records_the_applied_stream() {
             initial: vec![0.0; 4],
             programs,
         },
-    );
+    )
+    .unwrap();
     m.run().unwrap();
     let log = m.oracle_log().expect("oracle on");
     use crate::oracle::OracleOp;
@@ -790,7 +799,8 @@ fn cross_traffic_slows_shared_memory() {
                 initial: vec![0.0; 512],
                 programs,
             },
-        );
+        )
+        .unwrap();
         m.run().unwrap().runtime_cycles
     };
     let clear = run(0.0);
@@ -828,7 +838,8 @@ fn slower_clock_reduces_relative_network_cost() {
                 initial: vec![0.0; 32],
                 programs,
             },
-        );
+        )
+        .unwrap();
         m.run().unwrap().runtime_cycles
     };
     let fast_clock = run(20.0);
@@ -865,7 +876,8 @@ fn latency_emulation_scales_remote_misses() {
                 initial: vec![0.0; 32],
                 programs,
             },
-        );
+        )
+        .unwrap();
         m.run().unwrap().runtime_cycles
     };
     let base = run(Some(LatencyEmulation::uniform(50)));
@@ -895,7 +907,7 @@ fn ni_backpressure_stalls_sender() {
         })
         .collect();
     let spec = empty_spec(&cfg, programs);
-    let mut m = Machine::new(cfg, spec);
+    let mut m = Machine::new(cfg, spec).unwrap();
     let stats = m.run().unwrap();
     assert!(
         stats.nodes[0].mem > Time::ZERO,
@@ -916,7 +928,7 @@ fn deadlock_is_detected() {
         })
         .collect();
     let spec = empty_spec(&cfg, programs);
-    let mut m = Machine::new(cfg, spec);
+    let mut m = Machine::new(cfg, spec).unwrap();
     let err = m.run().unwrap_err();
     let SimError::Deadlock { blocked, .. } = &err else {
         panic!("expected a deadlock, got {err:?}");
@@ -954,7 +966,8 @@ fn volume_accounting_separates_classes() {
             initial: vec![0.0; 4],
             programs,
         },
-    );
+    )
+    .unwrap();
     let stats = m.run().unwrap();
     assert!(
         stats.volume.invalidates > 0,
@@ -994,7 +1007,8 @@ fn write_buffer_overlaps_store_latency() {
                 initial: vec![0.0; 32],
                 programs,
             },
-        );
+        )
+        .unwrap();
         let stats = m.run().unwrap();
         // All values must land in master memory before retirement.
         for i in 0..16 {
@@ -1037,7 +1051,8 @@ fn write_buffer_fence_at_barrier() {
             initial: vec![0.0; 4],
             programs,
         },
-    );
+    )
+    .unwrap();
     m.run().unwrap();
     let progs = m.into_programs();
     let p1 = (&*progs[1] as &dyn Any).downcast_ref::<Script>().unwrap();
@@ -1073,7 +1088,8 @@ fn write_buffer_read_after_posted_write_merges() {
             initial: vec![0.0; 4],
             programs,
         },
-    );
+    )
+    .unwrap();
     m.run().unwrap();
     let progs = m.into_programs();
     let p0 = (&*progs[0] as &dyn Any).downcast_ref::<Script>().unwrap();
@@ -1107,7 +1123,8 @@ fn write_buffer_full_stalls() {
             initial: vec![0.0; 16],
             programs,
         },
-    );
+    )
+    .unwrap();
     let stats = m.run().unwrap();
     for i in 0..8 {
         assert_eq!(m.master_word(Word::new(arr.line(i), 0)), 1.0 + i as f64);
@@ -1141,7 +1158,8 @@ fn spin_loads_charge_sync_not_memory() {
             initial: vec![0.0; 4],
             programs,
         },
-    );
+    )
+    .unwrap();
     let stats = m.run().unwrap();
     assert!(
         stats.nodes[0].sync > Time::ZERO,
@@ -1193,7 +1211,8 @@ fn congestion_grows_superlinearly() {
                 initial: vec![0.0; 512],
                 programs,
             },
-        );
+        )
+        .unwrap();
         m.run().unwrap().runtime_cycles as f64
     };
     let t0 = run(0.0);
@@ -1230,7 +1249,8 @@ fn trace_records_scheduling_events() {
             initial: vec![0.0; 4],
             programs,
         },
-    );
+    )
+    .unwrap();
     m.enable_trace(10_000);
     m.run().unwrap();
     let trace = m.trace().expect("enabled");
@@ -1274,7 +1294,8 @@ fn miss_latency_histogram_captures_remote_misses() {
             initial: vec![0.0; 16],
             programs,
         },
-    );
+    )
+    .unwrap();
     let stats = m.run().unwrap();
     assert_eq!(stats.miss_latency.count, 8, "eight remote demand misses");
     let mean = stats.miss_latency.mean().expect("misses recorded");
@@ -1317,7 +1338,8 @@ fn latency_emulation_delays_prefetch_fills() {
                 initial: vec![0.0; 8],
                 programs,
             },
-        );
+        )
+        .unwrap();
         m.run().unwrap().runtime_cycles
     };
     let short = run(30);
@@ -1366,7 +1388,7 @@ fn ejection_backpressure_under_message_burst() {
         })
         .collect();
     let spec = empty_spec(&cfg, programs);
-    let mut m = Machine::new(cfg, spec);
+    let mut m = Machine::new(cfg, spec).unwrap();
     let stats = m.run().unwrap();
     // 124 messages x ~(interrupt+dispatch) serialized at node 0's receive
     // side: thousands of cycles, not the ~100 of a single message.
@@ -1444,11 +1466,11 @@ fn batched_and_unbatched_runs_are_identical() {
         let cfg = MachineConfig::tiny().with_mechanism(mech);
         let mut profiled_cfg = cfg.clone();
         profiled_cfg.profile_dispatch = true;
-        let mut batched = Machine::new(cfg.clone(), batching_identity_spec(&cfg, mech));
+        let mut batched = Machine::new(cfg.clone(), batching_identity_spec(&cfg, mech)).unwrap();
         let stats_batched = batched.run().unwrap();
-        let mut profiled = Machine::new(profiled_cfg, batching_identity_spec(&cfg, mech));
+        let mut profiled = Machine::new(profiled_cfg, batching_identity_spec(&cfg, mech)).unwrap();
         let stats_profiled = profiled.run().unwrap();
-        let mut unbatched = Machine::new(cfg.clone(), batching_identity_spec(&cfg, mech));
+        let mut unbatched = Machine::new(cfg.clone(), batching_identity_spec(&cfg, mech)).unwrap();
         let stats_unbatched = unbatched.run_unbatched().unwrap();
         assert!(
             stats_batched.events > 0 && stats_batched.runtime_cycles > 0,
@@ -1476,4 +1498,68 @@ fn batched_and_unbatched_runs_are_identical() {
             );
         }
     }
+}
+
+/// Each shape check of `Machine::new` turns its mismatched input into a
+/// typed `ConfigError` instead of a panic.
+#[test]
+fn new_rejects_each_mismatched_shape() {
+    use crate::error::ConfigError;
+    let cfg = MachineConfig::tiny();
+    let idle = |n: usize| -> Vec<Box<dyn Program>> {
+        (0..n)
+            .map(|_| Script::new(vec![]) as Box<dyn Program>)
+            .collect()
+    };
+    let err = |cfg: &MachineConfig, spec| Machine::new(cfg.clone(), spec).err();
+
+    let mut wrong_nodes = cfg.clone();
+    wrong_nodes.nodes = 8;
+    assert_eq!(
+        err(&wrong_nodes, empty_spec(&wrong_nodes, idle(8))),
+        Some(ConfigError::TopologyNodes {
+            nodes: 8,
+            topology: "mesh 2x2".into(),
+            topology_nodes: 4,
+        })
+    );
+
+    let mut heap = Heap::new(cfg.nodes);
+    heap.alloc(1, |_| 0);
+    let words = heap.total_words();
+    let spec = MachineSpec {
+        heap,
+        initial: vec![0.0; words + 1],
+        programs: idle(4),
+    };
+    assert_eq!(
+        err(&cfg, spec),
+        Some(ConfigError::InitialValues {
+            values: words + 1,
+            heap_words: words,
+        })
+    );
+
+    assert_eq!(
+        err(&cfg, empty_spec(&cfg, idle(3))),
+        Some(ConfigError::Programs {
+            programs: 3,
+            nodes: 4,
+        })
+    );
+
+    let spec = MachineSpec {
+        heap: Heap::new(2),
+        initial: Vec::new(),
+        programs: idle(4),
+    };
+    assert_eq!(
+        err(&cfg, spec),
+        Some(ConfigError::HeapNodes {
+            heap_nodes: 2,
+            nodes: 4,
+        })
+    );
+
+    assert!(err(&cfg, empty_spec(&cfg, idle(4))).is_none());
 }

@@ -163,7 +163,7 @@ fn metadata(events: &mut Arr<'_>, pid: u32, tid: Option<u32>, what: &str, name: 
 /// let heap = Heap::new(cfg.nodes);
 /// let programs: Vec<Box<dyn Program>> =
 ///     (0..cfg.nodes).map(|_| Box::new(Idle) as Box<dyn Program>).collect();
-/// let mut m = Machine::new(cfg, MachineSpec { heap, initial: vec![], programs });
+/// let mut m = Machine::new(cfg, MachineSpec { heap, initial: vec![], programs }).unwrap();
 /// m.run().unwrap();
 /// let obs = m.take_observation().unwrap();
 /// let json = export_trace(&obs);

@@ -106,7 +106,7 @@ proptest! {
             })
             .collect();
         let initial = vec![0.0; heap.total_words()];
-        let mut m = Machine::new(cfg.clone(), MachineSpec { heap, initial, programs });
+        let mut m = Machine::new(cfg.clone(), MachineSpec { heap, initial, programs }).unwrap();
         m.enable_trace(100_000);
         let stats = m.run().expect("must terminate without deadlock");
         let clock = cfg.clock();

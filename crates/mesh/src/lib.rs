@@ -63,7 +63,7 @@ mod topology;
 pub use crosstraffic::{CrossTraffic, CrossTrafficConfig, TrafficPattern};
 pub use network::{Delivery, NetConfig, NetEvent, Network};
 pub use packet::{Endpoint, Packet, PacketClass, Priority};
-pub use recorder::{HopRecord, NetRecording, PacketRecord, NO_RECORD};
+pub use recorder::{HopRecord, LinkOverlap, NetRecording, PacketRecord, NO_RECORD};
 pub use stats::{NetStats, VolumeBreakdown};
 pub use topology::{
     Dragonfly, FatTree, Mesh, RouteDir, RouteTable, RouterCoord, Topo, TopoSpec, Topology, Torus,

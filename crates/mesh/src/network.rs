@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use commsense_des::Time;
 
 use crate::packet::{Endpoint, Packet, Priority};
-use crate::recorder::{NetRecorder, NetRecording, NO_RECORD};
+use crate::recorder::{LinkOverlap, NetRecorder, NetRecording, NO_RECORD};
 use crate::stats::NetStats;
 use crate::topology::{Topo, TopoSpec};
 
@@ -83,7 +83,9 @@ pub enum NetEvent {
         /// In-flight packet index.
         pkt: u32,
     },
-    /// A link finished serializing a packet and may start a waiter.
+    /// Grant link `link` to its next waiter. Scheduled only at the
+    /// `busy_until` of a link with packets queued, so every dispatch starts
+    /// one waiter.
     LinkFree {
         /// Link id.
         link: u32,
@@ -124,18 +126,32 @@ struct InFlight {
 
 /// Per-link state with a 2-class priority virtual channel.
 ///
-/// Waiters are kept in two FIFOs by [`Priority`]; when the link frees, the
-/// high-priority queue is served first (non-preemptively — a packet already
-/// serializing always finishes). With no high-priority traffic this is
-/// exactly the original single FIFO, so the baseline protocol variant is
-/// byte-identical to the pre-variant network.
+/// A link carries one packet at a time. A packet that finds the link busy,
+/// or finds packets already queued for it, joins the FIFO of its
+/// [`Priority`] class. A grant at instant `t` goes to the oldest waiter
+/// whose request (its `head_ready_at`) is earlier than `t`, high class
+/// first (non-preemptively: a packet already serializing always finishes).
+/// A request made at exactly `t` waits for the next grant, so the outcome
+/// does not depend on the order in which same-instant events run.
+///
+/// Grants are lazy: `busy_until` is plain data, and a
+/// [`NetEvent::LinkFree`] is scheduled at `busy_until` only while the link
+/// has waiters (armed when the first one queues, re-armed after a grant
+/// that leaves some behind). An idle link costs no events.
 #[derive(Debug, Default)]
 struct LinkState {
     busy_until: Time,
-    /// Low-priority waiters (every packet under the baseline variant).
+    /// Low-priority waiters (every packet under the baseline variant), in
+    /// request order.
     waiters: VecDeque<u32>,
     /// High-priority waiters, served before `waiters`.
     hi_waiters: VecDeque<u32>,
+}
+
+impl LinkState {
+    fn has_waiters(&self) -> bool {
+        !self.waiters.is_empty() || !self.hi_waiters.is_empty()
+    }
 }
 
 /// The interconnect network simulator.
@@ -222,6 +238,13 @@ impl Network {
     /// conservation against the recorder's delivery log.
     pub fn peek_recording(&self) -> Option<&[crate::recorder::PacketRecord]> {
         self.recorder.as_ref().map(|r| r.packets())
+    }
+
+    /// The first time two hops shared one link at once, if the recorder
+    /// saw one (`None` too when recording is off). The machine's invariant
+    /// checker reports it as a link-capacity violation.
+    pub fn link_overlap(&self) -> Option<LinkOverlap> {
+        self.recorder.as_ref().and_then(|r| r.overlap())
     }
 
     /// Number of unidirectional links in the topology.
@@ -361,28 +384,7 @@ impl Network {
                 None
             }
             NetEvent::LinkFree { link } => {
-                let link = link as usize;
-                let state = &mut self.links[link];
-                let next = match state.hi_waiters.pop_front() {
-                    Some(pkt) => {
-                        // A high-priority packet jumps every queued
-                        // low-priority packet: count the bypasses.
-                        let bypassed = state.waiters.len() as u64;
-                        if bypassed > 0 {
-                            self.starved[link] += bypassed;
-                            self.stats.priority_bypasses += 1;
-                            self.stats.low_bypassed += bypassed;
-                        }
-                        Some(pkt)
-                    }
-                    None => state.waiters.pop_front(),
-                };
-                if let Some(pkt) = next {
-                    let flight = self.flights[pkt as usize].as_ref().expect("waiter exists");
-                    let waited = now.saturating_sub(flight.head_ready_at);
-                    self.stats.link_wait_sum += waited;
-                    self.start_hop(now, pkt, sched);
-                }
+                self.grant(now, link as usize, sched);
                 None
             }
             NetEvent::Deliver { pkt } => self.deliver(now, pkt),
@@ -397,13 +399,57 @@ impl Network {
              local traffic never injects)"
         );
         let link = flight.route[flight.hop as usize] as usize;
-        if self.links[link].busy_until > now {
-            match flight.packet.priority {
-                Priority::High => self.links[link].hi_waiters.push_back(pkt),
-                Priority::Low => self.links[link].waiters.push_back(pkt),
+        let state = &mut self.links[link];
+        if !state.has_waiters() {
+            if state.busy_until <= now {
+                self.start_hop(now, pkt, sched);
+                return;
             }
+            // The first waiter arms the link's wake.
+            sched(state.busy_until, NetEvent::LinkFree { link: link as u32 });
+        }
+        match flight.packet.priority {
+            Priority::High => state.hi_waiters.push_back(pkt),
+            Priority::Low => state.waiters.push_back(pkt),
+        }
+    }
+
+    /// Starts the oldest waiter that requested `link` before `now`, high
+    /// class first, and re-arms the link's wake if waiters remain. A wake
+    /// is armed only while waiters exist, at a `busy_until` later than
+    /// some waiter's request, so there is always one to start.
+    fn grant(&mut self, now: Time, link: usize, sched: &mut impl FnMut(Time, NetEvent)) {
+        let flights = &self.flights;
+        let requested_before_now = |p: &u32| {
+            flights[*p as usize]
+                .as_ref()
+                .expect("waiter exists")
+                .head_ready_at
+                < now
+        };
+        let state = &mut self.links[link];
+        debug_assert!(state.busy_until <= now, "link {link} woken while busy");
+        let pkt = if state.hi_waiters.front().is_some_and(requested_before_now) {
+            // A high-priority packet jumps every low-priority packet queued
+            // before this instant: count the bypasses.
+            let bypassed = state.waiters.partition_point(requested_before_now) as u64;
+            if bypassed > 0 {
+                self.starved[link] += bypassed;
+                self.stats.priority_bypasses += 1;
+                self.stats.low_bypassed += bypassed;
+            }
+            state.hi_waiters.pop_front()
+        } else if state.waiters.front().is_some_and(requested_before_now) {
+            state.waiters.pop_front()
         } else {
-            self.start_hop(now, pkt, sched);
+            None
+        };
+        let pkt =
+            pkt.unwrap_or_else(|| panic!("link {link} woken at {now} with no waiter to grant"));
+        self.start_hop(now, pkt, sched);
+        let state = &self.links[link];
+        if state.has_waiters() {
+            sched(state.busy_until, NetEvent::LinkFree { link: link as u32 });
         }
     }
 
@@ -429,11 +475,11 @@ impl Network {
             )
         };
 
+        self.stats.link_wait_sum += now.saturating_sub(enqueued);
         if let Some(r) = &mut self.recorder {
             r.on_hop(rec, link, enqueued, now, now + ser);
         }
         self.links[link].busy_until = now + ser;
-        sched(now + ser, NetEvent::LinkFree { link: link as u32 });
         if self.crosses[link] {
             self.stats.bisection.record(class, hdr, pay);
         }

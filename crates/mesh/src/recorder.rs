@@ -68,6 +68,28 @@ impl HopRecord {
     }
 }
 
+/// Two hops serializing on one link at once: the first link-capacity
+/// violation a recording saw (a link carries one packet at a time).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkOverlap {
+    /// Dense link id.
+    pub link: u32,
+    /// When the link's previous hop finishes serializing.
+    pub busy_until: Time,
+    /// When the overlapping hop started, before `busy_until`.
+    pub start: Time,
+}
+
+impl std::fmt::Display for LinkOverlap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "link {} started a hop at {} while busy until {}",
+            self.link, self.start, self.busy_until
+        )
+    }
+}
+
 /// The live recorder owned by the network while a run executes.
 #[derive(Debug)]
 pub(crate) struct NetRecorder {
@@ -76,6 +98,9 @@ pub(crate) struct NetRecorder {
     hops: Vec<HopRecord>,
     dropped_packets: u64,
     link_busy: Vec<Time>,
+    /// End of the latest hop on each link, for the capacity check.
+    link_end: Vec<Time>,
+    overlap: Option<LinkOverlap>,
     last_id: u32,
 }
 
@@ -89,6 +114,8 @@ impl NetRecorder {
             hops: Vec::new(),
             dropped_packets: 0,
             link_busy: vec![Time::ZERO; links],
+            link_end: vec![Time::ZERO; links],
+            overlap: None,
             last_id: NO_RECORD,
         }
     }
@@ -114,13 +141,21 @@ impl NetRecorder {
         id
     }
 
-    /// Records a link traversal. Link busy time accumulates for every
-    /// packet (utilization counts all traffic), while the per-hop record
-    /// is kept only for packets that made it into the table. `enqueued` is
-    /// when the head requested the link; `start` is when the link actually
-    /// began serializing (later when the link was busy).
+    /// Records a link traversal. Link busy time and the link-capacity check
+    /// cover every packet (utilization counts all traffic), while the
+    /// per-hop record is kept only for packets that made it into the table.
+    /// `enqueued` is when the head requested the link; `start` is when the
+    /// link actually began serializing (later when the link was busy).
     pub(crate) fn on_hop(&mut self, rec: u32, link: usize, enqueued: Time, start: Time, end: Time) {
         self.link_busy[link] += end.saturating_sub(start);
+        let busy_until = std::mem::replace(&mut self.link_end[link], end);
+        if start < busy_until && self.overlap.is_none() {
+            self.overlap = Some(LinkOverlap {
+                link: link as u32,
+                busy_until,
+                start,
+            });
+        }
         if rec != NO_RECORD {
             self.hops.push(HopRecord {
                 packet: rec,
@@ -136,6 +171,10 @@ impl NetRecorder {
         if rec != NO_RECORD {
             self.packets[rec as usize].delivered_at = Some(now);
         }
+    }
+
+    pub(crate) fn overlap(&self) -> Option<LinkOverlap> {
+        self.overlap
     }
 
     pub(crate) fn last_id(&self) -> u32 {
@@ -226,5 +265,35 @@ mod tests {
         assert_eq!(hop.wire_time(), Time::from_ns(5));
         // Busy time counts wire occupancy only, never queueing.
         assert_eq!(rec.link_busy[1], Time::from_ns(5));
+    }
+
+    #[test]
+    fn overlapping_hops_on_one_link_are_caught_even_unrecorded() {
+        let mut r = NetRecorder::new(1, 4);
+        let a = r.on_inject(&pkt(), Time::ZERO);
+        let untracked = r.on_inject(&pkt(), Time::ZERO);
+        assert_eq!(untracked, NO_RECORD);
+        r.on_hop(a, 3, Time::ZERO, Time::ZERO, Time::from_ns(5));
+        // Back to back on the same link, and overlap on another: fine.
+        r.on_hop(untracked, 3, Time::ZERO, Time::from_ns(5), Time::from_ns(8));
+        r.on_hop(a, 1, Time::ZERO, Time::from_ns(2), Time::from_ns(9));
+        assert_eq!(r.overlap(), None);
+        r.on_hop(
+            untracked,
+            3,
+            Time::from_ns(6),
+            Time::from_ns(7),
+            Time::from_ns(9),
+        );
+        r.on_hop(a, 3, Time::from_ns(6), Time::from_ns(8), Time::from_ns(9));
+        assert_eq!(
+            r.overlap(),
+            Some(LinkOverlap {
+                link: 3,
+                busy_until: Time::from_ns(8),
+                start: Time::from_ns(7),
+            }),
+            "the first overlap is kept"
+        );
     }
 }

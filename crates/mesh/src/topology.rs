@@ -1600,13 +1600,6 @@ impl Topo {
     pub fn bisection_links(&self) -> Vec<usize> {
         dispatch!(self, t => Topology::bisection_links(t))
     }
-    /// The underlying mesh, if this is a mesh topology.
-    pub fn as_mesh(&self) -> Option<&Mesh> {
-        match self {
-            Topo::Mesh(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 impl Topology for Topo {

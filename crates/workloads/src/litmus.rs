@@ -559,7 +559,8 @@ pub enum FailureClass {
     Oracle,
     /// The machine deadlocked (event queue drained with blocked nodes).
     Deadlock,
-    /// Any other failure: a panic, or an injected fault.
+    /// Any other failure: a panic, an injected fault, or a machine that
+    /// could not be built.
     Other,
 }
 
@@ -569,7 +570,7 @@ impl From<&SimError> for FailureClass {
             SimError::Invariant(_) => FailureClass::Invariant,
             SimError::Oracle(_) => FailureClass::Oracle,
             SimError::Deadlock { .. } => FailureClass::Deadlock,
-            SimError::InjectedFault => FailureClass::Other,
+            SimError::InjectedFault | SimError::Config(_) => FailureClass::Other,
         }
     }
 }
@@ -639,7 +640,7 @@ pub fn run_litmus_with(
     cfg.check = Some(CheckConfig::full());
     let spec = lit.materialize();
     let run = catch_unwind(AssertUnwindSafe(move || {
-        let mut m = Machine::new(cfg, spec);
+        let mut m = Machine::new(cfg, spec)?;
         match fault {
             Fault::None => {}
             Fault::DropInvalidation => m.fault_ignore_next_invalidation(),

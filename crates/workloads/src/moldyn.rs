@@ -189,13 +189,6 @@ impl MoldynSystem {
             .collect()
     }
 
-    /// Pairs whose *lower* molecule is owned by `p` (the computing side).
-    pub fn pairs_of(&self, p: usize) -> Vec<usize> {
-        (0..self.pairs.len())
-            .filter(|&k| self.owner[self.pairs[k].0 as usize] as usize == p)
-            .collect()
-    }
-
     /// Fraction of pairs crossing processors.
     pub fn cut_fraction(&self) -> f64 {
         let cut = self

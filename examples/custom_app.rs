@@ -147,6 +147,7 @@ fn run_sm(cfg: &MachineConfig) -> u64 {
             programs,
         },
     )
+    .expect("machine matches its config")
     .run()
     .expect("ping-pong finishes")
     .runtime_cycles
@@ -172,6 +173,7 @@ fn run_mp(cfg: &MachineConfig) -> u64 {
             programs,
         },
     )
+    .expect("machine matches its config")
     .run()
     .expect("ping-pong finishes")
     .runtime_cycles

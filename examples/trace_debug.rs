@@ -78,7 +78,8 @@ fn main() {
             initial,
             programs,
         },
-    );
+    )
+    .expect("machine matches its config");
     machine.enable_trace(100_000);
     let stats = machine.run().expect("the ring exchange finishes");
 

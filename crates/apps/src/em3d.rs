@@ -661,6 +661,32 @@ mod tests {
     }
 
     #[test]
+    fn zero_observe_epoch_is_a_config_error() {
+        let mut c = cfg();
+        c.observe = Some(commsense_machine::ObserveConfig {
+            epoch_cycles: 0,
+            ..Default::default()
+        });
+        let w = AppSpec::Em3d(Em3dParams::small()).prepare(c.nodes);
+        let err = crate::try_run_prepared(&w, Mechanism::SharedMem, &c).unwrap_err();
+        assert_eq!(err.class(), "config");
+        assert_eq!(err.to_string(), "config: observe epoch must be positive");
+    }
+
+    #[test]
+    fn zero_sparse_threshold_is_a_config_error() {
+        let mut c = cfg();
+        c.observe = Some(commsense_machine::ObserveConfig {
+            sparse_threshold: 0,
+            ..Default::default()
+        });
+        let w = AppSpec::Em3d(Em3dParams::small()).prepare(c.nodes);
+        let err = crate::try_run_prepared(&w, Mechanism::MsgPoll, &c).unwrap_err();
+        assert_eq!(err.class(), "config");
+        assert_eq!(err.to_string(), "config: sparse threshold must be positive");
+    }
+
+    #[test]
     fn shared_memory_volume_exceeds_message_passing() {
         let p = Em3dParams::small();
         let sm = run(

@@ -492,6 +492,70 @@ mod tests {
         }
     }
 
+    /// One command line per command, each flag it takes used once.
+    const CANONICAL: [&str; 22] = [
+        "all --small --csv out --check --jobs 2 --store st",
+        "tab1",
+        "tab2",
+        "fig1 --paper --jobs 1",
+        "fig2 --small --store",
+        "fig3 --check",
+        "fig4 --small --csv out --jobs 2",
+        "fig5 --small --store st",
+        "fig6",
+        "fig7 --small --csv out",
+        "fig8 --paper --check",
+        "fig9 --small --jobs 3",
+        "fig10 --small --csv out --store st",
+        "model --small --check --jobs 2 --store st",
+        "ablate --check --jobs 2 --store st",
+        "observe --app EM3D --mech sm --small --check --cross 4.5 --latency 50 --epoch 1000 --dir d",
+        "analyze --app ICCG --mech mp-poll --small --latency 30 --epoch 500 --dir d \
+         --latency-sweep --gate 10 --jobs 2 --store st",
+        "scale --small --csv out --dir d --jobs 2 --store st",
+        "hostile --full --small --csv out --dir d --check --jobs 2 --store st",
+        "store gc --store st --max-bytes 4000",
+        "serve --addr 127.0.0.1:0 --port-file port.txt --quiet --jobs 2 --store st",
+        "submit --addr 127.0.0.1:7171 --figure fig8 --apps em3d,iccg --mechs sm,mp-poll \
+         --small --csv out --id job1",
+    ];
+
+    /// The parser returns a command or an error, never panics, on every
+    /// truncation and every single-byte substitution (kept valid UTF-8) of
+    /// each canonical line, split back into arguments at whitespace.
+    #[test]
+    fn parse_survives_every_byte_mutation() {
+        let mut seen = 0;
+        let mut check = |text: &str| {
+            let parsed = std::panic::catch_unwind(|| parse_line(text));
+            assert!(parsed.is_ok(), "parse panicked on {text:?}");
+            seen += 1;
+        };
+        for line in CANONICAL {
+            if let Err(e) = parse_line(line) {
+                panic!("{line:?}: {e}");
+            }
+            let bytes = line.as_bytes();
+            for end in 0..bytes.len() {
+                if let Ok(text) = std::str::from_utf8(&bytes[..end]) {
+                    check(text);
+                }
+            }
+            let mut bad = bytes.to_vec();
+            for i in 0..bytes.len() {
+                for b in (0..=u8::MAX).filter(|&b| b != bytes[i]) {
+                    bad[i] = b;
+                    if let Ok(text) = std::str::from_utf8(&bad) {
+                        check(text);
+                    }
+                }
+                bad[i] = bytes[i];
+            }
+        }
+        let bytes: usize = CANONICAL.iter().map(|l| l.len()).sum();
+        assert!(seen > 100 * bytes, "too few mutations ({seen})");
+    }
+
     #[test]
     fn store_takes_a_command_word_as_no_directory() {
         for line in [

@@ -247,13 +247,13 @@ pub struct ProtoConfig {
 impl ProtoConfig {
     /// Canonical field encoding for content-addressed result caching (see
     /// `commsense_des::stable`).
-    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder, prefix: &str) {
-        enc.put(&format!("{prefix}.hw_ptrs"), self.hw_ptrs);
-        enc.put(&format!("{prefix}.sw_read_cycles"), self.sw_read_cycles);
-        enc.put(&format!("{prefix}.sw_write_cycles"), self.sw_write_cycles);
-        enc.put(&format!("{prefix}.cache_lines"), self.cache_lines);
-        enc.put(&format!("{prefix}.cache_ways"), self.cache_ways);
-        enc.put(&format!("{prefix}.prefetch_entries"), self.prefetch_entries);
+    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder) {
+        enc.put("hw_ptrs", self.hw_ptrs);
+        enc.put("sw_read_cycles", self.sw_read_cycles);
+        enc.put("sw_write_cycles", self.sw_write_cycles);
+        enc.put("cache_lines", self.cache_lines);
+        enc.put("cache_ways", self.cache_ways);
+        enc.put("prefetch_entries", self.prefetch_entries);
     }
 }
 

@@ -22,7 +22,8 @@
 //! * [`WorkloadCache`] — memoizes [`AppSpec::prepare`] per
 //!   `(spec, nprocs)`, so a sweep generates each graph/system and
 //!   sequential reference once and shares it (via `Arc`) across every
-//!   point and mechanism.
+//!   point and mechanism. Only a request that simulates asks for its
+//!   workload: a store hit prepares nothing.
 //!
 //! # Examples
 //!
@@ -258,105 +259,106 @@ impl Runner {
     /// (hits skip simulation) and written through, and exhausted failures
     /// are quarantined so warm re-runs fail them fast.
     ///
-    /// Outcomes are in request order and identical for any job count.
+    /// A request takes its workload from `cache` only when it simulates,
+    /// so a store hit prepares nothing. Outcomes are in request order and
+    /// identical for any job count.
     pub fn run_outcomes(
         &self,
         requests: &[RunRequest],
         cache: &mut WorkloadCache,
     ) -> Vec<RunOutcome> {
-        // Preparation is serial (the cache is a simple &mut structure) but
-        // happens once per distinct workload; the simulations dominate.
-        // Store hits still prepare — a hit usually shares its workload
-        // with live points of the same sweep, and a fully warm sweep is
-        // already orders of magnitude faster than a cold one.
-        let prepared: Vec<PreparedWorkload> = requests
-            .iter()
-            .map(|r| cache.get(&r.spec, r.cfg.nodes))
-            .collect();
+        let shared = Mutex::new(std::mem::take(cache));
         let jobs = self.jobs.min(requests.len());
-        if jobs <= 1 {
-            return requests
-                .iter()
-                .zip(&prepared)
-                .map(|(r, w)| self.execute_one(r, w))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<RunOutcome>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= requests.len() {
-                        break;
-                    }
-                    let outcome = self.execute_one(&requests[i], &prepared[i]);
-                    *slots[i].lock().expect("outcome slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("outcome slot poisoned")
-                    .expect("request ran")
-            })
-            .collect()
+        let outcomes = if jobs <= 1 {
+            requests.iter().map(|r| self.run_one(r, &shared)).collect()
+        } else {
+            let next = AtomicUsize::new(0);
+            let slots: Vec<Mutex<Option<RunOutcome>>> =
+                requests.iter().map(|_| Mutex::new(None)).collect();
+            std::thread::scope(|s| {
+                for _ in 0..jobs {
+                    s.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= requests.len() {
+                            break;
+                        }
+                        let outcome = self.run_one(&requests[i], &shared);
+                        *slots[i].lock().expect("outcome slot poisoned") = Some(outcome);
+                    });
+                }
+            });
+            slots
+                .into_iter()
+                .map(|m| {
+                    m.into_inner()
+                        .expect("outcome slot poisoned")
+                        .expect("request ran")
+                })
+                .collect()
+        };
+        *cache = shared.into_inner().expect("workload cache poisoned");
+        outcomes
     }
 
-    /// Executes a single prepared request with the runner's full policy —
-    /// store read-through, bounded-retry failure isolation,
-    /// write-through, quarantine on exhaustion. This is the unit the
-    /// sweep service's shared worker pool executes: the service machine
-    /// schedules requests one at a time (deduplicating in flight), so it
-    /// needs per-request execution rather than the batch interfaces.
-    pub fn run_one(&self, req: &RunRequest, w: &PreparedWorkload) -> RunOutcome {
-        self.execute_one(req, w)
-    }
-
-    /// Executes one request: store lookup, bounded-retry simulation,
-    /// write-through, quarantine on exhaustion.
-    fn execute_one(&self, req: &RunRequest, w: &PreparedWorkload) -> RunOutcome {
+    /// Executes one request with the runner's full policy: store
+    /// read-through, bounded-retry failure isolation, write-through,
+    /// quarantine on exhaustion. The request's store key is computed once,
+    /// and its workload is taken from `cache` (preparing it on first use,
+    /// under the lock) only when it simulates: on a store miss, or for a
+    /// checked or observed run. The batch interfaces run every request
+    /// through here, and so does the sweep service's worker pool, which
+    /// schedules requests one at a time and shares one cache across its
+    /// workers.
+    pub fn run_one(&self, req: &RunRequest, cache: &Mutex<WorkloadCache>) -> RunOutcome {
+        let prepare = || {
+            cache
+                .lock()
+                .expect("workload cache poisoned")
+                .get(&req.spec, req.cfg.nodes)
+        };
         // Check-enabled runs bypass both the store and the retries: the
         // whole point of a checked run is to fail loudly, so a failure is
         // raised as its CHECK-FAIL line, not retried or replayed.
         if req.cfg.check.is_some() {
             return RunOutcome::Done {
-                result: run_prepared(w, req.mechanism, &req.cfg),
+                result: run_prepared(&prepare(), req.mechanism, &req.cfg),
                 cached: false,
             };
         }
         // Observed runs bypass the store only: a cached record carries no
         // observation, so replaying one would silently drop the recording
         // the caller asked for.
-        let store = self.store.as_deref().filter(|_| req.cfg.observe.is_none());
-        if let Some(store) = store {
-            if let Some(message) = store.quarantined(req) {
+        let store = self
+            .store
+            .as_deref()
+            .filter(|_| req.cfg.observe.is_none())
+            .map(|s| (s, ResultStore::request_key(req)));
+        if let Some((store, key)) = store {
+            if let Some(message) = store.quarantined_keyed(key) {
                 return RunOutcome::Failed {
                     attempts: 0,
                     message,
                 };
             }
-            if let Some(result) = store.load(req) {
+            if let Some(result) = store.load_keyed(key, req) {
                 return RunOutcome::Done {
                     result,
                     cached: true,
                 };
             }
         }
+        let w = prepare();
         let attempts = self.retries + 1;
         let mut message = String::new();
         for _ in 0..attempts {
             let run = catch_unwind(AssertUnwindSafe(|| {
-                try_run_prepared(w, req.mechanism, &req.cfg).map_err(|e| e.to_string())
+                try_run_prepared(&w, req.mechanism, &req.cfg).map_err(|e| e.to_string())
             }))
             .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
             match run {
                 Ok(result) => {
-                    if let Some(store) = store {
-                        if let Err(e) = store.save(req, &result) {
+                    if let Some((store, key)) = store {
+                        if let Err(e) = store.save_keyed(key, req, &result) {
                             eprintln!("warning: store write failed: {e}");
                         }
                     }
@@ -368,8 +370,8 @@ impl Runner {
                 Err(m) => message = m,
             }
         }
-        if let Some(store) = store {
-            store.quarantine(req, &message);
+        if let Some((store, key)) = store {
+            store.quarantine_keyed(key, &message);
         }
         RunOutcome::Failed { attempts, message }
     }

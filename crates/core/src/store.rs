@@ -52,10 +52,13 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+use std::collections::HashMap;
 use std::fmt::{Display, Write as _};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use commsense_apps::RunResult;
 use commsense_cache::ProtoStats;
@@ -115,10 +118,16 @@ struct StatCells {
 /// Handles are `Sync`: loads and saves may race freely across the runner's
 /// worker threads (and across processes sharing one directory), because
 /// every write is an atomic rename and every read validates framing.
+///
+/// A hit writes nothing. The handle remembers when it last replayed each
+/// record and writes those times to one access log under `access/` when
+/// it drops; [`ResultStore::gc_max_bytes`] reads them back.
 #[derive(Debug)]
 pub struct ResultStore {
     root: PathBuf,
     stats: StatCells,
+    /// When this handle last replayed each record, by key.
+    used: Mutex<HashMap<u128, SystemTime>>,
 }
 
 impl ResultStore {
@@ -130,6 +139,7 @@ impl ResultStore {
         Ok(ResultStore {
             root,
             stats: StatCells::default(),
+            used: Mutex::default(),
         })
     }
 
@@ -180,7 +190,11 @@ impl ResultStore {
     /// that fails validation is deleted and reported as a miss; the caller
     /// recomputes, and the recomputed result overwrites the bad record.
     pub fn load(&self, req: &RunRequest) -> Option<RunResult> {
-        let key = Self::request_key(req);
+        self.load_keyed(Self::request_key(req), req)
+    }
+
+    /// [`ResultStore::load`] with `req`'s key already computed.
+    pub(crate) fn load_keyed(&self, key: u128, req: &RunRequest) -> Option<RunResult> {
         let path = self.record_path(key);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
@@ -195,14 +209,12 @@ impl ResultStore {
                 self.stats
                     .bytes_read
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                // Refresh the record's mtime so [`ResultStore::gc_max_bytes`]
-                // evicts least-recently-*used* records, not merely
-                // least-recently-written ones. Best effort: a failed touch
-                // (e.g. a concurrent gc won the race) costs LRU accuracy,
-                // never correctness.
-                if let Ok(f) = std::fs::File::options().write(true).open(&path) {
-                    let _ = f.set_modified(std::time::SystemTime::now());
-                }
+                // Recency for [`ResultStore::gc_max_bytes`], kept in memory
+                // until the handle drops: a hit costs no write.
+                self.used
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(key, SystemTime::now());
                 Some(result)
             }
             None => {
@@ -221,7 +233,16 @@ impl ResultStore {
     /// into place, so concurrent readers and writers of the same key never
     /// observe a torn record.
     pub fn save(&self, req: &RunRequest, result: &RunResult) -> std::io::Result<()> {
-        let key = Self::request_key(req);
+        self.save_keyed(Self::request_key(req), req, result)
+    }
+
+    /// [`ResultStore::save`] with `req`'s key already computed.
+    pub(crate) fn save_keyed(
+        &self,
+        key: u128,
+        req: &RunRequest,
+        result: &RunResult,
+    ) -> std::io::Result<()> {
         let path = self.record_path(key);
         let dir = path.parent().expect("record path has a parent");
         std::fs::create_dir_all(dir)?;
@@ -249,13 +270,22 @@ impl ResultStore {
     /// immediately instead of re-tripping the same panic. The message is
     /// what the quarantined point reports.
     pub fn quarantine(&self, req: &RunRequest, message: &str) {
-        let path = self.quarantine_path(Self::request_key(req));
-        let _ = std::fs::write(&path, message);
+        self.quarantine_keyed(Self::request_key(req), message);
+    }
+
+    /// [`ResultStore::quarantine`] by key.
+    pub(crate) fn quarantine_keyed(&self, key: u128, message: &str) {
+        let _ = std::fs::write(self.quarantine_path(key), message);
     }
 
     /// The quarantine message for `req`, if it was quarantined.
     pub fn quarantined(&self, req: &RunRequest) -> Option<String> {
-        std::fs::read_to_string(self.quarantine_path(Self::request_key(req))).ok()
+        self.quarantined_keyed(Self::request_key(req))
+    }
+
+    /// [`ResultStore::quarantined`] by key.
+    pub(crate) fn quarantined_keyed(&self, key: u128) -> Option<String> {
+        std::fs::read_to_string(self.quarantine_path(key)).ok()
     }
 
     /// Clears `req`'s quarantine mark (e.g. after a model fix).
@@ -307,23 +337,38 @@ impl ResultStore {
     }
 
     /// Size-capped LRU eviction: if the records exceed `max_bytes` in
-    /// total, deletes least-recently-used records (by mtime, which
-    /// [`ResultStore::load`] refreshes on every hit) until the remainder
-    /// fits. Returns what was kept and what was evicted.
+    /// total, deletes least-recently-used records until the remainder
+    /// fits. A record was last used when it was last written (its mtime)
+    /// or last replayed, whichever is later; replays come from the access
+    /// logs of dropped handles and from this handle's memory. The pass
+    /// then compacts those logs into one that holds only the replays of
+    /// surviving records. Returns what was kept and what was evicted.
     ///
     /// Concurrency: eviction races benignly with readers and writers. A
     /// reader of an evicted key sees a miss and recomputes; a writer that
     /// lands after the scan simply isn't counted this round. A record
     /// that disappears mid-scan (another gc, a corruption eviction) is
-    /// skipped.
+    /// skipped, and so is a log written after the scan began.
     pub fn gc_max_bytes(&self, max_bytes: u64) -> std::io::Result<EvictionReport> {
-        let mut entries: Vec<(PathBuf, std::time::SystemTime, u64)> = Vec::new();
-        for path in self.record_files()? {
+        let files = self.record_files()?;
+        let mut used =
+            std::mem::take(&mut *self.used.lock().unwrap_or_else(PoisonError::into_inner));
+        let logs = self.merge_access_logs(&mut used);
+        let mut entries: Vec<(PathBuf, SystemTime, u64)> = Vec::new();
+        let mut written: HashMap<u128, SystemTime> = HashMap::new();
+        for path in files {
             let Ok(meta) = std::fs::metadata(&path) else {
                 continue;
             };
-            let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-            entries.push((path, mtime, meta.len()));
+            let mtime = meta.modified().unwrap_or(UNIX_EPOCH);
+            let last_use = match record_key(&path) {
+                Some(key) => {
+                    written.insert(key, mtime);
+                    used.get(&key).map_or(mtime, |&at| at.max(mtime))
+                }
+                None => mtime,
+            };
+            entries.push((path, last_use, meta.len()));
         }
         // Oldest first; ties broken by path so the pass is deterministic.
         entries.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
@@ -343,22 +388,88 @@ impl ResultStore {
                 report.removed_bytes += len;
                 report.kept -= 1;
                 report.kept_bytes -= len;
+                if let Some(key) = record_key(path) {
+                    written.remove(&key);
+                }
             }
             // Whether or not the delete landed (a concurrent gc may have
             // beaten us to it), the bytes are gone from this round's total.
             total -= len;
         }
+        // Compact: keep only replays that are newer than their surviving
+        // record's write, in one new log, then drop the logs merged here.
+        used.retain(|key, at| written.get(key).is_some_and(|mtime| *at > *mtime));
+        if self.write_access_log(&used).is_ok() {
+            for log in logs {
+                let _ = std::fs::remove_file(log);
+            }
+        }
         Ok(report)
+    }
+
+    /// Writes `used` as one new access log: `key last-use` lines, the key
+    /// in hex and the time in nanoseconds since the Unix epoch. It is
+    /// staged and renamed into place, so a reader never sees half a log.
+    fn write_access_log(&self, used: &HashMap<u128, SystemTime>) -> std::io::Result<()> {
+        static LOGS: AtomicU64 = AtomicU64::new(0);
+        if used.is_empty() {
+            return Ok(());
+        }
+        let dir = self.root.join("access");
+        std::fs::create_dir_all(&dir)?;
+        let mut text = String::with_capacity(used.len() * 54);
+        for (key, at) in used {
+            let _ = writeln!(text, "{key:032x} {}", unix_nanos(*at));
+        }
+        let name = format!(
+            "{}-{}-{}",
+            std::process::id(),
+            unix_nanos(SystemTime::now()),
+            LOGS.fetch_add(1, Ordering::Relaxed)
+        );
+        let tmp = dir.join(format!("{name}.tmp"));
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, dir.join(format!("{name}.log")))
+    }
+
+    /// Merges every access log's replays into `used`, keeping the latest
+    /// per key, and returns the logs read. A missing directory, an
+    /// unreadable log or a malformed line adds nothing: recency is a hint
+    /// for eviction, never needed for a result.
+    fn merge_access_logs(&self, used: &mut HashMap<u128, SystemTime>) -> Vec<PathBuf> {
+        let mut logs = Vec::new();
+        let Ok(dir) = std::fs::read_dir(self.root.join("access")) else {
+            return logs;
+        };
+        for entry in dir.flatten() {
+            let path = entry.path();
+            if path.extension().and_then(|e| e.to_str()) != Some("log") {
+                continue;
+            }
+            let Ok(text) = std::fs::read_to_string(&path) else {
+                continue;
+            };
+            for line in text.lines() {
+                let Some((key, nanos)) = line.split_once(' ') else {
+                    continue;
+                };
+                let (Ok(key), Ok(nanos)) = (u128::from_str_radix(key, 16), nanos.parse()) else {
+                    continue;
+                };
+                let at = UNIX_EPOCH + Duration::from_nanos(nanos);
+                let latest = used.entry(key).or_insert(at);
+                *latest = (*latest).max(at);
+            }
+            logs.push(path);
+        }
+        logs
     }
 
     fn scan(&self, remove_bad: bool) -> std::io::Result<ScanReport> {
         let mut report = ScanReport::default();
         for path in self.record_files()? {
             let bytes = std::fs::read(&path)?;
-            let expected_key = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(|s| u128::from_str_radix(s, 16).ok());
+            let expected_key = record_key(&path);
             match (
                 expected_key,
                 expected_key.and_then(|k| validate_record(&bytes, k)),
@@ -385,6 +496,27 @@ impl ResultStore {
         }
         Ok(report)
     }
+}
+
+impl Drop for ResultStore {
+    /// Writes this handle's replays to its access log. Best effort: a
+    /// lost log costs eviction order, never a result.
+    fn drop(&mut self) {
+        let used = std::mem::take(self.used.get_mut().unwrap_or_else(PoisonError::into_inner));
+        let _ = self.write_access_log(&used);
+    }
+}
+
+/// The key a record file is named after.
+fn record_key(path: &Path) -> Option<u128> {
+    let stem = path.file_stem()?.to_str()?;
+    u128::from_str_radix(stem, 16).ok()
+}
+
+/// Nanoseconds since the Unix epoch (0 for earlier times).
+fn unix_nanos(at: SystemTime) -> u64 {
+    at.duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64)
 }
 
 /// What a size-capped [`ResultStore::gc_max_bytes`] pass did.

@@ -15,6 +15,7 @@ use commsense_machine::{
 };
 use commsense_mesh::VolumeBreakdown;
 use commsense_workloads::bipartite::Em3dParams;
+use commsense_workloads::sparse::IccgParams;
 use proptest::prelude::*;
 
 /// A store rooted in a fresh per-test temp directory (no tempfile crate
@@ -341,8 +342,9 @@ fn record_path_of(store: &ResultStore, req: &RunRequest) -> std::path::PathBuf {
 }
 
 /// Size-capped gc evicts in least-recently-used order, where "used"
-/// includes loads: a hit refreshes the record's mtime, so a record that
-/// keeps getting asked for survives caps that evict colder ones.
+/// includes loads: a hit counts as a use as recent as a write, so a
+/// record that keeps getting asked for survives caps that evict colder
+/// ones.
 #[test]
 fn gc_max_bytes_evicts_least_recently_used_first() {
     let store = temp_store("lru");
@@ -409,6 +411,104 @@ fn gc_max_bytes_evicts_least_recently_used_first() {
         store.load(&reqs[3]).is_none(),
         "the untouched record is the LRU victim"
     );
+}
+
+/// A hit writes nothing, but its recency outlives the handle: the
+/// handle's access log, written when it drops, is what a later handle's
+/// capped gc reads, and that gc compacts the logs it merged into one.
+#[test]
+fn gc_max_bytes_sees_the_hits_of_a_dropped_handle() {
+    let first = temp_store("lru-handles");
+    let root = first.root().to_path_buf();
+    let cfg = MachineConfig::alewife();
+    let mut cache = WorkloadCache::new();
+    let reqs: Vec<RunRequest> = Mechanism::ALL[..3]
+        .iter()
+        .map(|&m| em3d_request(&cfg, m))
+        .collect();
+    let results = Runner::serial().run_cached(&reqs, &mut cache);
+    for (req, r) in reqs.iter().zip(&results) {
+        first.save(req, r).expect("save record");
+    }
+    let paths: Vec<std::path::PathBuf> = reqs.iter().map(|r| record_path_of(&first, r)).collect();
+    let base = std::time::SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_000);
+    for (i, p) in paths.iter().enumerate() {
+        let f = std::fs::File::options().write(true).open(p).expect("open");
+        f.set_modified(base + Duration::from_secs(i as u64))
+            .expect("set mtime");
+    }
+    // Record 0 is the oldest written; using it makes it the newest used,
+    // without touching the file.
+    assert!(first.load(&reqs[0]).is_some(), "hit");
+    let mtime = |p: &std::path::Path| std::fs::metadata(p).unwrap().modified().unwrap();
+    assert_eq!(mtime(&paths[0]), base, "a hit writes nothing");
+    drop(first);
+
+    let logs = || std::fs::read_dir(root.join("access")).map_or(0, |d| d.count());
+    assert_eq!(logs(), 1, "the dropped handle wrote one access log");
+    let second = ResultStore::open(&root).expect("reopen");
+    let size = |i: usize| std::fs::metadata(&paths[i]).unwrap().len();
+    let shed = second.gc_max_bytes(size(0) + size(2)).expect("capped gc");
+    assert_eq!(shed.removed, 1);
+    assert!(paths[0].exists(), "the record used last survives");
+    assert!(!paths[1].exists(), "the least recently used record goes");
+    assert_eq!(logs(), 1, "the merged logs are compacted into one");
+
+    // The compacted log still carries the hit to the next gc.
+    let shed = second.gc_max_bytes(size(0)).expect("second capped gc");
+    assert_eq!(shed.removed, 1);
+    assert!(paths[0].exists() && !paths[2].exists());
+}
+
+/// A store hit prepares nothing: replaying a filled store through
+/// `run_outcomes` leaves the workload cache empty at any job count, while
+/// the cold run that filled it prepared each distinct (spec, nodes)
+/// exactly once. A checked request still simulates, so it prepares.
+#[test]
+fn warm_replay_prepares_no_workload() {
+    let store = Arc::new(temp_store("lazy-prepare"));
+    let cfg = MachineConfig::alewife();
+    let mut em = Em3dParams::small();
+    em.iterations = 1;
+    let specs = [AppSpec::Em3d(em), AppSpec::Iccg(IccgParams::small())];
+    let mechs = [Mechanism::SharedMem, Mechanism::MsgPoll, Mechanism::Bulk];
+    let reqs: Vec<RunRequest> = specs
+        .iter()
+        .flat_map(|spec| {
+            mechs.map(|m| RunRequest {
+                spec: spec.clone(),
+                mechanism: m,
+                cfg: cfg.clone().with_mechanism(m),
+            })
+        })
+        .collect();
+    let mut cold_cache = WorkloadCache::new();
+    let cold = Runner::new(2)
+        .with_store(store.clone())
+        .run_outcomes(&reqs, &mut cold_cache);
+    assert!(cold.iter().all(|o| o.result().is_some() && !o.is_cached()));
+    assert_eq!(cold_cache.len(), specs.len(), "one preparation per spec");
+
+    for jobs in [1, 3] {
+        let mut cache = WorkloadCache::new();
+        let warm = Runner::new(jobs)
+            .with_store(store.clone())
+            .run_outcomes(&reqs, &mut cache);
+        assert!(warm.iter().all(RunOutcome::is_cached), "jobs={jobs}");
+        assert!(cache.is_empty(), "jobs={jobs}: a hit prepared a workload");
+        for (w, c) in warm.iter().zip(&cold) {
+            assert_eq!(format!("{:?}", w.result()), format!("{:?}", c.result()));
+        }
+    }
+
+    let mut checked = reqs[0].clone();
+    checked.cfg.check = Some(commsense_machine::CheckConfig::full());
+    let mut cache = WorkloadCache::new();
+    let out = Runner::serial()
+        .with_store(store)
+        .run_outcomes(&[checked], &mut cache);
+    assert!(!out[0].is_cached(), "a checked run bypasses the store");
+    assert_eq!(cache.len(), 1, "so it prepares its workload");
 }
 
 /// Readers, writers, and a size-capped evictor hammering one store

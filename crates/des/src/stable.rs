@@ -9,8 +9,14 @@
 //! `Debug` output and `std::hash::Hash` give none of those guarantees, so
 //! configuration types implement a `stable_encode(&self, &mut
 //! StableEncoder)` method instead: each field is `put` under an explicit
-//! dotted name, the encoder sorts the pairs by name, and the canonical
-//! text is hashed with a fixed 128-bit FNV-1a.
+//! dotted name (nested structures encode inside a [`StableEncoder::scope`]
+//! that prefixes their names), the encoder sorts the fields by name, and
+//! the canonical text is hashed with a fixed 128-bit FNV-1a.
+//!
+//! The fields are written straight into one text buffer as they are put;
+//! sorting moves only their offsets, and the hash reads the sorted lines
+//! in place, so a key costs a handful of allocations however many fields
+//! it has.
 //!
 //! Floating-point fields go through [`StableEncoder::put_f64`], which
 //! encodes the IEEE-754 bit pattern — two configs hash equal exactly when
@@ -37,8 +43,7 @@
 //! assert_ne!(hash(8, 4, false), hash(8, 2, false)); // one field differs
 //! ```
 
-use std::fmt::Display;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// FNV-1a 128-bit offset basis.
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -48,7 +53,12 @@ const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 /// Hashes `bytes` with 128-bit FNV-1a. Deterministic across platforms and
 /// processes (no per-process seed).
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
-    let mut h = FNV_OFFSET;
+    fnv1a_128_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues a 128-bit FNV-1a hash `h` over `bytes`: hashing two slices
+/// in turn equals hashing their concatenation.
+fn fnv1a_128_extend(mut h: u128, bytes: &[u8]) -> u128 {
     for &b in bytes {
         h ^= b as u128;
         h = h.wrapping_mul(FNV_PRIME);
@@ -72,12 +82,18 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 ///
 /// # Panics
 ///
-/// [`StableEncoder::finish`] panics on duplicate names — two fields
-/// encoding under the same name is a programming error that would make
-/// the hash silently insensitive to one of them.
+/// [`StableEncoder::finish`] and [`StableEncoder::finish_hash`] panic on
+/// duplicate names — two fields encoding under the same name is a
+/// programming error that would make the hash silently insensitive to one
+/// of them.
 #[derive(Debug, Default)]
 pub struct StableEncoder {
-    pairs: Vec<(String, String)>,
+    /// One `name=value\n` line per field, in the order they were put.
+    text: String,
+    /// Each line's start, the end of its name, and its end, in `text`.
+    lines: Vec<(usize, usize, usize)>,
+    /// The names of the open scopes, each followed by a dot.
+    prefix: String,
 }
 
 impl StableEncoder {
@@ -86,18 +102,23 @@ impl StableEncoder {
         Self::default()
     }
 
-    /// Adds one field under an explicit dotted name (e.g. `"cfg.nodes"`).
-    /// Names must be unique across the whole encoding; use prefixes to
-    /// namespace nested structures.
+    /// Adds one field under an explicit dotted name (e.g. `"cfg.nodes"`),
+    /// prefixed by the open scopes. Names must be unique across the whole
+    /// encoding; use scopes to namespace nested structures.
     pub fn put(&mut self, name: &str, value: impl Display) {
-        self.pairs.push((name.to_string(), value.to_string()));
+        let start = self.text.len();
+        self.text.push_str(&self.prefix);
+        self.text.push_str(name);
+        let name_end = self.text.len();
+        let _ = writeln!(self.text, "={value}");
+        self.lines.push((start, name_end, self.text.len()));
     }
 
     /// Adds a floating-point field by its IEEE-754 bit pattern, so the
     /// encoding is exact (no shortest-representation formatting involved)
     /// and total (NaNs and infinities encode fine).
     pub fn put_f64(&mut self, name: &str, value: f64) {
-        self.put(name, format!("f64:{:016x}", value.to_bits()));
+        self.put(name, format_args!("f64:{:016x}", value.to_bits()));
     }
 
     /// Adds an optional field: `None` encodes as a distinguished token so
@@ -109,30 +130,56 @@ impl StableEncoder {
         }
     }
 
+    /// Runs `encode` with `name.` prefixed to every field it puts, so a
+    /// nested structure encodes its fields under its own short names.
+    pub fn scope(&mut self, name: &str, encode: impl FnOnce(&mut Self)) {
+        let outer = self.prefix.len();
+        self.prefix.push_str(name);
+        self.prefix.push('.');
+        encode(self);
+        self.prefix.truncate(outer);
+    }
+
+    /// The lines sorted by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two fields were added under the same name.
+    fn sorted_lines(&mut self) -> impl Iterator<Item = &str> {
+        let Self { text, lines, .. } = self;
+        let name =
+            |&(start, name_end, _): &(usize, usize, usize)| &text.as_bytes()[start..name_end];
+        lines.sort_unstable_by(|a, b| name(a).cmp(name(b)));
+        for w in lines.windows(2) {
+            let (a, b) = (name(&w[0]), name(&w[1]));
+            assert!(
+                a != b,
+                "duplicate field {:?} in stable encoding",
+                String::from_utf8_lossy(a)
+            );
+        }
+        lines.iter().map(|&(start, _, end)| &text[start..end])
+    }
+
     /// The canonical text: `name=value` lines sorted by name.
     ///
     /// # Panics
     ///
     /// Panics if two fields were added under the same name.
     pub fn finish(mut self) -> String {
-        self.pairs.sort();
-        for w in self.pairs.windows(2) {
-            assert_ne!(
-                w[0].0, w[1].0,
-                "duplicate field {:?} in stable encoding",
-                w[0].0
-            );
-        }
-        let mut out = String::new();
-        for (k, v) in &self.pairs {
-            let _ = writeln!(out, "{k}={v}");
-        }
+        let mut out = String::with_capacity(self.text.len());
+        out.extend(self.sorted_lines());
         out
     }
 
-    /// The 128-bit FNV-1a hash of the canonical text.
-    pub fn finish_hash(self) -> u128 {
-        fnv1a_128(self.finish().as_bytes())
+    /// The 128-bit FNV-1a hash of the canonical text, read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two fields were added under the same name.
+    pub fn finish_hash(mut self) -> u128 {
+        self.sorted_lines()
+            .fold(FNV_OFFSET, |h, line| fnv1a_128_extend(h, line.as_bytes()))
     }
 }
 
@@ -181,6 +228,27 @@ mod tests {
         let mut b = StableEncoder::new();
         b.put_opt("v", Some(0u64));
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn scopes_prefix_names_and_sort_by_the_full_name() {
+        let mut a = StableEncoder::new();
+        a.put("cfg", 0);
+        a.scope("cfg", |e| {
+            e.put("b", 2);
+            e.scope("net", |e| e.put_f64("x", 1.5));
+            e.put("a", 1);
+        });
+        a.put("cfg.c", 3);
+        let mut b = StableEncoder::new();
+        for (k, v) in [("cfg.c", "3"), ("cfg.a", "1"), ("cfg", "0"), ("cfg.b", "2")] {
+            b.put(k, v);
+        }
+        b.put_f64("cfg.net.x", 1.5);
+        let text = "cfg=0\ncfg.a=1\ncfg.b=2\ncfg.c=3\ncfg.net.x=f64:3ff8000000000000\n";
+        let hash = fnv1a_128(text.as_bytes());
+        assert_eq!(a.finish(), text);
+        assert_eq!(b.finish_hash(), hash);
     }
 
     #[test]

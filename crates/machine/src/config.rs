@@ -234,23 +234,20 @@ impl CostModel {
 
     /// Canonical field encoding for content-addressed result caching (see
     /// `commsense_des::stable`).
-    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder, prefix: &str) {
-        enc.put(&format!("{prefix}.cache_hit"), self.cache_hit);
-        enc.put(&format!("{prefix}.rmw_hit"), self.rmw_hit);
-        enc.put(&format!("{prefix}.miss_issue"), self.miss_issue);
-        enc.put(&format!("{prefix}.local_msg"), self.local_msg);
-        enc.put(&format!("{prefix}.dir_request_occ"), self.dir_request_occ);
-        enc.put(
-            &format!("{prefix}.dir_request_occ_local"),
-            self.dir_request_occ_local,
-        );
-        enc.put(&format!("{prefix}.grant_occ"), self.grant_occ);
-        enc.put(&format!("{prefix}.grant_occ_local"), self.grant_occ_local);
-        enc.put(&format!("{prefix}.snoop_occ"), self.snoop_occ);
-        enc.put(&format!("{prefix}.grant_fill"), self.grant_fill);
-        enc.put(&format!("{prefix}.prefetch_issue"), self.prefetch_issue);
-        enc.put(&format!("{prefix}.prefetch_promote"), self.prefetch_promote);
-        enc.put(&format!("{prefix}.emu_ideal_msg"), self.emu_ideal_msg);
+    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder) {
+        enc.put("cache_hit", self.cache_hit);
+        enc.put("rmw_hit", self.rmw_hit);
+        enc.put("miss_issue", self.miss_issue);
+        enc.put("local_msg", self.local_msg);
+        enc.put("dir_request_occ", self.dir_request_occ);
+        enc.put("dir_request_occ_local", self.dir_request_occ_local);
+        enc.put("grant_occ", self.grant_occ);
+        enc.put("grant_occ_local", self.grant_occ_local);
+        enc.put("snoop_occ", self.snoop_occ);
+        enc.put("grant_fill", self.grant_fill);
+        enc.put("prefetch_issue", self.prefetch_issue);
+        enc.put("prefetch_promote", self.prefetch_promote);
+        enc.put("emu_ideal_msg", self.emu_ideal_msg);
     }
 }
 
@@ -496,8 +493,8 @@ impl MachineConfig {
     pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder) {
         enc.put("cfg.nodes", self.nodes);
         enc.put_f64("cfg.cpu_mhz", self.cpu_mhz);
-        enc.put("cfg.receive", format!("{:?}", self.receive));
-        enc.put("cfg.barrier", format!("{:?}", self.barrier));
+        enc.put("cfg.receive", format_args!("{:?}", self.receive));
+        enc.put("cfg.barrier", format_args!("{:?}", self.barrier));
         enc.put("cfg.write_buffer", self.write_buffer);
         enc.put("cfg.inject_panic", self.inject_panic);
         // Encoded only when non-baseline so every pre-variant config keeps
@@ -506,14 +503,14 @@ impl MachineConfig {
         if self.variant != ProtoVariant::Baseline {
             enc.put("cfg.variant", self.variant.label());
         }
-        self.net.stable_encode(enc, "cfg.net");
-        self.costs.stable_encode(enc, "cfg.costs");
-        self.msg.stable_encode(enc, "cfg.msg");
-        self.proto.stable_encode(enc, "cfg.proto");
+        enc.scope("cfg.net", |enc| self.net.stable_encode(enc));
+        enc.scope("cfg.costs", |enc| self.costs.stable_encode(enc));
+        enc.scope("cfg.msg", |enc| self.msg.stable_encode(enc));
+        enc.scope("cfg.proto", |enc| self.proto.stable_encode(enc));
         match &self.cross_traffic {
             Some(ct) => {
                 enc.put("cfg.cross_traffic", "some");
-                ct.stable_encode(enc, "cfg.cross_traffic");
+                enc.scope("cfg.cross_traffic", |enc| ct.stable_encode(enc));
             }
             None => enc.put("cfg.cross_traffic", "none"),
         }
@@ -535,7 +532,9 @@ impl MachineConfig {
     /// # Errors
     ///
     /// [`ConfigError::TopologyNodes`], naming the topology shape, if
-    /// `nodes` does not match it.
+    /// `nodes` does not match it; [`ConfigError::ObserveEpoch`] or
+    /// [`ConfigError::SparseThreshold`] if an observation asks for a zero
+    /// epoch or a zero sampling threshold.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let topology_nodes = self.net.topo.num_nodes();
         if self.nodes != topology_nodes {
@@ -544,6 +543,14 @@ impl MachineConfig {
                 topology: self.net.topo.describe(),
                 topology_nodes,
             });
+        }
+        if let Some(o) = self.observe {
+            if o.epoch_cycles == 0 {
+                return Err(ConfigError::ObserveEpoch);
+            }
+            if o.sparse_threshold == 0 {
+                return Err(ConfigError::SparseThreshold);
+            }
         }
         Ok(())
     }

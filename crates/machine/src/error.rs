@@ -8,7 +8,8 @@ use std::fmt;
 use crate::json;
 
 /// Why a machine could not be built: its configuration and its
-/// [`MachineSpec`](crate::MachineSpec) disagree about the machine's size.
+/// [`MachineSpec`](crate::MachineSpec) disagree about the machine's size,
+/// or the configuration asks for an observation it cannot make.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// `MachineConfig::nodes` differs from the topology's node count.
@@ -48,6 +49,12 @@ pub enum ConfigError {
         /// Configured node count.
         nodes: usize,
     },
+    /// `ObserveConfig::epoch_cycles` is zero: the metrics series would
+    /// never advance.
+    ObserveEpoch,
+    /// `ObserveConfig::sparse_threshold` is zero: no node or link could
+    /// be sampled.
+    SparseThreshold,
 }
 
 impl fmt::Display for ConfigError {
@@ -82,6 +89,8 @@ impl fmt::Display for ConfigError {
                 f,
                 "workload prepared for {prepared_nodes} nodes on a {nodes}-node machine"
             ),
+            ConfigError::ObserveEpoch => write!(f, "observe epoch must be positive"),
+            ConfigError::SparseThreshold => write!(f, "sparse threshold must be positive"),
         }
     }
 }

@@ -274,6 +274,7 @@ impl Json {
     /// silently shadowing another in a manifest would hide corruption).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -354,6 +355,7 @@ impl Json {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -476,78 +478,77 @@ impl Parser<'_> {
         }
     }
 
+    /// A string literal. Each run of bytes up to the next `"` or `\` is
+    /// copied in one piece: the input is a `&str` and both delimiters are
+    /// ASCII, so every run is whole UTF-8.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| format!("unterminated string at byte {}", self.pos))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("unterminated escape at byte {}", self.pos))?;
+            let start = self.pos;
+            let end = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| start + n);
+            out.push_str(&self.text[start..end]);
+            self.pos = end;
+            match self.peek() {
+                Some(b'"') => {
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // A high surrogate followed by a low-surrogate
-                            // escape is one astral character; any other
-                            // surrogate is lone and decodes to U+FFFD.
-                            let mut c = char::from_u32(code);
-                            if (0xd800..0xdc00).contains(&code)
-                                && self.bytes[self.pos..].starts_with(b"\\u")
-                            {
-                                let high = self.pos;
-                                self.pos += 2;
-                                let low = self.hex4()?;
-                                if (0xdc00..0xe000).contains(&low) {
-                                    c = char::from_u32(
-                                        0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00),
-                                    );
-                                } else {
-                                    self.pos = high;
-                                }
-                            }
-                            out.push(c.unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
+                    return Ok(out);
                 }
-                _ => {
-                    // Re-decode multi-byte UTF-8 sequences from the source.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| format!("invalid UTF-8 at byte {start}"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
+                Some(_) => {
+                    self.pos += 1;
+                    self.escape(&mut out)?;
                 }
+                None => return Err(format!("unterminated string at byte {}", self.pos)),
             }
         }
+    }
+
+    /// The escape after a `\`, decoded onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        let esc = self
+            .peek()
+            .ok_or_else(|| format!("unterminated escape at byte {}", self.pos))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{0008}'),
+            b'f' => out.push('\u{000c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let code = self.hex4()?;
+                // A high surrogate followed by a low-surrogate escape is
+                // one astral character; any other surrogate is lone and
+                // decodes to U+FFFD.
+                let mut c = char::from_u32(code);
+                if (0xd800..0xdc00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+                    let high = self.pos;
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if (0xdc00..0xe000).contains(&low) {
+                        c = char::from_u32(0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00));
+                    } else {
+                        self.pos = high;
+                    }
+                }
+                out.push(c.unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        }
+        Ok(())
     }
 
     /// The four hex digits of a `\u` escape, as a code unit.
     fn hex4(&mut self) -> Result<u32, String> {
         let hex = self
-            .bytes
+            .text
             .get(self.pos..self.pos + 4)
-            .and_then(|h| std::str::from_utf8(h).ok())
             .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
         let code = u32::from_str_radix(hex, 16)
             .map_err(|_| format!("invalid \\u escape at byte {}", self.pos))?;
@@ -578,20 +579,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at byte {start}"))?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number at byte {start}"))
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -764,26 +755,66 @@ mod tests {
         }
     }
 
-    /// Text pieces the round-trip property draws strings from: plain
-    /// ASCII, everything the writer escapes, and non-ASCII text up to
-    /// astral characters.
-    const PIECES: &[&str] = &[
-        "a", "Z", "0", " ", "/", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{8}", "\u{1f}",
-        "\u{7f}", "é", "→", "世", "😀", "\u{fffd}",
+    /// A run of plain ASCII, long enough to span several copies.
+    const RUN: &str = "the quick brown fox jumps over the lazy dog 0123456789 THE LAZY DOG";
+
+    /// Text pieces the round-trip property draws strings from, each with a
+    /// second JSON spelling: plain ASCII and long runs of it, everything
+    /// the writer escapes, and non-ASCII text up to astral characters. The
+    /// second spelling uses what the writer never emits: `\/`, `\b`, `\f`,
+    /// `\u` escapes of any character, surrogate pairs, and a lone high
+    /// surrogate (which reads back as U+FFFD).
+    const PIECES: &[(&str, &str)] = &[
+        ("a", "\\u0061"),
+        ("Z", "Z"),
+        ("0", "0"),
+        (" ", " "),
+        ("/", "\\/"),
+        ("\"", "\\u0022"),
+        ("\\", "\\u005C"),
+        ("\n", "\\u000a"),
+        ("\r", "\\r"),
+        ("\t", "\\t"),
+        ("\u{0}", "\\u0000"),
+        ("\u{8}", "\\b"),
+        ("\u{c}", "\\f"),
+        ("\u{1f}", "\\u001F"),
+        ("\u{7f}", "\u{7f}"),
+        ("é", "\\u00e9"),
+        ("→", "\\u2192"),
+        ("世", "世"),
+        ("😀", "\\ud83d\\ude00"),
+        ("𝄞", "\\uD834\\uDD1E"),
+        ("\u{fffd}", "\\ud800"),
+        (RUN, RUN),
     ];
 
-    fn text(picks: &[u32]) -> String {
-        picks
-            .iter()
-            .map(|&i| PIECES[i as usize % PIECES.len()])
-            .collect()
+    /// The text `picks` selects, and its second JSON spelling (without
+    /// the quotes).
+    fn text(picks: &[u32]) -> (String, String) {
+        let (mut plain, mut alt) = (String::new(), String::new());
+        for &i in picks {
+            let (p, a) = PIECES[i as usize % PIECES.len()];
+            plain.push_str(p);
+            alt.push_str(a);
+        }
+        (plain, alt)
+    }
+
+    /// A value written verbatim: JSON text spelled by hand.
+    struct Raw(String);
+
+    impl Value for Raw {
+        fn write_json(&self, out: &mut String) {
+            out.push_str(&self.0);
+        }
     }
 
     proptest! {
         #[test]
         fn parse_reads_back_what_the_writer_wrote(
-            key in collection::vec(any::<u32>(), 0..12),
-            tags in collection::vec(collection::vec(any::<u32>(), 0..8), 0..4),
+            key in collection::vec(any::<u32>(), 0..24),
+            tags in collection::vec(collection::vec(any::<u32>(), 0..16), 0..4),
             n in any::<u64>(),
             bits in any::<u64>(),
             flag in any::<bool>(),
@@ -793,10 +824,12 @@ mod tests {
             let n = n % ((1 << 53) + 1);
             // Every other key is plain ASCII without a `k` prefix, so
             // this one never duplicates them.
-            let key = format!("k{}", text(&key));
-            let tags: Vec<String> = tags.iter().map(|t| text(t)).collect();
+            let (key, alt) = text(&key);
+            let key = format!("k{key}");
+            let tags: Vec<String> = tags.iter().map(|t| text(t).0).collect();
             let out = written(|o| {
                 o.field(&key, &key)
+                    .field("alt", Raw(format!("\"k{alt}\"")))
                     .field("n", n)
                     .field("x", x)
                     .field("flag", flag)
@@ -813,6 +846,7 @@ mod tests {
             });
             let v = Json::parse(&out).map_err(TestCaseError::fail)?;
             prop_assert_eq!(v.get(&key).and_then(Json::as_str), Some(key.as_str()));
+            prop_assert_eq!(v.get("alt").and_then(Json::as_str), Some(key.as_str()));
             prop_assert_eq!(v.get("n").and_then(Json::as_u64), Some(n));
             prop_assert_eq!(v.get("x").and_then(Json::as_f64).map(f64::to_bits), Some(bits));
             prop_assert_eq!(v.get("flag").and_then(Json::as_bool), Some(flag));

@@ -637,8 +637,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// A [`ConfigError`] if the config is inconsistent
-    /// ([`MachineConfig::validate`]), if `spec.initial` does not cover the
+    /// A [`ConfigError`] if the config is inconsistent or asks for an
+    /// impossible observation ([`MachineConfig::validate`]), if `spec.initial` does not cover the
     /// heap, or if the program count or the heap's node count differs from
     /// the machine's node count.
     pub fn new(cfg: MachineConfig, spec: MachineSpec) -> Result<Self, ConfigError> {
@@ -734,8 +734,6 @@ impl Machine {
             m.profile = Some(Box::default());
         }
         if let Some(o) = m.cfg.observe {
-            assert!(o.epoch_cycles > 0, "observe epoch must be positive");
-            assert!(o.sparse_threshold > 0, "sparse threshold must be positive");
             m.trace = Some(Trace::new(o.trace_capacity));
             let epoch = clock.cycles(o.epoch_cycles);
             // At or below the threshold every node and link gets a column

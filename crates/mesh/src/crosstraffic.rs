@@ -141,35 +141,35 @@ impl CrossTrafficConfig {
     /// `commsense_des::stable`). The pattern fields are encoded only when a
     /// non-uniform pattern is configured, so every pre-existing uniform
     /// config keeps its store key.
-    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder, prefix: &str) {
-        enc.put(&format!("{prefix}.message_bytes"), self.message_bytes);
-        enc.put_f64(&format!("{prefix}.bytes_per_ns"), self.bytes_per_ns);
-        enc.put(&format!("{prefix}.streams"), self.streams);
+    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder) {
+        enc.put("message_bytes", self.message_bytes);
+        enc.put_f64("bytes_per_ns", self.bytes_per_ns);
+        enc.put("streams", self.streams);
         match self.pattern {
             TrafficPattern::Uniform => {}
             TrafficPattern::Hotspot { node, fraction } => {
-                enc.put(&format!("{prefix}.pattern"), "hotspot");
-                enc.put(&format!("{prefix}.hotspot_node"), node);
-                enc.put_f64(&format!("{prefix}.hotspot_fraction"), fraction);
-                self.encode_pattern_common(enc, prefix);
+                enc.put("pattern", "hotspot");
+                enc.put("hotspot_node", node);
+                enc.put_f64("hotspot_fraction", fraction);
+                self.encode_pattern_common(enc);
             }
             TrafficPattern::Bursty { on, off } => {
-                enc.put(&format!("{prefix}.pattern"), "bursty");
-                enc.put(&format!("{prefix}.bursty_on"), on);
-                enc.put(&format!("{prefix}.bursty_off"), off);
-                self.encode_pattern_common(enc, prefix);
+                enc.put("pattern", "bursty");
+                enc.put("bursty_on", on);
+                enc.put("bursty_off", off);
+                self.encode_pattern_common(enc);
             }
             TrafficPattern::Incast { targets } => {
-                enc.put(&format!("{prefix}.pattern"), "incast");
-                enc.put(&format!("{prefix}.incast_targets"), targets);
-                self.encode_pattern_common(enc, prefix);
+                enc.put("pattern", "incast");
+                enc.put("incast_targets", targets);
+                self.encode_pattern_common(enc);
             }
         }
     }
 
-    fn encode_pattern_common(&self, enc: &mut commsense_des::StableEncoder, prefix: &str) {
-        enc.put(&format!("{prefix}.nodes"), self.nodes);
-        enc.put(&format!("{prefix}.seed"), self.seed);
+    fn encode_pattern_common(&self, enc: &mut commsense_des::StableEncoder) {
+        enc.put("nodes", self.nodes);
+        enc.put("seed", self.seed);
     }
 }
 

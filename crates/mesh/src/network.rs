@@ -59,12 +59,12 @@ impl NetConfig {
 
     /// Canonical field encoding for content-addressed result caching (see
     /// `commsense_des::stable`). Every field that can affect simulated
-    /// cycles must appear here under `prefix`.
-    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder, prefix: &str) {
-        self.topo.stable_encode(enc, &format!("{prefix}.topo"));
-        enc.put(&format!("{prefix}.ps_per_byte"), self.ps_per_byte);
-        enc.put(&format!("{prefix}.router_delay_ps"), self.router_delay_ps);
-        enc.put(&format!("{prefix}.eject_delay_ps"), self.eject_delay_ps);
+    /// cycles must appear here, under the caller's scope.
+    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder) {
+        enc.scope("topo", |enc| self.topo.stable_encode(enc));
+        enc.put("ps_per_byte", self.ps_per_byte);
+        enc.put("router_delay_ps", self.router_delay_ps);
+        enc.put("eject_delay_ps", self.eject_delay_ps);
     }
 }
 

@@ -1823,18 +1823,18 @@ impl TopoSpec {
         }
     }
 
-    /// Feeds the spec into a stable-hash encoder under `prefix`, for
+    /// Feeds the spec into a stable-hash encoder in the caller's scope, for
     /// result-store keys. The two shape parameters use the uniform names
     /// `dim_a`/`dim_b`; the `kind` key disambiguates their meaning.
-    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder, prefix: &str) {
+    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder) {
         let (a, b) = match *self {
             TopoSpec::Mesh { width, height } | TopoSpec::Torus { width, height } => (width, height),
             TopoSpec::FatTree { arity, levels } => (arity, levels),
             TopoSpec::Dragonfly { groups, group_size } => (groups, group_size),
         };
-        enc.put(&format!("{prefix}.kind"), self.kind());
-        enc.put(&format!("{prefix}.dim_a"), a);
-        enc.put(&format!("{prefix}.dim_b"), b);
+        enc.put("kind", self.kind());
+        enc.put("dim_a", a);
+        enc.put("dim_b", b);
     }
 }
 
@@ -2146,7 +2146,7 @@ mod topo_tests {
         use commsense_des::StableEncoder;
         let hash = |spec: &TopoSpec| {
             let mut enc = StableEncoder::new();
-            spec.stable_encode(&mut enc, "net.topo");
+            enc.scope("net.topo", |enc| spec.stable_encode(enc));
             enc.finish_hash()
         };
         let specs = [

@@ -60,17 +60,17 @@ impl MsgCosts {
 
     /// Canonical field encoding for content-addressed result caching (see
     /// `commsense_des::stable`).
-    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder, prefix: &str) {
-        enc.put(&format!("{prefix}.send_base"), self.send_base);
-        enc.put(&format!("{prefix}.send_per_arg"), self.send_per_arg);
-        enc.put(&format!("{prefix}.interrupt_base"), self.interrupt_base);
-        enc.put(&format!("{prefix}.poll_per_msg"), self.poll_per_msg);
-        enc.put(&format!("{prefix}.poll_empty"), self.poll_empty);
-        enc.put(&format!("{prefix}.dispatch"), self.dispatch);
-        enc.put(&format!("{prefix}.dma_setup"), self.dma_setup);
-        enc.put(&format!("{prefix}.copy_per_line"), self.copy_per_line);
-        enc.put(&format!("{prefix}.dma_per_line"), self.dma_per_line);
-        enc.put(&format!("{prefix}.system_msg"), self.system_msg);
+    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder) {
+        enc.put("send_base", self.send_base);
+        enc.put("send_per_arg", self.send_per_arg);
+        enc.put("interrupt_base", self.interrupt_base);
+        enc.put("poll_per_msg", self.poll_per_msg);
+        enc.put("poll_empty", self.poll_empty);
+        enc.put("dispatch", self.dispatch);
+        enc.put("dma_setup", self.dma_setup);
+        enc.put("copy_per_line", self.copy_per_line);
+        enc.put("dma_per_line", self.dma_per_line);
+        enc.put("system_msg", self.system_msg);
     }
 
     /// Sender-side processor overhead for a message, in cycles.

@@ -429,7 +429,7 @@ impl ServiceMachine {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::OnceLock;
+    use std::sync::{Mutex, OnceLock};
 
     use commsense_apps::{AppSpec, RunResult, Scale};
     use commsense_core::engine::Runner;
@@ -448,14 +448,13 @@ mod tests {
             p.iterations = 1;
             let spec = AppSpec::Em3d(p);
             let cfg = MachineConfig::alewife().with_mechanism(Mechanism::SharedMem);
-            let w = spec.prepare(cfg.nodes);
             let req = RunRequest {
                 spec,
                 mechanism: Mechanism::SharedMem,
                 cfg,
             };
             Runner::serial()
-                .run_one(&req, &w)
+                .run_one(&req, &Mutex::default())
                 .result()
                 .expect("seed simulation")
                 .clone()

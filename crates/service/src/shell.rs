@@ -98,7 +98,8 @@ impl Server {
 
         // Worker pool: each worker owns a serial Runner (the pool is the
         // parallelism) and shares one workload cache, so a workload is
-        // prepared once per daemon lifetime however many jobs need it.
+        // prepared once per daemon lifetime however many jobs need it, and
+        // only by a run that simulates.
         let mut runner = Runner::serial().with_retries(cfg.retries);
         if let Some(store) = &cfg.store {
             runner = runner.with_store(store.clone());
@@ -112,15 +113,7 @@ impl Server {
             thread::spawn(move || loop {
                 let next = work_rx.lock().expect("work queue poisoned").recv();
                 let Ok((run, req)) = next else { break };
-                // Preparation holds the cache lock (it is a &mut
-                // structure); simulations dominate, and a prepared
-                // workload is returned as a cheap Arc-backed clone.
-                let w = wcache
-                    .lock()
-                    .expect("workload cache poisoned")
-                    .get(&req.spec, req.cfg.nodes);
-                let outcome = runner.run_one(&req, &w);
-                let outcome = Box::new(outcome);
+                let outcome = Box::new(runner.run_one(&req, &wcache));
                 if events_tx.send(Event::RunDone { run, outcome }).is_err() {
                     break;
                 }

@@ -5,7 +5,7 @@
 //! cancel, disconnect mid-stream, shutdown with in-flight jobs — is
 //! exercised deterministically.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use commsense_apps::{AppSpec, RunResult};
 use commsense_core::engine::{RunOutcome, RunRequest, Runner};
@@ -24,13 +24,12 @@ fn sim_ok() -> Box<RunOutcome> {
         p.iterations = 1;
         let spec = AppSpec::Em3d(p);
         let cfg = MachineConfig::alewife().with_mechanism(Mechanism::SharedMem);
-        let w = spec.prepare(cfg.nodes);
         let req = RunRequest {
             spec,
             mechanism: Mechanism::SharedMem,
             cfg,
         };
-        match Runner::serial().run_one(&req, &w) {
+        match Runner::serial().run_one(&req, &Mutex::default()) {
             RunOutcome::Done { result, .. } => result,
             RunOutcome::Failed { message, .. } => panic!("seed simulation failed: {message}"),
         }

@@ -11,12 +11,13 @@
 //!
 //! The figure commands make one pass: parse → plan → run → render. The
 //! selected CSV figures resolve into one request list through the same
-//! planner the sweep daemon uses (`commsense_service::plan`); fig1, fig2
-//! and fig5 are views of fig8, fig10 and fig4. Each unique request runs
-//! once, in one call on one [`Session`] — the store, a runner sized by
-//! `--jobs` (default: `COMMSENSE_JOBS` or all cores) and the workload
-//! cache — and each figure then renders from its own slice of the
-//! outcomes.
+//! planner the sweep daemon uses (`commsense_core::plan`); fig1, fig2
+//! and fig5 are views of fig8, fig10 and fig4. Each distinct run goes
+//! once through `Runner::run_groups` on one [`Session`] — the store, a
+//! runner sized by `--jobs` (default: `COMMSENSE_JOBS` or all cores) and
+//! the workload cache — and each figure then renders from its own slice
+//! of the outcomes. Only `serve` and `submit` use the sweep daemon's
+//! crate.
 //!
 //! `repro observe` instruments a single run instead: it enables the
 //! observability layer, writes a Perfetto/Chrome trace and a validated run
@@ -29,7 +30,6 @@
 //! mechanism's latency sensitivity from the traversal count — validated
 //! against the simulated Figure-10 sweep with `--latency-sweep`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use commsense_apps::{AppSpec, RunResult};
@@ -46,14 +46,13 @@ use commsense_core::figures::{self, Figure, Figure::*};
 use commsense_core::machines::table1;
 use commsense_core::manifest;
 use commsense_core::model::{fit_bandwidth, fit_latency, BandwidthModel, LatencyModel};
+use commsense_core::plan::{resolve_on, JobPlan, PlanSpec};
 use commsense_core::regions::{classify, crossover};
 use commsense_core::report;
 use commsense_core::store::ResultStore;
 use commsense_core::table::{Cell, Table};
 use commsense_machine::{MachineConfig, Mechanism, Observation, ProtoVariant};
 use commsense_mesh::{CrossTrafficConfig, TopoSpec, TrafficPattern};
-use commsense_service::plan::{resolve_on, JobPlan};
-use commsense_service::protocol::PlanSpec;
 
 #[path = "repro/cli.rs"]
 mod cli;
@@ -135,27 +134,15 @@ impl Session {
         }
     }
 
-    /// Runs every group's requests fault-tolerantly in one runner call,
-    /// each unique request (see [`unique_requests`]) once, and returns
-    /// each group's outcomes, parallel to its requests.
-    fn run_groups<'a, G>(&mut self, groups: impl IntoIterator<Item = G>) -> Vec<Vec<RunOutcome>>
-    where
-        G: IntoIterator<Item = &'a RunRequest>,
-    {
-        let (unique, index) = unique_requests(groups);
-        let outcomes = self.runner.run_outcomes(&unique, &mut self.cache);
-        let copy = |group: Vec<usize>| group.into_iter().map(|i| outcomes[i].clone()).collect();
-        index.into_iter().map(copy).collect()
-    }
-
-    /// Runs every plan in one [`Session::run_groups`] and folds each
+    /// Runs every plan in one [`Runner::run_groups`] batch and folds each
     /// plan's outcomes into its [`PlanRun`], warning about failed points.
     fn run_plans<'a>(
         &mut self,
         plans: impl IntoIterator<Item = &'a ExperimentPlan>,
     ) -> Vec<PlanRun> {
         let plans: Vec<&ExperimentPlan> = plans.into_iter().collect();
-        let outcomes = self.run_groups(plans.iter().map(|p| p.requests()));
+        let groups = plans.iter().map(|p| p.requests());
+        let outcomes = self.runner.run_groups(groups, &mut self.cache);
         let fold = |(plan, outcomes): (&&ExperimentPlan, Vec<RunOutcome>)| {
             let run = plan.assemble_outcomes(&outcomes);
             warn_failed(plan.app(), &run);
@@ -184,33 +171,6 @@ impl Session {
             );
         }
     }
-}
-
-/// The distinct requests of `groups`, and each group's requests as
-/// indices into them. Two requests are one when they have the same store
-/// key and the same `check` and `observe` settings: the key leaves those
-/// out because they never change cycles, but a checked or observed run
-/// must still happen, so it is never folded into a plain one.
-fn unique_requests<'a, G>(groups: impl IntoIterator<Item = G>) -> (Vec<RunRequest>, Vec<Vec<usize>>)
-where
-    G: IntoIterator<Item = &'a RunRequest>,
-{
-    let mut slots = HashMap::new();
-    let mut unique: Vec<RunRequest> = Vec::new();
-    let index = groups
-        .into_iter()
-        .map(|group| {
-            let slot = |r: &RunRequest| {
-                let key = (ResultStore::request_key(r), r.cfg.check, r.cfg.observe);
-                *slots.entry(key).or_insert_with(|| {
-                    unique.push(r.clone());
-                    unique.len() - 1
-                })
-            };
-            group.into_iter().map(slot).collect()
-        })
-        .collect();
-    (unique, index)
 }
 
 /// Prints warnings for the failed points of a fault-tolerant plan run.
@@ -312,7 +272,8 @@ fn run_figures(a: &FigureArgs) {
 
     // Run.
     let mut session = Session::open(&a.session);
-    let outcomes = session.run_groups(jobs.iter().map(|j| &j.requests));
+    let groups = jobs.iter().map(|j| &j.requests);
+    let outcomes = session.runner.run_groups(groups, &mut session.cache);
 
     // Render.
     for section in sections {
@@ -490,7 +451,8 @@ fn run_model(a: &ModelArgs) {
     let scale = a.scale.unwrap_or(Scale::Bench);
     let jobs = [Fig8, Fig10].map(|f| job(f, scale, &["sm", "mp-poll"], &cfg));
     let mut session = Session::open(&a.session);
-    let outcomes = session.run_groups(jobs.iter().map(|j| &j.requests));
+    let groups = jobs.iter().map(|j| &j.requests);
+    let outcomes = session.runner.run_groups(groups, &mut session.cache);
     println!("== Section 2 model fits over measured sweeps ==\n");
     let bandwidth = jobs[0].fold(&outcomes[0]);
     let latency = jobs[1].fold(&outcomes[1]);
@@ -549,7 +511,8 @@ fn run_ablate(a: &AblateArgs) {
     let associativity = ablate_associativity(&cfg);
     let mut session = Session::open(&a.session);
     let ablations = planned.iter().map(|(_, ab)| ab).chain([&associativity]);
-    let mut outcomes = session.run_groups(ablations.map(|ab| ab.iter().map(|(_, r)| r)));
+    let groups = ablations.map(|ab| ab.iter().map(|(_, r)| r));
+    let mut outcomes = session.runner.run_groups(groups, &mut session.cache);
     let show = |title: &str, ab: &Ablation, outcomes: &[RunOutcome]| {
         let labels = ab.iter().map(|(label, _)| label);
         println!("{}", ablation_table(title, labels.zip(outcomes)));
@@ -1466,28 +1429,6 @@ mod tests {
 
     const SM: Mechanism = Mechanism::SharedMem;
     const MP: Mechanism = Mechanism::MsgPoll;
-
-    #[test]
-    fn a_checked_request_is_never_folded_into_a_plain_one() {
-        let plain = RunRequest {
-            spec: commsense_bench::em3d_spec(Scale::Small),
-            mechanism: MP,
-            cfg: MachineConfig::alewife(),
-        };
-        let mut checked = plain.clone();
-        checked.cfg.check = Some(commsense_machine::CheckConfig::full());
-        assert_eq!(
-            ResultStore::request_key(&plain),
-            ResultStore::request_key(&checked)
-        );
-        let (unique, index) = unique_requests([vec![&plain, &checked], vec![&checked, &plain]]);
-        assert_eq!(index, [[0, 1], [1, 0]]);
-        assert_eq!(unique[0].cfg.check, None);
-        assert_eq!(
-            unique[1].cfg.check,
-            Some(commsense_machine::CheckConfig::full())
-        );
-    }
 
     #[test]
     fn hostile_row_with_an_empty_sm_sweep_leaves_its_cells_empty() {

@@ -12,12 +12,11 @@ use commsense_bench::{em3d_spec, Scale};
 use commsense_core::engine::RunRequest;
 use commsense_core::experiment::{bisection_plan, ctx_switch_plan};
 use commsense_core::figures::Figure;
+use commsense_core::plan::{resolve, PlanSpec};
 use commsense_core::store::ResultStore;
 use commsense_des::fnv1a_128;
 use commsense_machine::{CheckConfig, MachineConfig, Mechanism, ProtoVariant};
 use commsense_mesh::{CrossTrafficConfig, TrafficPattern};
-use commsense_service::plan::resolve;
-use commsense_service::protocol::PlanSpec;
 
 const SM_MP: [Mechanism; 2] = [Mechanism::SharedMem, Mechanism::MsgPoll];
 

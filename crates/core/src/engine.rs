@@ -48,12 +48,13 @@
 //! assert_eq!(sweeps[0].points.len(), 2);
 //! ```
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use commsense_apps::{run_prepared, try_run_prepared, AppSpec, PreparedWorkload, RunResult};
-use commsense_machine::{panic_message, MachineConfig, Mechanism};
+use commsense_machine::{panic_message, CheckConfig, MachineConfig, Mechanism, ObserveConfig};
 
 use crate::experiment::{Sweep, SweepPoint};
 use crate::store::ResultStore;
@@ -70,6 +71,30 @@ pub struct RunRequest {
     /// The machine configuration (already specialized for the point being
     /// measured; the runner applies it as-is).
     pub cfg: MachineConfig,
+}
+
+/// Which requests are the same run, for [`Runner::run_groups`] and the
+/// sweep daemon's in-flight table: the store key, plus the `check` and
+/// `observe` settings the key leaves out (they never change cycles, but a
+/// checked or observed run must still happen, not merge into a plain one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RunKey {
+    /// The request's [`ResultStore::request_key`].
+    pub store: u128,
+    check: Option<CheckConfig>,
+    observe: Option<ObserveConfig>,
+}
+
+impl RunKey {
+    /// `req`'s run key. It hashes the request, so compute it once and
+    /// hand [`RunKey::store`] down to [`Runner::run_one`].
+    pub fn of(req: &RunRequest) -> RunKey {
+        RunKey {
+            store: ResultStore::request_key(req),
+            check: req.cfg.check,
+            observe: req.cfg.observe,
+        }
+    }
 }
 
 /// Memoizes workload preparation per `(spec, nprocs)`.
@@ -261,28 +286,63 @@ impl Runner {
     ///
     /// A request takes its workload from `cache` only when it simulates,
     /// so a store hit prepares nothing. Outcomes are in request order and
-    /// identical for any job count.
+    /// identical for any job count. Repeated requests all run, and each
+    /// worker hashes its own request's store key.
     pub fn run_outcomes(
         &self,
         requests: &[RunRequest],
         cache: &mut WorkloadCache,
     ) -> Vec<RunOutcome> {
+        self.run_each(requests, cache, |r| (r, ResultStore::request_key(r)))
+    }
+
+    /// Runs every group's requests fault-tolerantly as one batch, each
+    /// distinct run (by [`RunKey`], hashed once here) once, and returns
+    /// each group's outcomes, parallel to its requests: the same outcomes
+    /// [`Runner::run_outcomes`] gives each group on its own.
+    pub fn run_groups<'a, G>(
+        &self,
+        groups: impl IntoIterator<Item = G>,
+        cache: &mut WorkloadCache,
+    ) -> Vec<Vec<RunOutcome>>
+    where
+        G: IntoIterator<Item = &'a RunRequest>,
+    {
+        let (unique, index) = distinct_runs(groups);
+        let outcomes = self.run_each(&unique, cache, |&(r, key)| (r, key));
+        let copy = |group: Vec<usize>| group.into_iter().map(|i| outcomes[i].clone()).collect();
+        index.into_iter().map(copy).collect()
+    }
+
+    /// Runs the request and store key `run` gives each item through
+    /// [`Runner::run_one`] on the runner's workers, sharing `cache` behind
+    /// a lock, and returns the outcomes in item order.
+    fn run_each<T: Sync>(
+        &self,
+        items: &[T],
+        cache: &mut WorkloadCache,
+        run: impl Fn(&T) -> (&RunRequest, u128) + Sync,
+    ) -> Vec<RunOutcome> {
         let shared = Mutex::new(std::mem::take(cache));
-        let jobs = self.jobs.min(requests.len());
+        let one = |item| {
+            let (req, key) = run(item);
+            self.run_one(req, key, &shared)
+        };
+        let jobs = self.jobs.min(items.len());
         let outcomes = if jobs <= 1 {
-            requests.iter().map(|r| self.run_one(r, &shared)).collect()
+            items.iter().map(one).collect()
         } else {
             let next = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<RunOutcome>>> =
-                requests.iter().map(|_| Mutex::new(None)).collect();
+                items.iter().map(|_| Mutex::new(None)).collect();
             std::thread::scope(|s| {
                 for _ in 0..jobs {
                     s.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= requests.len() {
+                        if i >= items.len() {
                             break;
                         }
-                        let outcome = self.run_one(&requests[i], &shared);
+                        let outcome = one(&items[i]);
                         *slots[i].lock().expect("outcome slot poisoned") = Some(outcome);
                     });
                 }
@@ -302,14 +362,15 @@ impl Runner {
 
     /// Executes one request with the runner's full policy: store
     /// read-through, bounded-retry failure isolation, write-through,
-    /// quarantine on exhaustion. The request's store key is computed once,
-    /// and its workload is taken from `cache` (preparing it on first use,
-    /// under the lock) only when it simulates: on a store miss, or for a
-    /// checked or observed run. The batch interfaces run every request
-    /// through here, and so does the sweep service's worker pool, which
-    /// schedules requests one at a time and shares one cache across its
-    /// workers.
-    pub fn run_one(&self, req: &RunRequest, cache: &Mutex<WorkloadCache>) -> RunOutcome {
+    /// quarantine on exhaustion, under `key`, the request's
+    /// [`ResultStore::request_key`] as its caller computed it. The
+    /// request's workload is taken from `cache` (preparing it on first
+    /// use, under the lock) only when it simulates: on a store miss, or
+    /// for a checked or observed run. The batch interfaces run every
+    /// request through here, and so does the sweep service's worker pool,
+    /// which schedules requests one at a time and shares one cache across
+    /// its workers.
+    pub fn run_one(&self, req: &RunRequest, key: u128, cache: &Mutex<WorkloadCache>) -> RunOutcome {
         let prepare = || {
             cache
                 .lock()
@@ -332,7 +393,7 @@ impl Runner {
             .store
             .as_deref()
             .filter(|_| req.cfg.observe.is_none())
-            .map(|s| (s, ResultStore::request_key(req)));
+            .map(|s| (s, key));
         if let Some((store, key)) = store {
             if let Some(message) = store.quarantined_keyed(key) {
                 return RunOutcome::Failed {
@@ -377,10 +438,30 @@ impl Runner {
     }
 }
 
-impl Default for Runner {
-    fn default() -> Self {
-        Runner::from_env()
-    }
+/// The distinct runs of `groups` (by [`RunKey`]), each with its store
+/// key, and each group's requests as indices into them.
+fn distinct_runs<'a, G>(
+    groups: impl IntoIterator<Item = G>,
+) -> (Vec<(&'a RunRequest, u128)>, Vec<Vec<usize>>)
+where
+    G: IntoIterator<Item = &'a RunRequest>,
+{
+    let mut slots = HashMap::new();
+    let mut unique = Vec::new();
+    let index = groups
+        .into_iter()
+        .map(|group| {
+            let slot = |req: &'a RunRequest| {
+                let key = RunKey::of(req);
+                *slots.entry(key).or_insert_with(|| {
+                    unique.push((req, key.store));
+                    unique.len() - 1
+                })
+            };
+            group.into_iter().map(slot).collect()
+        })
+        .collect();
+    (unique, index)
 }
 
 /// A point of one mechanism's curve: its x value and which request index
@@ -469,37 +550,21 @@ impl ExperimentPlan {
         self.requests.len()
     }
 
-    /// Folds results (in request order, as returned by [`Runner::run`])
-    /// into per-mechanism sweeps, in the order mechanisms were first added.
+    /// Executes the plan on `runner`, sharing preparations through `cache`,
+    /// and returns its per-mechanism sweeps, in the order mechanisms were
+    /// first added.
     ///
     /// # Panics
     ///
-    /// Panics if `results` does not have one entry per request.
-    pub fn assemble(&self, results: &[RunResult]) -> Vec<Sweep> {
-        assert_eq!(
-            results.len(),
-            self.requests.len(),
-            "result count must match request count"
-        );
-        self.curves
-            .iter()
-            .map(|(mech, points)| Sweep {
-                app: self.app,
-                mechanism: *mech,
-                points: points
-                    .iter()
-                    .map(|p| SweepPoint {
-                        x: p.x,
-                        result: results[p.request].clone(),
-                    })
-                    .collect(),
-            })
-            .collect()
-    }
-
-    /// Executes the plan on `runner`, sharing preparations through `cache`.
+    /// Re-raises the failure of the first point whose request failed
+    /// every retry. Use [`ExperimentPlan::run_reported`] to complete the
+    /// sweeps around failed points instead.
     pub fn run_with(&self, runner: &Runner, cache: &mut WorkloadCache) -> Vec<Sweep> {
-        self.assemble(&runner.run_cached(&self.requests, cache))
+        let run = self.run_reported(runner, cache);
+        if let Some(failed) = run.failed.first() {
+            panic!("{}", failed.message);
+        }
+        run.sweeps
     }
 
     /// Executes the plan on `runner` with a private workload cache.
@@ -652,6 +717,57 @@ mod tests {
             sweeps[0].points[0].result.runtime_cycles,
             sweeps[0].points[1].result.runtime_cycles
         );
+    }
+
+    #[test]
+    fn a_checked_request_is_never_folded_into_a_plain_one() {
+        let plain = RunRequest {
+            spec: tiny_spec(),
+            mechanism: Mechanism::MsgPoll,
+            cfg: MachineConfig::alewife(),
+        };
+        let mut checked = plain.clone();
+        checked.cfg.check = Some(commsense_machine::CheckConfig::full());
+        assert_eq!(
+            ResultStore::request_key(&plain),
+            ResultStore::request_key(&checked)
+        );
+        let (unique, index) = distinct_runs([vec![&plain, &checked], vec![&checked, &plain]]);
+        assert_eq!(index, [[0, 1], [1, 0]]);
+        assert_eq!(unique[0].0.cfg.check, None);
+        assert_eq!(
+            unique[1].0.cfg.check,
+            Some(commsense_machine::CheckConfig::full())
+        );
+        assert_eq!(unique[0].1, unique[1].1, "one store key, two runs");
+    }
+
+    /// `repro all --small` plans the five CSV figures' jobs: 292
+    /// requests, of which 240 are distinct runs. The other 52 repeat
+    /// fig4's base-machine runs: fig8 at zero consumption (20), fig9 at
+    /// the base clock (20) and fig10's message-passing runs (12).
+    #[test]
+    fn the_figure_jobs_of_repro_all_hold_240_distinct_runs() {
+        use crate::figures::Figure;
+        use crate::plan::{resolve_on, PlanSpec};
+        let jobs: Vec<_> = Figure::ALL
+            .into_iter()
+            .map(|figure| {
+                let spec = PlanSpec {
+                    figure,
+                    scale: commsense_apps::Scale::Small,
+                    apps: Vec::new(),
+                    mechanisms: Vec::new(),
+                };
+                resolve_on(&spec, MachineConfig::alewife()).expect("resolves")
+            })
+            .collect();
+        let (unique, index) = distinct_runs(jobs.iter().map(|j| &j.requests));
+        let planned: usize = index.iter().map(Vec::len).sum();
+        assert_eq!((planned, unique.len()), (292, 240));
+        for (req, key) in &unique {
+            assert_eq!(*key, ResultStore::request_key(req), "{}", req.spec.name());
+        }
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! * [`figures`] — the registry of the paper's CSV figures (4, 7–10):
 //!   each figure's axes, plotted apps and mechanisms, plan, CSV name and
 //!   rendering, shared by `repro` and the sweep daemon.
+//! * [`plan`] — the planner `repro` and the sweep daemon share: a figure
+//!   named in a [`plan::PlanSpec`] resolved into requests and CSVs.
 //! * [`machines`] — the Table 1 dataset of 32-processor machine parameters
 //!   and its Table 2 recalculation in local-cache-miss units.
 //! * [`regions`] — classification of measured curves into the paper's
@@ -47,6 +49,7 @@ pub use commsense_machine::json;
 pub mod machines;
 pub mod manifest;
 pub mod model;
+pub mod plan;
 pub mod regions;
 pub mod report;
 pub mod store;

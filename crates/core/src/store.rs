@@ -143,15 +143,6 @@ impl ResultStore {
         })
     }
 
-    /// Opens the store named by the `COMMSENSE_STORE` environment
-    /// variable, or `None` when it is unset or empty.
-    pub fn from_env() -> Option<std::io::Result<ResultStore>> {
-        match std::env::var("COMMSENSE_STORE") {
-            Ok(dir) if !dir.is_empty() => Some(ResultStore::open(dir)),
-            _ => None,
-        }
-    }
-
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
@@ -266,24 +257,15 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Marks `req` as poisoned: subsequent warm runs report it failed
-    /// immediately instead of re-tripping the same panic. The message is
-    /// what the quarantined point reports.
-    pub fn quarantine(&self, req: &RunRequest, message: &str) {
-        self.quarantine_keyed(Self::request_key(req), message);
-    }
-
-    /// [`ResultStore::quarantine`] by key.
+    /// Marks the request with store key `key` as poisoned: subsequent warm
+    /// runs report it failed immediately instead of re-tripping the same
+    /// panic. The message is what the quarantined point reports.
     pub(crate) fn quarantine_keyed(&self, key: u128, message: &str) {
         let _ = std::fs::write(self.quarantine_path(key), message);
     }
 
-    /// The quarantine message for `req`, if it was quarantined.
-    pub fn quarantined(&self, req: &RunRequest) -> Option<String> {
-        self.quarantined_keyed(Self::request_key(req))
-    }
-
-    /// [`ResultStore::quarantined`] by key.
+    /// The quarantine message for the request with store key `key`, if it
+    /// was quarantined.
     pub(crate) fn quarantined_keyed(&self, key: u128) -> Option<String> {
         std::fs::read_to_string(self.quarantine_path(key)).ok()
     }

@@ -1,9 +1,14 @@
 //! Engine integration tests: parallel execution is bit-identical to
-//! serial, and an experiment prepares each workload exactly once.
+//! serial, an experiment prepares each workload exactly once, and a batch
+//! of request groups runs each distinct run once.
+
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use commsense_apps::{AppSpec, PreparedWorkload};
-use commsense_core::engine::{Runner, WorkloadCache};
+use commsense_core::engine::{RunKey, RunOutcome, RunRequest, Runner, WorkloadCache};
 use commsense_core::experiment::{base_comparison_requests, bisection_plan, ctx_switch_plan};
+use commsense_core::store::ResultStore;
 use commsense_machine::{MachineConfig, Mechanism};
 use commsense_workloads::bipartite::Em3dParams;
 use commsense_workloads::moldyn::MoldynParams;
@@ -120,4 +125,72 @@ fn cache_is_shared_across_plans() {
         suite.len(),
         "second round of plans must reuse every preparation"
     );
+}
+
+/// Overlapping request lists: a Figure 4 comparison and two bisection
+/// sweeps whose zero-consumption points repeat two of its runs.
+fn overlapping_groups() -> Vec<Vec<RunRequest>> {
+    let cfg = MachineConfig::alewife();
+    let mut em = Em3dParams::small();
+    em.iterations = 1;
+    let spec = AppSpec::Em3d(em);
+    let mechs = [Mechanism::SharedMem, Mechanism::MsgPoll];
+    let sweep = bisection_plan(&spec, &mechs, &cfg, &[0.0, 12.0], 64);
+    vec![
+        base_comparison_requests(&spec, &cfg),
+        sweep.requests().to_vec(),
+        sweep.requests().to_vec(),
+    ]
+}
+
+fn distinct(groups: &[Vec<RunRequest>]) -> usize {
+    let keys: HashSet<RunKey> = groups.iter().flatten().map(RunKey::of).collect();
+    keys.len()
+}
+
+fn debug(outcomes: &[Vec<RunOutcome>]) -> Vec<Vec<String>> {
+    let each = |g: &Vec<RunOutcome>| g.iter().map(|o| format!("{o:?}")).collect();
+    outcomes.iter().map(each).collect()
+}
+
+/// A batch runs each distinct run once and hands every group the outcome
+/// of its own requests: the same at one worker and at two, and the same
+/// as running each group on its own.
+#[test]
+fn run_groups_matches_each_group_run_alone_at_any_job_count() {
+    let groups = overlapping_groups();
+    assert!(distinct(&groups) < groups.iter().map(Vec::len).sum());
+    let batch = |jobs| Runner::new(jobs).run_groups(&groups, &mut WorkloadCache::new());
+    let serial = debug(&batch(1));
+    assert_eq!(serial, debug(&batch(2)));
+    let alone: Vec<Vec<RunOutcome>> = groups
+        .iter()
+        .map(|g| Runner::serial().run_outcomes(g, &mut WorkloadCache::new()))
+        .collect();
+    assert_eq!(serial, debug(&alone));
+}
+
+/// With a store attached, a batch looks up and saves each distinct run
+/// once: one miss and one record per run key, and every byte written is
+/// a byte of a record still on disk.
+#[test]
+fn run_groups_saves_each_distinct_run_once() {
+    let dir = std::env::temp_dir().join(format!("commsense-run-groups-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+    let groups = overlapping_groups();
+    let runner = Runner::new(2).with_store(store.clone());
+    let outcomes = runner.run_groups(&groups, &mut WorkloadCache::new());
+    assert!(outcomes.iter().flatten().all(|o| !o.is_cached()));
+    let stats = store.stats();
+    let records: Vec<u64> = std::fs::read_dir(dir.join("records"))
+        .expect("records dir")
+        .flat_map(|shard| std::fs::read_dir(shard.expect("shard").path()).expect("shard dir"))
+        .map(|f| f.expect("record").metadata().expect("metadata").len())
+        .collect();
+    let n = distinct(&groups) as u64;
+    assert_eq!((stats.hits, stats.misses), (0, n));
+    assert_eq!(records.len() as u64, n);
+    assert_eq!(stats.bytes_written, records.iter().sum::<u64>());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,8 +14,6 @@
 //! The crate is layered so all policy is pure and table-testable:
 //!
 //! - [`protocol`] — the wire codec, both directions, no IO;
-//! - [`plan`] — name resolution to requests and CSVs through the
-//!   [`commsense_core::figures`] registry, no IO;
 //! - [`machine`] — the event→action state machine (submission, dedup,
 //!   progress fan-out, cancellation, drain), no IO;
 //! - [`shell`] — the only IO: sockets, threads, the worker pool;
@@ -26,6 +24,9 @@
 
 pub mod client;
 pub mod machine;
-pub mod plan;
 pub mod protocol;
+/// The figure planner the daemon resolves submissions with. It lives in
+/// core, where `repro` plans through it too; the re-export keeps the
+/// `benchmark/` package's `commsense_service::plan` imports working.
+pub use commsense_core::plan;
 pub mod shell;

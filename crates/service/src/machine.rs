@@ -7,26 +7,26 @@
 //! `tests/machine.rs`). The TCP shell ([`crate::shell`]) only moves bytes
 //! and runs simulations; it makes no decisions.
 //!
-//! Deduplication is keyed on [`ResultStore::request_key`], the same
-//! 128-bit canonical-encoding hash the persistent store shards records
-//! by. A request is scheduled at most once per daemon lifetime: a second
-//! job (from any client) wanting a point that is already running simply
-//! subscribes to the existing run and is reported `inflight` when it
-//! completes.
+//! Deduplication is keyed on [`RunKey`], the engine's definition of the
+//! same run, which `repro`'s batches key on too. A request is scheduled
+//! at most once per daemon lifetime: a second job (from any client)
+//! wanting a point that is already running simply subscribes to the
+//! existing run and is reported `inflight` when it completes.
 //!
 //! A resubmitted plan costs one hash-map lookup per point: each plan's
-//! resolution and request keys are computed once, keyed on the
+//! resolution and run keys are computed once, keyed on the
 //! [`plan::canonical`] spec so the memo is bounded by the suite, and
-//! shared by every later job asking for the same plan; a job leaves the
-//! job table as soon as it finishes, so the table holds only active jobs.
+//! shared by every later job asking for the same plan; a started run
+//! carries its store key to the worker, so no request is hashed twice. A
+//! job leaves the job table as soon as it finishes, so the table holds
+//! only active jobs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use commsense_core::engine::{RunOutcome, RunRequest};
-use commsense_core::store::ResultStore;
+use commsense_core::engine::{RunKey, RunOutcome, RunRequest};
+use commsense_core::plan::{self, JobPlan};
 
-use crate::plan::{self, JobPlan};
 use crate::protocol::{ClientMsg, JobStats, PlanSpec, ServerMsg, ServiceStats, Source};
 
 /// Identifies a client connection (assigned by the shell).
@@ -65,6 +65,8 @@ pub enum Action {
         run: RunId,
         /// The request to execute.
         request: Box<RunRequest>,
+        /// The request's store key, computed at resolve.
+        key: u128,
     },
     /// Close a client connection.
     Close(ClientId),
@@ -84,9 +86,9 @@ struct RunSlot {
     state: RunState,
 }
 
-/// A resolved plan and the [`ResultStore::request_key`] of each of its
-/// requests, shared by every job whose spec has the same canonical form.
-type Resolved = Arc<(JobPlan, Vec<u128>)>;
+/// A resolved plan and the [`RunKey`] of each of its requests, shared by
+/// every job whose spec has the same canonical form.
+type Resolved = Arc<(JobPlan, Vec<RunKey>)>;
 
 #[derive(Debug)]
 struct Job {
@@ -127,7 +129,7 @@ impl Job {
 pub struct ServiceMachine {
     clients: Vec<ClientId>,
     runs: Vec<RunSlot>,
-    by_key: HashMap<u128, RunId>,
+    by_key: HashMap<RunKey, RunId>,
     /// Successful resolutions by canonical spec (rejected specs are not
     /// kept).
     resolved: HashMap<PlanSpec, Resolved>,
@@ -235,7 +237,7 @@ impl ServiceMachine {
                     .entry(key)
                     .or_insert_with_key(|key| {
                         let p = plan::resolve(key).expect("a canonical spec resolves");
-                        let keys = p.requests.iter().map(ResultStore::request_key).collect();
+                        let keys = p.requests.iter().map(RunKey::of).collect();
                         Arc::new((p, keys))
                     })
                     .clone();
@@ -259,6 +261,7 @@ impl ServiceMachine {
                             actions.push(Action::Start {
                                 run,
                                 request: Box::new(req.clone()),
+                                key: key.store,
                             });
                             runs.push(run);
                             started_here.push(true);
@@ -392,7 +395,11 @@ impl ServiceMachine {
                 .iter_mut()
                 .map(|o| o.take().expect("every point recorded"))
                 .collect();
-            let csvs = plan::assemble_csvs(&j.plan.0, &outcomes);
+            let plan = &j.plan.0;
+            let csvs = plan
+                .fold(&outcomes)
+                .map(|(app, run)| plan.csv(app, &run))
+                .collect();
             actions.push(Action::Send(
                 j.client,
                 ServerMsg::Done {
@@ -429,7 +436,7 @@ impl ServiceMachine {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::OnceLock;
 
     use commsense_apps::{AppSpec, RunResult, Scale};
     use commsense_core::engine::Runner;
@@ -453,11 +460,7 @@ mod tests {
                 mechanism: Mechanism::SharedMem,
                 cfg,
             };
-            Runner::serial()
-                .run_one(&req, &Mutex::default())
-                .result()
-                .expect("seed simulation")
-                .clone()
+            Runner::serial().run(&[req]).remove(0)
         });
         Box::new(RunOutcome::Done {
             result: result.clone(),
@@ -580,11 +583,7 @@ mod tests {
         assert_eq!(got, want);
 
         let direct = plan::resolve(&plan).unwrap();
-        let keys: Vec<u128> = direct
-            .requests
-            .iter()
-            .map(ResultStore::request_key)
-            .collect();
+        let keys: Vec<RunKey> = direct.requests.iter().map(RunKey::of).collect();
         assert_eq!(memo.resolved[&key].1, keys);
     }
 

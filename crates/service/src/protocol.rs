@@ -49,22 +49,9 @@ impl Source {
     }
 }
 
-/// A sweep-plan specification as sent on the wire: everything is a name,
-/// resolved (and validated) by the daemon against the same suite and plan
-/// builders the `repro` binary uses directly.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanSpec {
-    /// Which figure's plan to run.
-    pub figure: Figure,
-    /// Workload sizing.
-    pub scale: Scale,
-    /// Application names (`EM3D`, `UNSTRUC`, `ICCG`, `MOLDYN`,
-    /// case-insensitive); empty means every app the figure plots.
-    pub apps: Vec<String>,
-    /// Mechanism labels (`sm`, `sm+pf`, `mp-int`, `mp-poll`, `bulk`);
-    /// empty means every mechanism the figure plots.
-    pub mechanisms: Vec<String>,
-}
+/// The sweep-plan specification a submission carries: the
+/// [`commsense_core::plan`] planner's input, re-exported like `Figure`.
+pub use commsense_core::plan::PlanSpec;
 
 /// A message from a client to the daemon.
 #[derive(Debug, Clone, PartialEq, Eq)]

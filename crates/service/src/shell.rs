@@ -85,7 +85,7 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         let Server { listener, cfg } = self;
         let (events_tx, events_rx) = channel::<Event>();
-        let (work_tx, work_rx) = channel::<(RunId, RunRequest)>();
+        let (work_tx, work_rx) = channel::<(RunId, RunRequest, u128)>();
         let work_rx = Arc::new(Mutex::new(work_rx));
         let stop = Arc::new(AtomicBool::new(false));
         let writers: Arc<Mutex<HashMap<ClientId, TcpStream>>> =
@@ -112,8 +112,8 @@ impl Server {
             let wcache = wcache.clone();
             thread::spawn(move || loop {
                 let next = work_rx.lock().expect("work queue poisoned").recv();
-                let Ok((run, req)) = next else { break };
-                let outcome = Box::new(runner.run_one(&req, &wcache));
+                let Ok((run, req, key)) = next else { break };
+                let outcome = Box::new(runner.run_one(&req, key, &wcache));
                 if events_tx.send(Event::RunDone { run, outcome }).is_err() {
                     break;
                 }
@@ -199,9 +199,9 @@ impl Server {
                         bytes.extend_from_slice(line.as_bytes());
                         bytes.push(b'\n');
                     }
-                    Action::Start { run, request } => {
+                    Action::Start { run, request, key } => {
                         flush(&mut out);
-                        work_tx.send((run, *request)).ok();
+                        work_tx.send((run, *request, key)).ok();
                     }
                     Action::Close(c) => {
                         flush(&mut out);

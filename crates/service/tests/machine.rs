@@ -5,10 +5,11 @@
 //! cancel, disconnect mid-stream, shutdown with in-flight jobs — is
 //! exercised deterministically.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use commsense_apps::{AppSpec, RunResult};
 use commsense_core::engine::{RunOutcome, RunRequest, Runner};
+use commsense_core::store::ResultStore;
 use commsense_machine::{MachineConfig, Mechanism};
 use commsense_service::machine::{Action, ClientId, Event, RunId, ServiceMachine};
 use commsense_service::protocol::{ClientMsg, Figure, PlanSpec, ServerMsg, Source};
@@ -29,10 +30,7 @@ fn sim_ok() -> Box<RunOutcome> {
             mechanism: Mechanism::SharedMem,
             cfg,
         };
-        match Runner::serial().run_one(&req, &Mutex::default()) {
-            RunOutcome::Done { result, .. } => result,
-            RunOutcome::Failed { message, .. } => panic!("seed simulation failed: {message}"),
-        }
+        Runner::serial().run(&[req]).remove(0)
     });
     Box::new(RunOutcome::Done {
         result: result.clone(),
@@ -66,12 +64,12 @@ fn sent_to(actions: &[Action], client: ClientId) -> Vec<ServerMsg> {
         .collect()
 }
 
-/// The `(run, request)` pairs started by `actions`, in order.
-fn started(actions: &[Action]) -> Vec<(RunId, RunRequest)> {
+/// The `(run, request, store key)` triples started by `actions`, in order.
+fn started(actions: &[Action]) -> Vec<(RunId, RunRequest, u128)> {
     actions
         .iter()
         .filter_map(|a| match a {
-            Action::Start { run, request } => Some((*run, RunRequest::clone(request))),
+            Action::Start { run, request, key } => Some((*run, RunRequest::clone(request), *key)),
             _ => None,
         })
         .collect()
@@ -131,6 +129,37 @@ fn submit_schedules_points_and_streams_progress_to_done() {
     }
     assert_eq!(m.stats().jobs_done, 1);
     assert_eq!(m.stats().jobs_active, 0);
+}
+
+/// A started run carries the store key the daemon computed at resolve,
+/// and a worker running it with that key files the record exactly where
+/// the store looks the request up.
+#[test]
+fn a_started_run_carries_the_key_its_record_is_filed_under() {
+    let dir = std::env::temp_dir().join(format!("commsense-start-key-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+    let mut m = ServiceMachine::new();
+    m.handle(Event::Connected(1));
+    let a = m.handle(Event::Line(
+        1,
+        submit_line("j", Figure::Fig4, &["EM3D"], &["mp-poll"]),
+    ));
+    let [(_, request, key)] = <[_; 1]>::try_from(started(&a)).expect("one Start");
+    let runner = Runner::serial().with_store(store.clone());
+    let outcome = runner.run_one(&request, key, &Mutex::default());
+    assert!(outcome.result().is_some() && !outcome.is_cached());
+    let hex = format!("{key:032x}");
+    let record = dir
+        .join("records")
+        .join(&hex[..2])
+        .join(format!("{hex}.rec"));
+    assert!(record.is_file(), "no record at {}", record.display());
+    assert!(
+        store.load(&request).is_some(),
+        "the request's own key finds it"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

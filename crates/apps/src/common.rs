@@ -1,9 +1,15 @@
 //! Shared plumbing for the application implementations: ghost-value
-//! exchange plans, message construction, and verification helpers.
+//! exchange plans, message construction, verification helpers, and the run
+//! tail every builder shares.
+
+use std::sync::Arc;
 
 use commsense_cache::{Heap, LineHandle, LineId, Word};
 use commsense_machine::program::{bits_f64, f64_bits};
+use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
+
+use crate::RunResult;
 
 /// Cycles a handler charges per ghost value it writes (indexed store into
 /// the ghost buffer).
@@ -190,6 +196,35 @@ pub fn apply_ghost(
         vals[id as usize] = bits_f64(bits);
     }
     value_bits.len()
+}
+
+/// Builds the machine for `spec`, runs it, and wraps the outcome as `app`'s
+/// [`RunResult`]. `check` gets the finished machine by value (the
+/// message-passing builders gather their values with `into_programs`) and
+/// returns `(verified, max_abs_err)`.
+pub(crate) fn run_machine(
+    app: &'static str,
+    mechanism: Mechanism,
+    cfg: &MachineConfig,
+    spec: MachineSpec,
+    check: impl FnOnce(Machine) -> (bool, f64),
+) -> Result<RunResult, SimError> {
+    let mut machine = Machine::new(cfg.clone(), spec)?;
+    let stats = machine.run()?;
+    let observation = machine.take_observation().map(Arc::new);
+    let profile = machine.take_dispatch_profile();
+    let (verified, max_abs_err) = check(machine);
+    Ok(RunResult {
+        app,
+        mechanism,
+        runtime_cycles: stats.runtime_cycles,
+        verified,
+        max_abs_err,
+        stats,
+        wall: std::time::Duration::ZERO,
+        observation,
+        profile,
+    })
 }
 
 /// Compares computed values to a reference; returns `(ok, max_abs_err)`.

@@ -14,11 +14,11 @@ use std::sync::Arc;
 
 use commsense_cache::Heap;
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
-use commsense_machine::{ConfigError, Machine, MachineConfig, MachineSpec, Mechanism, SimError};
+use commsense_machine::{ConfigError, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_workloads::bipartite::{Em3dGraph, Em3dParams, Side};
 
 use crate::common::{
-    apply_ghost, bulk_message, ghost_message, verify, Chunk, GhostPlan, PackedArray,
+    apply_ghost, bulk_message, ghost_message, run_machine, verify, Chunk, GhostPlan, PackedArray,
     GHOST_WRITE_CYCLES,
 };
 use crate::RunResult;
@@ -496,34 +496,21 @@ fn run_sm(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
             }) as Box<dyn Program>
         })
         .collect();
-    let mut machine = Machine::new(
-        cfg.clone(),
-        MachineSpec {
-            heap,
-            initial,
-            programs,
-        },
-    )?;
-    let stats = machine.run()?;
-
-    let got_e: Vec<f64> = (0..g.e.len())
-        .map(|i| machine.master_word(e_lines.word(i)))
-        .collect();
-    let got_h: Vec<f64> = (0..g.h.len())
-        .map(|i| machine.master_word(h_lines.word(i)))
-        .collect();
-    let (ok_e, err_e) = verify(&got_e, &w.want_e, 0.0);
-    let (ok_h, err_h) = verify(&got_h, &w.want_h, 0.0);
-    Ok(RunResult {
-        app: "EM3D",
-        mechanism: mech,
-        runtime_cycles: stats.runtime_cycles,
-        verified: ok_e && ok_h,
-        max_abs_err: err_e.max(err_h),
-        stats,
-        wall: std::time::Duration::ZERO,
-        observation: machine.take_observation().map(Arc::new),
-        profile: machine.take_dispatch_profile(),
+    let spec = MachineSpec {
+        heap,
+        initial,
+        programs,
+    };
+    run_machine("EM3D", mech, cfg, spec, |machine| {
+        let got_e: Vec<f64> = (0..g.e.len())
+            .map(|i| machine.master_word(e_lines.word(i)))
+            .collect();
+        let got_h: Vec<f64> = (0..g.h.len())
+            .map(|i| machine.master_word(h_lines.word(i)))
+            .collect();
+        let (ok_e, err_e) = verify(&got_e, &w.want_e, 0.0);
+        let (ok_h, err_h) = verify(&got_h, &w.want_h, 0.0);
+        (ok_e && ok_h, err_e.max(err_h))
     })
 }
 
@@ -554,45 +541,29 @@ fn run_mp(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
             }) as Box<dyn Program>
         })
         .collect();
-    let heap = Heap::new(cfg.nodes);
-    let mut machine = Machine::new(
-        cfg.clone(),
-        MachineSpec {
-            heap,
-            initial: Vec::new(),
-            programs,
-        },
-    )?;
-    let stats = machine.run()?;
-    let observation = machine.take_observation().map(Arc::new);
-    let profile = machine.take_dispatch_profile();
-
-    // Gather owned values from each program.
-    let mut got_e = vec![0.0; g.e.len()];
-    let mut got_h = vec![0.0; g.h.len()];
-    for prog in machine.into_programs() {
-        let p = (&*prog as &dyn Any)
-            .downcast_ref::<Em3dMp>()
-            .expect("EM3D MP program");
-        for &i in &p.my[0] {
-            got_e[i as usize] = p.e_vals[i as usize];
+    let spec = MachineSpec {
+        heap: Heap::new(cfg.nodes),
+        initial: Vec::new(),
+        programs,
+    };
+    run_machine("EM3D", mech, cfg, spec, |machine| {
+        // Gather owned values from each program.
+        let mut got_e = vec![0.0; g.e.len()];
+        let mut got_h = vec![0.0; g.h.len()];
+        for prog in machine.into_programs() {
+            let p = (&*prog as &dyn Any)
+                .downcast_ref::<Em3dMp>()
+                .expect("EM3D MP program");
+            for &i in &p.my[0] {
+                got_e[i as usize] = p.e_vals[i as usize];
+            }
+            for &i in &p.my[1] {
+                got_h[i as usize] = p.h_vals[i as usize];
+            }
         }
-        for &i in &p.my[1] {
-            got_h[i as usize] = p.h_vals[i as usize];
-        }
-    }
-    let (ok_e, err_e) = verify(&got_e, &w.want_e, 0.0);
-    let (ok_h, err_h) = verify(&got_h, &w.want_h, 0.0);
-    Ok(RunResult {
-        app: "EM3D",
-        mechanism: mech,
-        runtime_cycles: stats.runtime_cycles,
-        verified: ok_e && ok_h,
-        max_abs_err: err_e.max(err_h),
-        stats,
-        wall: std::time::Duration::ZERO,
-        observation,
-        profile,
+        let (ok_e, err_e) = verify(&got_e, &w.want_e, 0.0);
+        let (ok_h, err_h) = verify(&got_h, &w.want_h, 0.0);
+        (ok_e && ok_h, err_e.max(err_h))
     })
 }
 

@@ -16,11 +16,11 @@ use std::sync::Arc;
 
 use commsense_cache::{Heap, LineHandle};
 use commsense_machine::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step};
-use commsense_machine::{ConfigError, Machine, MachineConfig, MachineSpec, Mechanism, SimError};
+use commsense_machine::{ConfigError, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 use commsense_workloads::sparse::{IccgParams, IccgSystem};
 
-use crate::common::verify;
+use crate::common::{run_machine, verify};
 use crate::RunResult;
 
 /// Cycles for one edge's multiply/subtract plus dataflow bookkeeping.
@@ -454,29 +454,16 @@ fn run_sm(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
             }) as Box<dyn Program>
         })
         .collect();
-    let mut machine = Machine::new(
-        cfg.clone(),
-        MachineSpec {
-            heap,
-            initial,
-            programs,
-        },
-    )?;
-    let stats = machine.run()?;
-    let got: Vec<f64> = (0..sys.len())
-        .map(|i| machine.master_word(rows_line.word(i, 0)))
-        .collect();
-    let (ok, err) = verify(&got, &w.want, TOL);
-    Ok(RunResult {
-        app: "ICCG",
-        mechanism: mech,
-        runtime_cycles: stats.runtime_cycles,
-        verified: ok,
-        max_abs_err: err,
-        stats,
-        wall: std::time::Duration::ZERO,
-        observation: machine.take_observation().map(Arc::new),
-        profile: machine.take_dispatch_profile(),
+    let spec = MachineSpec {
+        heap,
+        initial,
+        programs,
+    };
+    run_machine("ICCG", mech, cfg, spec, |machine| {
+        let got: Vec<f64> = (0..sys.len())
+            .map(|i| machine.master_word(rows_line.word(i, 0)))
+            .collect();
+        verify(&got, &w.want, TOL)
     })
 }
 
@@ -513,40 +500,24 @@ fn run_mp(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
             }) as Box<dyn Program>
         })
         .collect();
-    let heap = Heap::new(cfg.nodes);
-    let mut machine = Machine::new(
-        cfg.clone(),
-        MachineSpec {
-            heap,
-            initial: Vec::new(),
-            programs,
-        },
-    )?;
-    let stats = machine.run()?;
-    let observation = machine.take_observation().map(Arc::new);
-    let profile = machine.take_dispatch_profile();
-    let mut got = vec![0.0; n];
-    for prog in machine.into_programs() {
-        let p = (&*prog as &dyn Any)
-            .downcast_ref::<IccgMp>()
-            .expect("ICCG MP program");
-        for (i, slot) in got.iter_mut().enumerate() {
-            if p.sys.owner[i] as usize == p.me {
-                *slot = p.y[i];
+    let spec = MachineSpec {
+        heap: Heap::new(cfg.nodes),
+        initial: Vec::new(),
+        programs,
+    };
+    run_machine("ICCG", mech, cfg, spec, |machine| {
+        let mut got = vec![0.0; n];
+        for prog in machine.into_programs() {
+            let p = (&*prog as &dyn Any)
+                .downcast_ref::<IccgMp>()
+                .expect("ICCG MP program");
+            for (i, slot) in got.iter_mut().enumerate() {
+                if p.sys.owner[i] as usize == p.me {
+                    *slot = p.y[i];
+                }
             }
         }
-    }
-    let (ok, err) = verify(&got, &w.want, TOL);
-    Ok(RunResult {
-        app: "ICCG",
-        mechanism: mech,
-        runtime_cycles: stats.runtime_cycles,
-        verified: ok,
-        max_abs_err: err,
-        stats,
-        wall: std::time::Duration::ZERO,
-        observation,
-        profile,
+        verify(&got, &w.want, TOL)
     })
 }
 

@@ -25,11 +25,11 @@ use std::sync::Arc;
 
 use commsense_cache::{Heap, LineHandle};
 use commsense_machine::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step};
-use commsense_machine::{ConfigError, Machine, MachineConfig, MachineSpec, Mechanism, SimError};
+use commsense_machine::{ConfigError, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 
 use crate::common::{
-    apply_ghost, bulk_message, ghost_message, verify, Chunk, GhostPlan, PackedArray,
+    apply_ghost, bulk_message, ghost_message, run_machine, verify, Chunk, GhostPlan, PackedArray,
     GHOST_WRITE_CYCLES,
 };
 use crate::RunResult;
@@ -693,29 +693,16 @@ fn run_sm(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> Result<Run
             }) as Box<dyn Program>
         })
         .collect();
-    let mut machine = Machine::new(
-        cfg.clone(),
-        MachineSpec {
-            heap,
-            initial,
-            programs,
-        },
-    )?;
-    let stats = machine.run()?;
-    let got: Vec<f64> = (0..m.len())
-        .map(|i| machine.master_word(vals.word(i)))
-        .collect();
-    let (ok, err) = verify(&got, &w.want, TOL);
-    Ok(RunResult {
-        app: m.app,
-        mechanism: mech,
-        runtime_cycles: stats.runtime_cycles,
-        verified: ok,
-        max_abs_err: err,
-        stats,
-        wall: std::time::Duration::ZERO,
-        observation: machine.take_observation().map(Arc::new),
-        profile: machine.take_dispatch_profile(),
+    let spec = MachineSpec {
+        heap,
+        initial,
+        programs,
+    };
+    run_machine(m.app, mech, cfg, spec, |machine| {
+        let got: Vec<f64> = (0..m.len())
+            .map(|i| machine.master_word(vals.word(i)))
+            .collect();
+        verify(&got, &w.want, TOL)
     })
 }
 
@@ -747,38 +734,22 @@ fn run_mp(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> Result<Run
             }) as Box<dyn Program>
         })
         .collect();
-    let heap = Heap::new(cfg.nodes);
-    let mut machine = Machine::new(
-        cfg.clone(),
-        MachineSpec {
-            heap,
-            initial: Vec::new(),
-            programs,
-        },
-    )?;
-    let stats = machine.run()?;
-    let observation = machine.take_observation().map(Arc::new);
-    let profile = machine.take_dispatch_profile();
-    let mut got = vec![0.0; m.len()];
-    for prog in machine.into_programs() {
-        let p = (&*prog as &dyn Any)
-            .downcast_ref::<MeshMp>()
-            .expect("mesh MP program");
-        for &i in &p.my_nodes {
-            got[i as usize] = p.vals[i as usize];
+    let spec = MachineSpec {
+        heap: Heap::new(cfg.nodes),
+        initial: Vec::new(),
+        programs,
+    };
+    run_machine(m.app, mech, cfg, spec, |machine| {
+        let mut got = vec![0.0; m.len()];
+        for prog in machine.into_programs() {
+            let p = (&*prog as &dyn Any)
+                .downcast_ref::<MeshMp>()
+                .expect("mesh MP program");
+            for &i in &p.my_nodes {
+                got[i as usize] = p.vals[i as usize];
+            }
         }
-    }
-    let (ok, err) = verify(&got, &w.want, TOL);
-    Ok(RunResult {
-        app: m.app,
-        mechanism: mech,
-        runtime_cycles: stats.runtime_cycles,
-        verified: ok,
-        max_abs_err: err,
-        stats,
-        wall: std::time::Duration::ZERO,
-        observation,
-        profile,
+        verify(&got, &w.want, TOL)
     })
 }
 

@@ -52,7 +52,7 @@ use commsense_core::report;
 use commsense_core::store::ResultStore;
 use commsense_core::table::{Cell, Table};
 use commsense_machine::{MachineConfig, Mechanism, Observation, ProtoVariant};
-use commsense_mesh::{CrossTrafficConfig, TopoSpec, TrafficPattern};
+use commsense_mesh::{CrossTrafficConfig, Topo, TrafficPattern};
 
 #[path = "repro/cli.rs"]
 mod cli;
@@ -620,7 +620,7 @@ fn run_observe(a: &ObserveArgs) {
             c,
             cfg.clock(),
             64,
-            cfg.net.topo.build().io_streams(),
+            cfg.net.topo.io_streams(),
         ));
     }
     if let Some(l) = p.latency {
@@ -834,7 +834,7 @@ fn sm_mp_crossover(run: &PlanRun) -> Option<f64> {
 /// One line of the `repro scale` summary: a (topology, node count)
 /// machine and what its Figure 8 and Figure 10 shapes measured.
 struct ScaleRow {
-    topo: TopoSpec,
+    topo: Topo,
     bisection_bpc: f64,
     mean_hops: f64,
     sm_over_mp: Option<f64>,
@@ -855,7 +855,7 @@ impl ScaleRow {
         ScaleRow {
             topo: cfg.net.topo,
             bisection_bpc,
-            mean_hops: cfg.net.topo.build().mean_hops(),
+            mean_hops: cfg.net.topo.mean_hops(),
             sm_over_mp: at(SM_MP[0])
                 .zip(at(SM_MP[1]))
                 .map(|(sm, mp)| runtime_ratio(sm, mp)),
@@ -866,7 +866,7 @@ impl ScaleRow {
 
     fn cells(&self) -> Vec<Cell> {
         vec![
-            Cell::text(self.topo.describe()),
+            Cell::text(self.topo.shape()),
             Cell::text(self.topo.kind()),
             Cell::int(self.topo.num_nodes() as u64),
             Cell::fixed(self.bisection_bpc, 3),
@@ -887,7 +887,7 @@ fn run_scale(a: &ScaleArgs) {
     let (kinds, node_counts): (Vec<&str>, Vec<usize>) = if a.small {
         (vec!["mesh", "torus"], vec![64, 256])
     } else {
-        (TopoSpec::KINDS.to_vec(), vec![32, 256, 1024])
+        (Topo::KINDS.to_vec(), vec![32, 256, 1024])
     };
     let out_dir = a.csv.as_deref().or(a.dir.as_deref()).unwrap_or(".");
     std::fs::create_dir_all(out_dir).expect("create scale output dir");
@@ -933,7 +933,7 @@ fn run_scale(a: &ScaleArgs) {
         let (topo, nodes) = (row.topo, row.topo.num_nodes());
         println!(
             "-- {} ({nodes} nodes, {:.1} B/cycle bisection, mean hops {:.2}) --",
-            topo.describe(),
+            topo.shape(),
             row.bisection_bpc,
             row.mean_hops,
         );
@@ -973,7 +973,7 @@ fn run_scale(a: &ScaleArgs) {
     for r in &rows {
         println!(
             "{:<16} {:>6} {:>8.1} {:>6.2} {:>6} {:>10} {:>12}",
-            r.topo.describe(),
+            r.topo.shape(),
             r.topo.num_nodes(),
             r.bisection_bpc,
             r.mean_hops,
@@ -1110,7 +1110,7 @@ fn run_hostile(a: &HostileArgs) {
     for &(variant, pattern) in &combos {
         let mut hcfg = base_cfg.clone();
         hcfg.variant = variant;
-        let streams = hcfg.net.topo.build().io_streams();
+        let streams = hcfg.net.topo.io_streams();
         let cross = CrossTrafficConfig::consuming(8.0, hcfg.clock(), 64, streams);
         hcfg.cross_traffic = Some(cross.with_pattern(pattern, nodes, 7));
         plans.push(Fig4.plan(&spec, &mechs, &hcfg));

@@ -188,7 +188,7 @@ pub fn ablate_topology(cfg: &MachineConfig) -> Ablation {
     for (w, h) in [(16u16, 2u16), (8, 4), (4, 8)] {
         for mech in [Mechanism::SharedMem, Mechanism::MsgPoll] {
             let mut cfg = cfg.clone().with_mechanism(mech);
-            cfg.net.topo = commsense_mesh::TopoSpec::mesh(w, h);
+            cfg.net.topo = commsense_mesh::Topo::mesh(w, h);
             let bpc = cfg.net.bisection_bytes_per_cycle(cfg.clock());
             points.push((
                 format!("{w}x{h} ({bpc:.0} B/cyc) {}", mech.label()),

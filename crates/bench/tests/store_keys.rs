@@ -64,7 +64,7 @@ fn hostile() -> Vec<RunRequest> {
     for (variant, pattern) in combos {
         let mut cfg = base.clone();
         cfg.variant = variant;
-        let streams = cfg.net.topo.build().io_streams();
+        let streams = cfg.net.topo.io_streams();
         let cross = CrossTrafficConfig::consuming(8.0, cfg.clock(), 64, streams);
         cfg.cross_traffic = Some(cross.with_pattern(pattern, nodes, 7));
         reqs.extend_from_slice(Figure::Fig4.plan(&spec, &SM_MP, &cfg).requests());
@@ -73,14 +73,15 @@ fn hostile() -> Vec<RunRequest> {
     reqs
 }
 
-/// `repro scale`'s requests for a 64-node mesh and torus.
-fn scale() -> Vec<RunRequest> {
+/// `repro scale`'s fig-8 and fig-10 requests for 64-node machines of
+/// each topology kind in `kinds`.
+fn scale(kinds: &[&str]) -> Vec<RunRequest> {
     let mut p = commsense_workloads::bipartite::Em3dParams::small();
     p.nodes = 2000;
     p.iterations = 3;
     let spec = commsense_apps::AppSpec::Em3d(p);
     let mut reqs = Vec::new();
-    for kind in ["mesh", "torus"] {
+    for &kind in kinds {
         let cfg = MachineConfig::scaled(kind, 64);
         let bpc = cfg.net.bisection_bytes_per_cycle(cfg.clock());
         let consumed = [0.0, bpc * 0.5];
@@ -108,11 +109,17 @@ fn digest(reqs: &[RunRequest]) -> u128 {
 fn store_keys_match_the_recorded_digest() {
     let all = all_small();
     assert_eq!(all.len(), 292, "repro all --small plans 292 requests");
-    let got = [digest(&all), digest(&hostile()), digest(&scale())];
-    let want: [u128; 3] = [
+    let got = [
+        digest(&all),
+        digest(&hostile()),
+        digest(&scale(&["mesh", "torus"])),
+        digest(&scale(&["fat-tree", "dragonfly"])),
+    ];
+    let want: [u128; 4] = [
         0x31726bce8f0b31b3125154db68d53f1a,
         0x88f712f376e92d862e85637d8387c550,
         0x23bf64c6c05f27378f41347f8f300a98,
+        0xda40d1e603dbcd45d7ab171bf7fd8625,
     ];
     assert_eq!(
         got.map(|d| format!("{d:032x}")),

@@ -24,7 +24,7 @@ use commsense_mesh::{CrossTrafficConfig, TrafficPattern};
 /// Uniform IO-stream cross-traffic at the paper's 8 B/cycle consumption —
 /// the pre-variant hostile baseline.
 fn uniform_cross(cfg: &MachineConfig) -> CrossTrafficConfig {
-    CrossTrafficConfig::consuming(8.0, cfg.clock(), 64, cfg.net.topo.build().io_streams())
+    CrossTrafficConfig::consuming(8.0, cfg.clock(), 64, cfg.net.topo.io_streams())
 }
 
 /// Every hostile pattern at the 4-node tiny scale used by the identity

@@ -96,8 +96,7 @@ impl Sweep {
 /// hop distance, in processor cycles — the x-axis of Figure 9 (Table 1's
 /// "Network Latency" metric).
 pub fn one_way_latency_cycles(cfg: &MachineConfig, bytes: u32) -> f64 {
-    let topo = cfg.net.topo.build();
-    let ps = topo.mean_hops() * cfg.net.router_delay_ps as f64
+    let ps = cfg.net.topo.mean_hops() * cfg.net.router_delay_ps as f64
         + bytes as f64 * cfg.net.ps_per_byte as f64;
     ps / cfg.clock().cycle_ps() as f64
 }
@@ -139,7 +138,7 @@ pub fn bisection_plan(
                     c,
                     cfg.clock(),
                     msg_bytes,
-                    cfg.net.topo.build().io_streams(),
+                    cfg.net.topo.io_streams(),
                 ));
             }
             let idx = plan.add_request(RunRequest {
@@ -170,7 +169,7 @@ pub fn msg_len_plan(
                 consumed_bytes_per_cycle,
                 cfg.clock(),
                 len,
-                cfg.net.topo.build().io_streams(),
+                cfg.net.topo.io_streams(),
             ));
             let idx = plan.add_request(RunRequest {
                 spec: spec.clone(),

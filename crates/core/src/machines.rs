@@ -7,7 +7,7 @@
 //! time, the right frame of reference for memory-bound applications
 //! (§5.4).
 
-use commsense_mesh::TopoSpec;
+use commsense_mesh::Topo;
 
 /// One row of Table 1 (32-processor configuration).
 #[derive(Debug, Clone, PartialEq)]
@@ -40,12 +40,12 @@ impl MachineRow {
         self.bisection_mb_s.map(|mb| mb / self.proc_mhz)
     }
 
-    /// The nearest emulatable [`TopoSpec`] for this machine's interconnect
+    /// The nearest emulatable [`Topo`] for this machine's interconnect
     /// at its 32-processor configuration: meshes and tori collapse to their
     /// 2-D equivalents, the CM-5's fat tree to an arity the leaf count
     /// supports. `None` for rings, clustered buses, hypercubes, and rows
     /// without a simulated network.
-    pub fn native_topo(&self) -> Option<TopoSpec> {
+    pub fn native_topo(&self) -> Option<Topo> {
         let kind = if self.topology.contains("Mesh") {
             "mesh"
         } else if self.topology.contains("Torus") {
@@ -55,7 +55,7 @@ impl MachineRow {
         } else {
             return None;
         };
-        Some(TopoSpec::with_nodes(kind, 32))
+        Some(Topo::with_nodes(kind, 32))
     }
 
     /// Table 2: bisection bandwidth in bytes per local-miss time.
@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn native_topologies_map_to_specs() {
-        assert_eq!(find("MIT Alewife").native_topo(), Some(TopoSpec::alewife()));
+        assert_eq!(find("MIT Alewife").native_topo(), Some(Topo::alewife()));
         let cm5 = find("TMC CM5").native_topo().expect("fat tree");
         assert_eq!(cm5.kind(), "fat-tree");
         assert_eq!(cm5.num_nodes(), 32);

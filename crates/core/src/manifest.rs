@@ -86,7 +86,7 @@ pub fn manifest_json_with_analysis(
         // The machine.
         o.object("config", |o| {
             o.field("nodes", cfg.nodes)
-                .field("topology", cfg.net.topo.build().describe())
+                .field("topology", cfg.net.topo.describe())
                 .field("topology_kind", cfg.net.topo.kind())
                 .field("cpu_mhz", cfg.cpu_mhz)
                 .field("net_ps_per_byte", cfg.net.ps_per_byte)

@@ -573,8 +573,12 @@ fn encode_payload(key: u128, req: &RunRequest, r: &RunResult) -> String {
             .field("max_abs_err", format!("{:016x}", r.max_abs_err.to_bits()))
             // Wall time is measurement metadata, but storing it lets a warm
             // run reproduce the cold run's reports (e.g. the `repro fig4`
-            // footers) without pretending the replay took zero time.
-            .field("wall_nanos", Quoted(r.wall.as_nanos() as u64))
+            // footers) without pretending the replay took zero time. Padded
+            // to u64's 20 digits so a record's size never depends on it.
+            .field(
+                "wall_nanos",
+                Quoted(format_args!("{:020}", r.wall.as_nanos() as u64)),
+            )
             .object("stats", |o| {
                 o.field("runtime_ps", ps(s.runtime))
                     .field("runtime_cycles", Quoted(s.runtime_cycles))

@@ -49,11 +49,10 @@ pub fn config_for(row: &MachineRow, base: &MachineConfig) -> Option<(MachineConf
     let lat = row.net_latency_cycles?;
     let mut cfg = base.clone();
     let cycle_ps = cfg.clock().cycle_ps() as f64;
-    let topo = cfg.net.topo.build();
-    let channels = topo.bisection_channels() as f64;
+    let channels = cfg.net.topo.bisection_channels() as f64;
     // bisection B/cycle = channels * cycle_ps / ps_per_byte.
     cfg.net.ps_per_byte = (channels * cycle_ps / bpc).round().max(1.0) as u64;
-    let mean_hops = topo.mean_hops();
+    let mean_hops = cfg.net.topo.mean_hops();
     let serial_ps = 24.0 * cfg.net.ps_per_byte as f64;
     let router = (lat * cycle_ps - serial_ps) / mean_hops;
     let approx = router < 1_000.0;

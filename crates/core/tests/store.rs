@@ -91,6 +91,29 @@ fn real_results_round_trip_bit_identically() {
     assert!(st.bytes_written > 0 && st.bytes_read > 0);
 }
 
+/// A record's size does not depend on its wall time: the same result saved
+/// with 1 ns and with `u64::MAX` ns writes the same number of bytes, so a
+/// store's byte counters measure work, not wall-clock digits.
+#[test]
+fn record_size_is_independent_of_wall_time() {
+    let req = em3d_request(&MachineConfig::alewife(), Mechanism::MsgPoll);
+    let mut result =
+        Runner::serial().run_cached(std::slice::from_ref(&req), &mut WorkloadCache::new());
+    let mut result = result.pop().expect("one result");
+    let mut written = Vec::new();
+    for nanos in [1, u64::MAX] {
+        let store = temp_store(&format!("wall-{nanos}"));
+        result.wall = Duration::from_nanos(nanos);
+        store.save(&req, &result).expect("save record");
+        assert_eq!(store.load(&req).expect("load record").wall, result.wall);
+        written.push(store.stats().bytes_written);
+    }
+    assert_eq!(
+        written[0], written[1],
+        "record bytes must not vary with wall time"
+    );
+}
+
 proptest! {
     /// Round-tripping is not an artifact of the values real runs happen
     /// to produce: a result whose every counter, histogram bucket, node

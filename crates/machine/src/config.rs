@@ -1,7 +1,7 @@
 //! Machine configuration: mechanisms, cost model, sensitivity knobs.
 
 use commsense_cache::ProtoConfig;
-use commsense_mesh::{CrossTrafficConfig, NetConfig, TopoSpec};
+use commsense_mesh::{CrossTrafficConfig, NetConfig, Topo};
 use commsense_msgpass::MsgCosts;
 
 use crate::error::ConfigError;
@@ -445,17 +445,17 @@ impl MachineConfig {
     pub fn tiny() -> Self {
         let mut cfg = MachineConfig::alewife();
         cfg.nodes = 4;
-        cfg.net.topo = TopoSpec::mesh(2, 2);
+        cfg.net.topo = Topo::mesh(2, 2);
         cfg
     }
 
     /// An Alewife-style machine scaled to `nodes` nodes on the given
-    /// topology kind (see `TopoSpec::with_nodes`), for node-count sweeps.
+    /// topology kind (see `Topo::with_nodes`), for node-count sweeps.
     /// Per-channel network timing is unchanged, so bisection bandwidth
     /// scales with the topology's channel count.
     pub fn scaled(kind: &str, nodes: usize) -> Self {
         let mut cfg = MachineConfig::alewife();
-        cfg.net.topo = TopoSpec::with_nodes(kind, nodes);
+        cfg.net.topo = Topo::with_nodes(kind, nodes);
         cfg.nodes = cfg.net.topo.num_nodes();
         cfg
     }
@@ -540,7 +540,7 @@ impl MachineConfig {
         if self.nodes != topology_nodes {
             return Err(ConfigError::TopologyNodes {
                 nodes: self.nodes,
-                topology: self.net.topo.describe(),
+                topology: self.net.topo.shape(),
                 topology_nodes,
             });
         }
@@ -622,7 +622,7 @@ mod tests {
 
     #[test]
     fn scaled_configs_are_consistent() {
-        for kind in TopoSpec::KINDS {
+        for kind in Topo::KINDS {
             let cfg = MachineConfig::scaled(kind, 1024);
             cfg.validate().unwrap();
             assert_eq!(cfg.nodes, 1024, "{kind}");
@@ -703,10 +703,10 @@ mod tests {
         c.net.ps_per_byte /= 2;
         assert_ne!(cfg_hash(&c), h);
         let mut c = base.clone();
-        c.net.topo = TopoSpec::torus(8, 4);
+        c.net.topo = Topo::torus(8, 4);
         assert_ne!(cfg_hash(&c), h);
         let mut c = base.clone();
-        c.net.topo = TopoSpec::mesh(4, 8);
+        c.net.topo = Topo::mesh(4, 8);
         assert_ne!(cfg_hash(&c), h);
         let with_mech = base.clone().with_mechanism(Mechanism::MsgPoll);
         assert_ne!(cfg_hash(&with_mech), h);

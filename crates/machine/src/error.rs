@@ -16,7 +16,7 @@ pub enum ConfigError {
     TopologyNodes {
         /// Configured node count.
         nodes: usize,
-        /// The topology's shape (`TopoSpec::describe`).
+        /// The topology's shape (`Topo::shape`).
         topology: String,
         /// The topology's node count.
         topology_nodes: usize,

@@ -789,7 +789,7 @@ fn cross_traffic_slows_shared_memory() {
                 consumed,
                 cfg.clock(),
                 64,
-                cfg.net.topo.build().io_streams(),
+                cfg.net.topo.io_streams(),
             ));
         }
         let mut m = Machine::new(
@@ -1201,7 +1201,7 @@ fn congestion_grows_superlinearly() {
                 consumed,
                 cfg.clock(),
                 64,
-                cfg.net.topo.build().io_streams(),
+                cfg.net.topo.io_streams(),
             ));
         }
         let mut m = Machine::new(

@@ -70,7 +70,7 @@ impl TrafficPattern {
 /// consuming bisection bandwidth in both directions. The *emulated* bisection
 /// of the machine is the real bisection minus the cross-traffic rate. Other
 /// topologies define their own bisection-loading stream paths; the stream
-/// count comes from `Topology::io_streams`.
+/// count comes from `Topo::io_streams`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossTrafficConfig {
     /// Cross-traffic message size in bytes (the paper settles on 64 after

@@ -3,8 +3,8 @@
 //! The MIT Alewife network is an asynchronous 2-D mesh of Elko-series EMRC
 //! routers (8×4 for the 32-node machine used in the paper) with
 //! dimension-order wormhole routing. This crate models that network — and,
-//! through the [`Topology`] trait, a 2-D torus, a fat tree, and a dragonfly
-//! for scaling studies — at the level that matters for the paper's
+//! as the other shapes of one [`Topo`] type, a 2-D torus, a fat tree, and a
+//! dragonfly for scaling studies — at the level that matters for the paper's
 //! experiments:
 //!
 //! * **Per-link serialization** — every packet occupies each link on its
@@ -65,6 +65,4 @@ pub use network::{Delivery, NetConfig, NetEvent, Network};
 pub use packet::{Endpoint, Packet, PacketClass, Priority};
 pub use recorder::{HopRecord, LinkOverlap, NetRecording, PacketRecord, NO_RECORD};
 pub use stats::{NetStats, VolumeBreakdown};
-pub use topology::{
-    Dragonfly, FatTree, Mesh, RouteDir, RouteTable, RouterCoord, Topo, TopoSpec, Topology, Torus,
-};
+pub use topology::{Dragonfly, FatTree, Mesh, RouteDir, RouteTable, RouterCoord, Topo, Torus};

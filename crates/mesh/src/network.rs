@@ -7,7 +7,7 @@ use commsense_des::Time;
 use crate::packet::{Endpoint, Packet, Priority};
 use crate::recorder::{LinkOverlap, NetRecorder, NetRecording, NO_RECORD};
 use crate::stats::NetStats;
-use crate::topology::{Topo, TopoSpec};
+use crate::topology::Topo;
 
 /// Physical parameters of the interconnect.
 ///
@@ -22,7 +22,7 @@ use crate::topology::{Topo, TopoSpec};
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// Interconnect shape.
-    pub topo: TopoSpec,
+    pub topo: Topo,
     /// Serialization time per byte on each link, in picoseconds.
     pub ps_per_byte: u64,
     /// Head latency through one router, in picoseconds.
@@ -38,7 +38,7 @@ impl NetConfig {
     /// 15-cycle one-way latency for 24 bytes at 20 MHz).
     pub fn alewife() -> Self {
         NetConfig {
-            topo: TopoSpec::alewife(),
+            topo: Topo::alewife(),
             ps_per_byte: 22_222,
             router_delay_ps: 40_000,
             eject_delay_ps: 25_000,
@@ -48,7 +48,7 @@ impl NetConfig {
     /// Bisection bandwidth in bytes per nanosecond (all channels crossing
     /// the cut, both directions).
     pub fn bisection_bytes_per_ns(&self) -> f64 {
-        let channels = self.topo.build().bisection_channels();
+        let channels = self.topo.bisection_channels();
         channels as f64 * (1_000.0 / self.ps_per_byte as f64)
     }
 
@@ -163,7 +163,6 @@ impl LinkState {
 #[derive(Debug)]
 pub struct Network {
     cfg: NetConfig,
-    topo: Topo,
     links: Vec<LinkState>,
     flights: Vec<Option<InFlight>>,
     free_slots: Vec<u32>,
@@ -188,7 +187,7 @@ pub struct Network {
 impl Network {
     /// Creates a network.
     pub fn new(cfg: NetConfig) -> Self {
-        let topo = cfg.topo.build();
+        let topo = cfg.topo;
         let links = (0..topo.num_links())
             .map(|_| LinkState::default())
             .collect();
@@ -197,7 +196,6 @@ impl Network {
         let crosses = (0..num_links).map(|l| topo.crosses_bisection(l)).collect();
         Network {
             cfg,
-            topo,
             links,
             flights: Vec::new(),
             free_slots: Vec::new(),
@@ -217,7 +215,7 @@ impl Network {
     pub fn enable_recording(&mut self, max_packets: usize) {
         self.recorder = Some(Box::new(NetRecorder::new(
             max_packets,
-            self.topo.num_links(),
+            self.cfg.topo.num_links(),
         )));
     }
 
@@ -275,7 +273,7 @@ impl Network {
 
     /// The topology.
     pub fn topo(&self) -> &Topo {
-        &self.topo
+        &self.cfg.topo
     }
 
     /// The configuration.
@@ -325,7 +323,7 @@ impl Network {
     pub fn inject(&mut self, now: Time, packet: Packet, sched: &mut impl FnMut(Time, NetEvent)) {
         let mut route = self.route_pool.pop().unwrap_or_default();
         route.clear();
-        self.topo.route_into(packet.src, packet.dst, &mut route);
+        self.cfg.topo.route_into(packet.src, packet.dst, &mut route);
         self.stats.packets_injected += 1;
         self.stats
             .injected
@@ -813,9 +811,9 @@ mod tests {
     #[test]
     fn all_topologies_deliver_and_load_bisection() {
         for topo in [
-            crate::TopoSpec::torus(8, 4),
-            crate::TopoSpec::fat_tree(2, 5),
-            crate::TopoSpec::dragonfly(8, 4),
+            Topo::torus(8, 4),
+            Topo::fat_tree(2, 5),
+            Topo::dragonfly(8, 4),
         ] {
             let cfg = NetConfig {
                 topo,
@@ -860,7 +858,7 @@ mod tests {
         // Satellite index-audit regression: 1024 nodes, 4096 links, routes
         // well outside the 32-node id space.
         let cfg = NetConfig {
-            topo: crate::TopoSpec::torus(32, 32),
+            topo: Topo::torus(32, 32),
             ..NetConfig::alewife()
         };
         let mut net = Network::new(cfg);

@@ -6,7 +6,7 @@
 /// mesh; the paper's bisection-emulation experiment (§5.2) uses them to send
 /// traffic across the bisection in both directions. Other topologies map the
 /// stream index `.0` onto their own bisection-loading paths — see
-/// `Topology::io_streams`.
+/// `Topo::io_streams`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// Compute node by id.

@@ -1,10 +1,9 @@
 //! Interconnect topologies and computed per-hop routing.
 //!
-//! The [`Topology`] trait abstracts the machine's interconnect so the
-//! network simulator can run the paper's experiments on fabrics beyond the
-//! Alewife 2-D mesh: a 2-D torus, a fat tree (CM-5 style), and a dragonfly.
-//! Every implementation provides *computed* routing — `route_hop(src, dst,
-//! hop)` derives the hop'th link id arithmetically in O(1)-ish time — so no
+//! [`Topo`] is the machine's interconnect: the Alewife 2-D mesh, or for
+//! scaling studies a 2-D torus, a fat tree (CM-5 style), or a dragonfly.
+//! Every shape provides *computed* routing — `route_hop(src, dst, hop)`
+//! derives the hop'th link id arithmetically in O(1)-ish time — so no
 //! per-pair state is needed and the machine scales to 1024 nodes without an
 //! O(N²) route table. The precomputed [`RouteTable`] is retained purely as a
 //! reference oracle for equivalence tests.
@@ -55,9 +54,9 @@ pub enum RouteDir {
 /// let mesh = Mesh::new(8, 4);
 /// assert_eq!(mesh.num_links(), 2 * (7 * 4 + 3 * 8));
 /// assert_eq!(mesh.hops(0, 31), 7 + 3); // opposite corners
-/// assert_eq!(mesh.bisection_links().len(), 8); // 4 rows x 2 directions
+/// assert_eq!(mesh.bisection_channels(), 8); // 4 rows x 2 directions
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     width: u16,
     height: u16,
@@ -252,11 +251,25 @@ impl Mesh {
         }
     }
 
-    /// The ids of all links crossing the bisection cut.
-    pub fn bisection_links(&self) -> Vec<usize> {
-        (0..self.num_links())
-            .filter(|&l| self.crosses_bisection(l))
-            .collect()
+    /// Number of unidirectional channels crossing the bisection cut.
+    pub fn bisection_channels(&self) -> usize {
+        2 * self.width.min(self.height) as usize
+    }
+
+    pub(crate) fn link_ends(&self, id: usize) -> (u64, u64) {
+        let (from, dir) = self.link_endpoints(id);
+        let to = match dir {
+            RouteDir::East => RouterCoord::new(from.x + 1, from.y),
+            RouteDir::West => RouterCoord::new(from.x - 1, from.y),
+            RouteDir::South => RouterCoord::new(from.x, from.y + 1),
+            RouteDir::North => RouterCoord::new(from.x, from.y - 1),
+        };
+        (self.node_at(from) as u64, self.node_at(to) as u64)
+    }
+
+    pub(crate) fn node_vertex(&self, node: usize) -> u64 {
+        assert!(node < self.num_nodes(), "node {node} out of range");
+        node as u64
     }
 
     /// Manhattan hop count between two compute nodes.
@@ -579,144 +592,6 @@ impl RouteTable {
     }
 }
 
-/// The interconnect-topology contract the network simulator routes through.
-///
-/// Implementations describe a fabric of `num_nodes` compute endpoints joined
-/// by `num_links` unidirectional channels with dense ids, and provide
-/// *computed* deterministic routing: [`Topology::route_hop`] derives the
-/// `hop`'th link of a route arithmetically, so no per-(src,dst) state exists
-/// and route storage stays O(1) regardless of machine size.
-///
-/// Contract, relied on by the simulator and the property suite:
-///
-/// * Routes are deterministic and minimal for the topology's routing
-///   algorithm (dimension-order, up-down, or minimal-group).
-/// * `route_len(src, dst)` equals the number of valid hops; `route_hop`
-///   panics past the end.
-/// * Consecutive hops are link-continuous: the `to` vertex of hop `h`
-///   (see [`Topology::link_ends`]) is the `from` vertex of hop `h + 1`,
-///   starting at `node_vertex(src)` and ending at `node_vertex(dst)` for
-///   compute-node routes.
-/// * Cross-traffic streams (`Endpoint::IoWest(s)` → `Endpoint::IoEast(s)`
-///   and the reverse, `s < io_streams()`) cross the bisection cut exactly
-///   once and are absorbed off-fabric, never occupying a compute node's
-///   ejection port.
-pub trait Topology {
-    /// Short kind label: `"mesh"`, `"torus"`, `"fat-tree"`, `"dragonfly"`.
-    fn kind(&self) -> &'static str;
-    /// Human-readable shape, e.g. `"mesh 8x4 (32 nodes)"`.
-    fn describe(&self) -> String;
-    /// Number of compute nodes.
-    fn num_nodes(&self) -> usize;
-    /// Number of unidirectional links, densely numbered from 0.
-    fn num_links(&self) -> usize;
-    /// Hop count of the route between compute nodes `a` and `b` (0 for
-    /// `a == b`).
-    fn hops(&self, a: usize, b: usize) -> usize;
-    /// Average hop count over all ordered pairs of distinct nodes.
-    fn mean_hops(&self) -> f64;
-    /// Route length between two endpoints; see [`Mesh::route_len`] for the
-    /// panic contract.
-    fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize;
-    /// The `hop`'th link id on the `src -> dst` route, computed on the fly.
-    fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize;
-    /// Appends the full `src -> dst` route to `out` as dense link ids,
-    /// hop-for-hop identical to calling [`Topology::route_hop`] for each
-    /// hop. The network materializes each packet's route once at injection
-    /// (into a pooled buffer) so the per-hop hot path is an array read, not
-    /// repeated routing arithmetic.
-    fn route_into(&self, src: Endpoint, dst: Endpoint, out: &mut Vec<u32>) {
-        let len = self.route_len(src, dst);
-        out.reserve(len);
-        for hop in 0..len {
-            out.push(self.route_hop(src, dst, hop) as u32);
-        }
-    }
-    /// Human-readable label for link `id` (trace exports, heatmaps).
-    fn link_label(&self, id: usize) -> String;
-    /// Abstract `(from, to)` vertex ids of link `id`, for route-continuity
-    /// verification. Vertices are opaque: compute nodes map to
-    /// [`Topology::node_vertex`]; internal switches (fat-tree) get their own
-    /// ids.
-    fn link_ends(&self, id: usize) -> (u64, u64);
-    /// The vertex id at which compute node `node` attaches.
-    fn node_vertex(&self, node: usize) -> u64;
-    /// Whether link `id` crosses the bisection cut.
-    fn crosses_bisection(&self, id: usize) -> bool;
-    /// Number of unidirectional channels crossing the bisection cut (both
-    /// directions), used for bandwidth calibration.
-    fn bisection_channels(&self) -> usize;
-    /// Number of cross-traffic stream pairs the topology supports.
-    fn io_streams(&self) -> u16;
-    /// The ids of all links crossing the bisection cut.
-    fn bisection_links(&self) -> Vec<usize> {
-        (0..self.num_links())
-            .filter(|&l| self.crosses_bisection(l))
-            .collect()
-    }
-}
-
-impl Topology for Mesh {
-    fn kind(&self) -> &'static str {
-        "mesh"
-    }
-    fn describe(&self) -> String {
-        format!(
-            "mesh {}x{} ({} nodes)",
-            self.width,
-            self.height,
-            self.num_nodes()
-        )
-    }
-    fn num_nodes(&self) -> usize {
-        Mesh::num_nodes(self)
-    }
-    fn num_links(&self) -> usize {
-        Mesh::num_links(self)
-    }
-    fn hops(&self, a: usize, b: usize) -> usize {
-        Mesh::hops(self, a, b)
-    }
-    fn mean_hops(&self) -> f64 {
-        Mesh::mean_hops(self)
-    }
-    fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
-        Mesh::route_len(self, src, dst)
-    }
-    fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
-        Mesh::route_hop(self, src, dst, hop)
-    }
-    fn link_label(&self, id: usize) -> String {
-        Mesh::link_label(self, id)
-    }
-    fn link_ends(&self, id: usize) -> (u64, u64) {
-        let (from, dir) = self.link_endpoints(id);
-        let to = match dir {
-            RouteDir::East => RouterCoord::new(from.x + 1, from.y),
-            RouteDir::West => RouterCoord::new(from.x - 1, from.y),
-            RouteDir::South => RouterCoord::new(from.x, from.y + 1),
-            RouteDir::North => RouterCoord::new(from.x, from.y - 1),
-        };
-        (self.node_at(from) as u64, self.node_at(to) as u64)
-    }
-    fn node_vertex(&self, node: usize) -> u64 {
-        assert!(node < Mesh::num_nodes(self), "node {node} out of range");
-        node as u64
-    }
-    fn crosses_bisection(&self, id: usize) -> bool {
-        Mesh::crosses_bisection(self, id)
-    }
-    fn bisection_channels(&self) -> usize {
-        2 * self.width.min(self.height) as usize
-    }
-    fn io_streams(&self) -> u16 {
-        Mesh::io_streams(self)
-    }
-    fn bisection_links(&self) -> Vec<usize> {
-        Mesh::bisection_links(self)
-    }
-}
-
 /// A `width × height` 2-D torus: the mesh plus wraparound channels, routed
 /// dimension-order with shortest-direction selection per ring (ties break
 /// toward East/South, deterministically).
@@ -725,7 +600,7 @@ impl Topology for Mesh {
 /// router `(x, y)`), then West, South, North at offsets `n`, `2n`, `3n`.
 /// Every router has all four outgoing channels (wraparound closes the
 /// rings), unlike the mesh where edge routers lack off-edge links.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Torus {
     width: u16,
     height: u16,
@@ -787,7 +662,7 @@ impl Torus {
     }
 
     fn coords(&self, id: usize) -> (usize, usize) {
-        assert!(id < Topology::num_nodes(self), "node {id} out of range");
+        assert!(id < self.num_nodes(), "node {id} out of range");
         (id % self.width as usize, id / self.width as usize)
     }
 
@@ -798,10 +673,7 @@ impl Torus {
     /// the ring — routing both streams the full way round would stack them
     /// on the same channels and halve the consumable bisection.
     fn io_route_hop(&self, s: u16, westbound: bool, hop: usize) -> usize {
-        assert!(
-            s < Topology::io_streams(self),
-            "I/O stream {s} out of range"
-        );
+        assert!(s < self.io_streams(), "I/O stream {s} out of range");
         let w = self.width as usize;
         let h = self.height as usize;
         let n = w * h;
@@ -861,41 +733,28 @@ impl Torus {
             cut - cut / 2
         }
     }
-}
 
-impl Topology for Torus {
-    fn kind(&self) -> &'static str {
-        "torus"
-    }
-    fn describe(&self) -> String {
-        format!(
-            "torus {}x{} ({} nodes)",
-            self.width,
-            self.height,
-            Topology::num_nodes(self)
-        )
-    }
-    fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.width as usize * self.height as usize
     }
-    fn num_links(&self) -> usize {
-        4 * Topology::num_nodes(self)
+    pub(crate) fn num_links(&self) -> usize {
+        4 * self.num_nodes()
     }
-    fn hops(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn hops(&self, a: usize, b: usize) -> usize {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
         let (sx, _) = Self::ring_steps(ax, bx, self.width as usize);
         let (sy, _) = Self::ring_steps(ay, by, self.height as usize);
         sx + sy
     }
-    fn mean_hops(&self) -> f64 {
+    pub(crate) fn mean_hops(&self) -> f64 {
         let w = self.width as usize;
         let h = self.height as usize;
         let n = w * h;
         let total = h * h * Self::ring_sum(w) + w * w * Self::ring_sum(h);
         total as f64 / (n * (n - 1)) as f64
     }
-    fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
+    pub(crate) fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
         match (src, dst) {
             (Endpoint::Node(a), Endpoint::Node(b)) => {
                 assert_ne!(a, b, "local traffic must not enter the network");
@@ -903,16 +762,13 @@ impl Topology for Torus {
             }
             (Endpoint::IoWest(s), Endpoint::IoEast(_))
             | (Endpoint::IoEast(s), Endpoint::IoWest(_)) => {
-                assert!(
-                    s < Topology::io_streams(self),
-                    "I/O stream {s} out of range"
-                );
+                assert!(s < self.io_streams(), "I/O stream {s} out of range");
                 self.io_route_len(s as usize)
             }
             (s, d) => panic!("unsupported route {s:?} -> {d:?}"),
         }
     }
-    fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
+    pub(crate) fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
         match (src, dst) {
             (Endpoint::Node(a), Endpoint::Node(b)) => {
                 assert_ne!(a, b, "local traffic must not enter the network");
@@ -944,9 +800,9 @@ impl Topology for Torus {
             (s, d) => panic!("unsupported route {s:?} -> {d:?}"),
         }
     }
-    fn link_label(&self, id: usize) -> String {
-        let (from, _) = Topology::link_ends(self, id);
-        let n = Topology::num_nodes(self);
+    pub(crate) fn link_label(&self, id: usize) -> String {
+        let (from, _) = self.link_ends(id);
+        let n = self.num_nodes();
         let w = self.width as usize;
         let d = match id / n {
             0 => 'E',
@@ -956,8 +812,8 @@ impl Topology for Torus {
         };
         format!("{d}({},{})", from as usize % w, from as usize / w)
     }
-    fn link_ends(&self, id: usize) -> (u64, u64) {
-        let n = Topology::num_nodes(self);
+    pub(crate) fn link_ends(&self, id: usize) -> (u64, u64) {
+        let n = self.num_nodes();
         assert!(id < 4 * n, "link {id} out of range");
         let w = self.width as usize;
         let h = self.height as usize;
@@ -970,12 +826,12 @@ impl Topology for Torus {
         };
         ((y * w + x) as u64, (ty * w + tx) as u64)
     }
-    fn node_vertex(&self, node: usize) -> u64 {
-        assert!(node < Topology::num_nodes(self), "node {node} out of range");
+    pub(crate) fn node_vertex(&self, node: usize) -> u64 {
+        assert!(node < self.num_nodes(), "node {node} out of range");
         node as u64
     }
-    fn crosses_bisection(&self, id: usize) -> bool {
-        let n = Topology::num_nodes(self);
+    pub(crate) fn crosses_bisection(&self, id: usize) -> bool {
+        let n = self.num_nodes();
         let w = self.width as usize;
         let h = self.height as usize;
         if self.vertical_cut() {
@@ -1006,12 +862,12 @@ impl Topology for Torus {
             }
         }
     }
-    fn bisection_channels(&self) -> usize {
+    pub(crate) fn bisection_channels(&self) -> usize {
         // Two boundaries x two directions per row (or column) of the cut
         // dimension: twice the equivalent mesh.
         4 * self.width.min(self.height) as usize
     }
-    fn io_streams(&self) -> u16 {
+    pub(crate) fn io_streams(&self) -> u16 {
         // One direct pair per row loading the central cut plus one wrap
         // pair loading the wraparound boundary (columns for tall shapes).
         2 * self.width.min(self.height)
@@ -1028,7 +884,7 @@ impl Topology for Torus {
 /// idealized Clos behavior. Link layout: up links first (`level * leaves +
 /// channel` for `level < levels`), then down links at offset
 /// `levels * leaves`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FatTree {
     arity: u16,
     levels: u16,
@@ -1093,10 +949,7 @@ impl FatTree {
     /// The leaf pair behind a cross-traffic stream: leaf `s` and its mirror
     /// in the opposite top-level subtree.
     fn io_pair(&self, s: u16) -> (usize, usize) {
-        assert!(
-            s < Topology::io_streams(self),
-            "I/O stream {s} out of range"
-        );
+        assert!(s < self.io_streams(), "I/O stream {s} out of range");
         (s as usize, self.leaves - 1 - s as usize)
     }
 
@@ -1116,29 +969,18 @@ impl FatTree {
             self.levels as usize * self.leaves + (m - 1 - j) * self.leaves + b
         }
     }
-}
 
-impl Topology for FatTree {
-    fn kind(&self) -> &'static str {
-        "fat-tree"
-    }
-    fn describe(&self) -> String {
-        format!(
-            "fat-tree arity {} depth {} ({} nodes)",
-            self.arity, self.levels, self.leaves
-        )
-    }
-    fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.leaves
     }
-    fn num_links(&self) -> usize {
+    pub(crate) fn num_links(&self) -> usize {
         2 * self.levels as usize * self.leaves
     }
-    fn hops(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn hops(&self, a: usize, b: usize) -> usize {
         assert!(a < self.leaves && b < self.leaves, "node out of range");
         self.node_route_len(a, b)
     }
-    fn mean_hops(&self) -> f64 {
+    pub(crate) fn mean_hops(&self) -> f64 {
         let ar = self.leaves as f64;
         let mut per_node = 0.0;
         let mut pow = 1usize;
@@ -1149,7 +991,7 @@ impl Topology for FatTree {
         }
         per_node / (ar - 1.0)
     }
-    fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
+    pub(crate) fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
         match (src, dst) {
             (Endpoint::Node(a), Endpoint::Node(b)) => {
                 assert_ne!(a, b, "local traffic must not enter the network");
@@ -1166,7 +1008,7 @@ impl Topology for FatTree {
             (s, d) => panic!("unsupported route {s:?} -> {d:?}"),
         }
     }
-    fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
+    pub(crate) fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
         match (src, dst) {
             (Endpoint::Node(a), Endpoint::Node(b)) => {
                 assert_ne!(a, b, "local traffic must not enter the network");
@@ -1183,8 +1025,8 @@ impl Topology for FatTree {
             (s, d) => panic!("unsupported route {s:?} -> {d:?}"),
         }
     }
-    fn link_label(&self, id: usize) -> String {
-        assert!(id < Topology::num_links(self), "link {id} out of range");
+    pub(crate) fn link_label(&self, id: usize) -> String {
+        assert!(id < self.num_links(), "link {id} out of range");
         let up_total = self.levels as usize * self.leaves;
         if id < up_total {
             format!("U{}:{}", id / self.leaves, id % self.leaves)
@@ -1193,8 +1035,8 @@ impl Topology for FatTree {
             format!("D{}:{}", id / self.leaves, id % self.leaves)
         }
     }
-    fn link_ends(&self, id: usize) -> (u64, u64) {
-        assert!(id < Topology::num_links(self), "link {id} out of range");
+    pub(crate) fn link_ends(&self, id: usize) -> (u64, u64) {
+        assert!(id < self.num_links(), "link {id} out of range");
         let ar = self.arity as usize;
         let up_total = self.levels as usize * self.leaves;
         let switch = |level: usize, channel: usize| -> u64 {
@@ -1213,23 +1055,23 @@ impl Topology for FatTree {
             (switch(l + 1, c), switch(l, c))
         }
     }
-    fn node_vertex(&self, node: usize) -> u64 {
+    pub(crate) fn node_vertex(&self, node: usize) -> u64 {
         assert!(node < self.leaves, "node {node} out of range");
         node as u64
     }
-    fn crosses_bisection(&self, id: usize) -> bool {
+    pub(crate) fn crosses_bisection(&self, id: usize) -> bool {
         // Every packet between different top-level subtrees climbs exactly
         // one root-boundary up channel; counting only the up side avoids
         // double-counting the matching down channel.
         let root_up = (self.levels as usize - 1) * self.leaves;
         (root_up..self.levels as usize * self.leaves).contains(&id)
     }
-    fn bisection_channels(&self) -> usize {
+    pub(crate) fn bisection_channels(&self) -> usize {
         // Full bandwidth at the root: one channel per leaf each way, so the
         // halves exchange leaves/2 channels per direction.
         self.leaves
     }
-    fn io_streams(&self) -> u16 {
+    pub(crate) fn io_streams(&self) -> u16 {
         (self.leaves / 2) as u16
     }
 }
@@ -1242,7 +1084,7 @@ impl Topology for FatTree {
 /// `dense(j) % group_size` of group `i` (where `dense` skips `i` itself),
 /// spreading global traffic across routers. Link layout: intra-group links
 /// first (`group * a*(a-1)` of them), then the `g*(g-1)` global links.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dragonfly {
     groups: u16,
     group_size: u16,
@@ -1356,10 +1198,7 @@ impl Dragonfly {
     /// other stream touches, so together the streams can saturate the full
     /// bisection.
     fn io_pair(&self, s: u16) -> (usize, usize) {
-        assert!(
-            s < Topology::io_streams(self),
-            "I/O stream {s} out of range"
-        );
+        assert!(s < self.io_streams(), "I/O stream {s} out of range");
         let g = self.groups as usize;
         let sz = self.group_size as usize;
         let upper = g - g / 2;
@@ -1367,29 +1206,16 @@ impl Dragonfly {
         let gj = g / 2 + s as usize % upper;
         (gi * sz + self.attach(gi, gj), gj * sz + self.attach(gj, gi))
     }
-}
 
-impl Topology for Dragonfly {
-    fn kind(&self) -> &'static str {
-        "dragonfly"
-    }
-    fn describe(&self) -> String {
-        format!(
-            "dragonfly {} groups x {} ({} nodes)",
-            self.groups,
-            self.group_size,
-            Topology::num_nodes(self)
-        )
-    }
-    fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.groups as usize * self.group_size as usize
     }
-    fn num_links(&self) -> usize {
+    pub(crate) fn num_links(&self) -> usize {
         self.intra_total() + self.groups as usize * (self.groups as usize - 1)
     }
-    fn hops(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn hops(&self, a: usize, b: usize) -> usize {
         assert!(
-            a < Topology::num_nodes(self) && b < Topology::num_nodes(self),
+            a < self.num_nodes() && b < self.num_nodes(),
             "node out of range"
         );
         if a == b {
@@ -1398,7 +1224,7 @@ impl Topology for Dragonfly {
             self.node_route(a, b).0
         }
     }
-    fn mean_hops(&self) -> f64 {
+    pub(crate) fn mean_hops(&self) -> f64 {
         let g = self.groups as f64;
         let a = self.group_size as f64;
         let n = g * a;
@@ -1409,7 +1235,7 @@ impl Topology for Dragonfly {
         let cross = g * (g - 1.0) * (a * a + 2.0 * a * (a - 1.0));
         (same + cross) / (n * (n - 1.0))
     }
-    fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
+    pub(crate) fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
         match (src, dst) {
             (Endpoint::Node(a), Endpoint::Node(b)) => {
                 assert_ne!(a, b, "local traffic must not enter the network");
@@ -1426,7 +1252,7 @@ impl Topology for Dragonfly {
             (s, d) => panic!("unsupported route {s:?} -> {d:?}"),
         }
     }
-    fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
+    pub(crate) fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
         let (len, links) = match (src, dst) {
             (Endpoint::Node(a), Endpoint::Node(b)) => {
                 assert_ne!(a, b, "local traffic must not enter the network");
@@ -1445,8 +1271,8 @@ impl Topology for Dragonfly {
         assert!(hop < len, "hop {hop} past end of route");
         links[hop]
     }
-    fn link_label(&self, id: usize) -> String {
-        let (from, to) = Topology::link_ends(self, id);
+    pub(crate) fn link_label(&self, id: usize) -> String {
+        let (from, to) = self.link_ends(id);
         let sz = self.group_size as u64;
         if id < self.intra_total() {
             format!("G{}:{}>{}", from / sz, from % sz, to % sz)
@@ -1454,8 +1280,8 @@ impl Topology for Dragonfly {
             format!("X{}>{}", from / sz, to / sz)
         }
     }
-    fn link_ends(&self, id: usize) -> (u64, u64) {
-        assert!(id < Topology::num_links(self), "link {id} out of range");
+    pub(crate) fn link_ends(&self, id: usize) -> (u64, u64) {
+        assert!(id < self.num_links(), "link {id} out of range");
         let a = self.group_size as usize;
         let g = self.groups as usize;
         if id < self.intra_total() {
@@ -1482,11 +1308,11 @@ impl Topology for Dragonfly {
             )
         }
     }
-    fn node_vertex(&self, node: usize) -> u64 {
-        assert!(node < Topology::num_nodes(self), "node {node} out of range");
+    pub(crate) fn node_vertex(&self, node: usize) -> u64 {
+        assert!(node < self.num_nodes(), "node {node} out of range");
         node as u64
     }
-    fn crosses_bisection(&self, id: usize) -> bool {
+    pub(crate) fn crosses_bisection(&self, id: usize) -> bool {
         if id < self.intra_total() {
             return false;
         }
@@ -1497,22 +1323,53 @@ impl Topology for Dragonfly {
         let gj = if d < gi { d } else { d + 1 };
         (gi < g / 2) != (gj < g / 2)
     }
-    fn bisection_channels(&self) -> usize {
+    pub(crate) fn bisection_channels(&self) -> usize {
         let g = self.groups as usize;
         2 * (g / 2) * (g - g / 2)
     }
-    fn io_streams(&self) -> u16 {
+    pub(crate) fn io_streams(&self) -> u16 {
         // One stream per cross-cut group pair; see `io_pair`.
         let g = self.groups as usize;
         ((g / 2) * (g - g / 2)) as u16
     }
 }
 
-/// A concrete topology instance, statically dispatched.
+/// The machine's interconnect: the one topology type, which configures,
+/// routes and hashes every shape.
 ///
-/// The network stores a `Topo` so the hot path pays a match, not a vtable
-/// call. Inherent methods mirror the [`Topology`] trait one-for-one.
-#[derive(Debug, Clone)]
+/// A `Topo` describes a fabric of `num_nodes` compute endpoints joined by
+/// `num_links` unidirectional channels with dense ids, and provides
+/// *computed* deterministic routing: [`Topo::route_hop`] derives the
+/// `hop`'th link of a route arithmetically, so no per-(src,dst) state exists
+/// and route storage stays O(1) regardless of machine size.
+///
+/// Contract, relied on by the simulator and the property suite:
+///
+/// * Routes are deterministic and minimal for the shape's routing algorithm
+///   (dimension-order, up-down, or minimal-group).
+/// * `route_len(src, dst)` equals the number of valid hops; `route_hop`
+///   panics past the end.
+/// * Consecutive hops are link-continuous: the `to` vertex of hop `h`
+///   (see [`Topo::link_ends`]) is the `from` vertex of hop `h + 1`,
+///   starting at `node_vertex(src)` and ending at `node_vertex(dst)` for
+///   compute-node routes.
+/// * Cross-traffic streams (`Endpoint::IoWest(s)` → `Endpoint::IoEast(s)`
+///   and the reverse, `s < io_streams()`) cross the bisection cut exactly
+///   once and are absorbed off-fabric, never occupying a compute node's
+///   ejection port.
+///
+/// # Examples
+///
+/// ```
+/// use commsense_mesh::{Endpoint, Topo};
+///
+/// let topo = Topo::alewife();
+/// assert_eq!(topo.shape(), "mesh 8x4");
+/// assert_eq!(topo.describe(), "mesh 8x4 (32 nodes)");
+/// assert_eq!(topo.route_len(Endpoint::node(0), Endpoint::node(31)), 10);
+/// assert_eq!(Topo::with_nodes("torus", 32), Topo::torus(8, 4));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topo {
     /// 2-D mesh (the paper's Alewife machine).
     Mesh(Mesh),
@@ -1524,6 +1381,7 @@ pub enum Topo {
     Dragonfly(Dragonfly),
 }
 
+/// Matches on the shape once and evaluates `$e` with `$t` bound to it.
 macro_rules! dispatch {
     ($self:ident, $t:ident => $e:expr) => {
         match $self {
@@ -1536,237 +1394,35 @@ macro_rules! dispatch {
 }
 
 impl Topo {
-    /// See [`Topology::kind`].
-    pub fn kind(&self) -> &'static str {
-        dispatch!(self, t => Topology::kind(t))
-    }
-    /// See [`Topology::describe`].
-    pub fn describe(&self) -> String {
-        dispatch!(self, t => Topology::describe(t))
-    }
-    /// See [`Topology::num_nodes`].
-    pub fn num_nodes(&self) -> usize {
-        dispatch!(self, t => Topology::num_nodes(t))
-    }
-    /// See [`Topology::num_links`].
-    pub fn num_links(&self) -> usize {
-        dispatch!(self, t => Topology::num_links(t))
-    }
-    /// See [`Topology::hops`].
-    pub fn hops(&self, a: usize, b: usize) -> usize {
-        dispatch!(self, t => Topology::hops(t, a, b))
-    }
-    /// See [`Topology::mean_hops`].
-    pub fn mean_hops(&self) -> f64 {
-        dispatch!(self, t => Topology::mean_hops(t))
-    }
-    /// See [`Topology::route_len`].
-    pub fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
-        dispatch!(self, t => Topology::route_len(t, src, dst))
-    }
-    /// See [`Topology::route_hop`].
-    pub fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
-        dispatch!(self, t => Topology::route_hop(t, src, dst, hop))
-    }
-    /// See [`Topology::route_into`].
-    pub fn route_into(&self, src: Endpoint, dst: Endpoint, out: &mut Vec<u32>) {
-        dispatch!(self, t => Topology::route_into(t, src, dst, out))
-    }
-    /// See [`Topology::link_label`].
-    pub fn link_label(&self, id: usize) -> String {
-        dispatch!(self, t => Topology::link_label(t, id))
-    }
-    /// See [`Topology::link_ends`].
-    pub fn link_ends(&self, id: usize) -> (u64, u64) {
-        dispatch!(self, t => Topology::link_ends(t, id))
-    }
-    /// See [`Topology::node_vertex`].
-    pub fn node_vertex(&self, node: usize) -> u64 {
-        dispatch!(self, t => Topology::node_vertex(t, node))
-    }
-    /// See [`Topology::crosses_bisection`].
-    pub fn crosses_bisection(&self, id: usize) -> bool {
-        dispatch!(self, t => Topology::crosses_bisection(t, id))
-    }
-    /// See [`Topology::bisection_channels`].
-    pub fn bisection_channels(&self) -> usize {
-        dispatch!(self, t => Topology::bisection_channels(t))
-    }
-    /// See [`Topology::io_streams`].
-    pub fn io_streams(&self) -> u16 {
-        dispatch!(self, t => Topology::io_streams(t))
-    }
-    /// See [`Topology::bisection_links`].
-    pub fn bisection_links(&self) -> Vec<usize> {
-        dispatch!(self, t => Topology::bisection_links(t))
-    }
-}
-
-impl Topology for Topo {
-    fn kind(&self) -> &'static str {
-        Topo::kind(self)
-    }
-    fn describe(&self) -> String {
-        Topo::describe(self)
-    }
-    fn num_nodes(&self) -> usize {
-        Topo::num_nodes(self)
-    }
-    fn num_links(&self) -> usize {
-        Topo::num_links(self)
-    }
-    fn hops(&self, a: usize, b: usize) -> usize {
-        Topo::hops(self, a, b)
-    }
-    fn mean_hops(&self) -> f64 {
-        Topo::mean_hops(self)
-    }
-    fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
-        Topo::route_len(self, src, dst)
-    }
-    fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
-        Topo::route_hop(self, src, dst, hop)
-    }
-    fn route_into(&self, src: Endpoint, dst: Endpoint, out: &mut Vec<u32>) {
-        Topo::route_into(self, src, dst, out)
-    }
-    fn link_label(&self, id: usize) -> String {
-        Topo::link_label(self, id)
-    }
-    fn link_ends(&self, id: usize) -> (u64, u64) {
-        Topo::link_ends(self, id)
-    }
-    fn node_vertex(&self, node: usize) -> u64 {
-        Topo::node_vertex(self, node)
-    }
-    fn crosses_bisection(&self, id: usize) -> bool {
-        Topo::crosses_bisection(self, id)
-    }
-    fn bisection_channels(&self) -> usize {
-        Topo::bisection_channels(self)
-    }
-    fn io_streams(&self) -> u16 {
-        Topo::io_streams(self)
-    }
-    fn bisection_links(&self) -> Vec<usize> {
-        Topo::bisection_links(self)
-    }
-}
-
-/// A declarative topology shape: the configuration-level counterpart of
-/// [`Topo`], cheap to clone, compare, and hash into result-store keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopoSpec {
-    /// 2-D mesh.
-    Mesh {
-        /// Columns.
-        width: u16,
-        /// Rows.
-        height: u16,
-    },
-    /// 2-D torus.
-    Torus {
-        /// Columns.
-        width: u16,
-        /// Rows.
-        height: u16,
-    },
-    /// Full-bandwidth fat tree with `arity^levels` leaves.
-    FatTree {
-        /// Children per switch.
-        arity: u16,
-        /// Switch levels above the leaves.
-        levels: u16,
-    },
-    /// Flattened dragonfly.
-    Dragonfly {
-        /// Number of groups.
-        groups: u16,
-        /// Routers per group.
-        group_size: u16,
-    },
-}
-
-impl TopoSpec {
     /// The recognized kind labels, in the order used by sweeps.
     pub const KINDS: [&'static str; 4] = ["mesh", "torus", "fat-tree", "dragonfly"];
 
-    /// A 2-D mesh spec.
+    /// A `width × height` 2-D mesh; panics as [`Mesh::new`].
     pub fn mesh(width: u16, height: u16) -> Self {
-        TopoSpec::Mesh { width, height }
+        Topo::Mesh(Mesh::new(width, height))
     }
 
-    /// A 2-D torus spec.
+    /// A `width × height` 2-D torus; panics as [`Torus::new`].
     pub fn torus(width: u16, height: u16) -> Self {
-        TopoSpec::Torus { width, height }
+        Topo::Torus(Torus::new(width, height))
     }
 
-    /// A fat-tree spec.
+    /// A fat tree with `arity^levels` leaves; panics as [`FatTree::new`].
     pub fn fat_tree(arity: u16, levels: u16) -> Self {
-        TopoSpec::FatTree { arity, levels }
+        Topo::FatTree(FatTree::new(arity, levels))
     }
 
-    /// A dragonfly spec.
+    /// A dragonfly; panics as [`Dragonfly::new`].
     pub fn dragonfly(groups: u16, group_size: u16) -> Self {
-        TopoSpec::Dragonfly { groups, group_size }
+        Topo::Dragonfly(Dragonfly::new(groups, group_size))
     }
 
     /// The paper's machine: the 8×4 Alewife mesh.
     pub fn alewife() -> Self {
-        TopoSpec::mesh(8, 4)
+        Topo::mesh(8, 4)
     }
 
-    /// Short kind label: `"mesh"`, `"torus"`, `"fat-tree"`, `"dragonfly"`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TopoSpec::Mesh { .. } => "mesh",
-            TopoSpec::Torus { .. } => "torus",
-            TopoSpec::FatTree { .. } => "fat-tree",
-            TopoSpec::Dragonfly { .. } => "dragonfly",
-        }
-    }
-
-    /// Number of compute nodes the built topology will have.
-    pub fn num_nodes(&self) -> usize {
-        match *self {
-            TopoSpec::Mesh { width, height } | TopoSpec::Torus { width, height } => {
-                width as usize * height as usize
-            }
-            TopoSpec::FatTree { arity, levels } => (arity as usize).pow(levels as u32),
-            TopoSpec::Dragonfly { groups, group_size } => groups as usize * group_size as usize,
-        }
-    }
-
-    /// Human-readable shape, e.g. `"mesh 8x4"`.
-    pub fn describe(&self) -> String {
-        match *self {
-            TopoSpec::Mesh { width, height } => format!("mesh {width}x{height}"),
-            TopoSpec::Torus { width, height } => format!("torus {width}x{height}"),
-            TopoSpec::FatTree { arity, levels } => format!("fat-tree {arity}^{levels}"),
-            TopoSpec::Dragonfly { groups, group_size } => {
-                format!("dragonfly {groups}x{group_size}")
-            }
-        }
-    }
-
-    /// Builds the concrete topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the constructor's descriptive message when the shape is
-    /// invalid.
-    pub fn build(&self) -> Topo {
-        match *self {
-            TopoSpec::Mesh { width, height } => Topo::Mesh(Mesh::new(width, height)),
-            TopoSpec::Torus { width, height } => Topo::Torus(Torus::new(width, height)),
-            TopoSpec::FatTree { arity, levels } => Topo::FatTree(FatTree::new(arity, levels)),
-            TopoSpec::Dragonfly { groups, group_size } => {
-                Topo::Dragonfly(Dragonfly::new(groups, group_size))
-            }
-        }
-    }
-
-    /// A spec of the given `kind` with (as close as the kind allows)
+    /// A topology of the given `kind` with (as close as the kind allows)
     /// `nodes` compute nodes, for node-count sweeps.
     ///
     /// Meshes and tori factor `nodes` into the most nearly square
@@ -1787,20 +1443,20 @@ impl TopoSpec {
         );
         let (big, small) = near_square(nodes);
         match kind {
-            "mesh" => TopoSpec::mesh(big, small),
+            "mesh" => Topo::mesh(big, small),
             "torus" => {
                 assert!(
                     small >= 2,
                     "cannot build a torus with {nodes} nodes: it factors as {big}x{small}, \
                      but both torus dimensions must be >= 2"
                 );
-                TopoSpec::torus(big, small)
+                Topo::torus(big, small)
             }
             "fat-tree" => {
                 if let Some(levels) = log_exact(nodes, 4) {
-                    TopoSpec::fat_tree(4, levels)
+                    Topo::fat_tree(4, levels)
                 } else if let Some(levels) = log_exact(nodes, 2) {
-                    TopoSpec::fat_tree(2, levels)
+                    Topo::fat_tree(2, levels)
                 } else {
                     panic!(
                         "cannot build a fat-tree with {nodes} nodes: \
@@ -1814,27 +1470,147 @@ impl TopoSpec {
                     "cannot build a dragonfly with {nodes} nodes: it factors as \
                      {big} groups x {small}, but at least 2 groups are needed"
                 );
-                TopoSpec::dragonfly(big, small)
+                Topo::dragonfly(big, small)
             }
             other => panic!(
                 "unknown topology kind {other:?} (expected one of {:?})",
-                TopoSpec::KINDS
+                Topo::KINDS
             ),
         }
     }
 
-    /// Feeds the spec into a stable-hash encoder in the caller's scope, for
-    /// result-store keys. The two shape parameters use the uniform names
+    /// Short kind label: `"mesh"`, `"torus"`, `"fat-tree"`, `"dragonfly"`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Topo::Mesh(_) => "mesh",
+            Topo::Torus(_) => "torus",
+            Topo::FatTree(_) => "fat-tree",
+            Topo::Dragonfly(_) => "dragonfly",
+        }
+    }
+
+    /// The two shape parameters: width and height, arity and levels, or
+    /// groups and group size.
+    fn dims(&self) -> (u16, u16) {
+        match *self {
+            Topo::Mesh(Mesh { width, height }) | Topo::Torus(Torus { width, height }) => {
+                (width, height)
+            }
+            Topo::FatTree(t) => (t.arity, t.levels),
+            Topo::Dragonfly(d) => (d.groups, d.group_size),
+        }
+    }
+
+    /// Short shape, e.g. `"mesh 8x4"` or `"fat-tree 4^3"` (config errors
+    /// and summary tables).
+    pub fn shape(&self) -> String {
+        let (a, b) = self.dims();
+        match self {
+            Topo::FatTree(_) => format!("fat-tree {a}^{b}"),
+            _ => format!("{} {a}x{b}", self.kind()),
+        }
+    }
+
+    /// Long shape with the node count, e.g. `"mesh 8x4 (32 nodes)"` (run
+    /// manifests).
+    pub fn describe(&self) -> String {
+        let (a, b) = self.dims();
+        let shape = match self {
+            Topo::Mesh(_) | Topo::Torus(_) => format!("{} {a}x{b}", self.kind()),
+            Topo::FatTree(_) => format!("fat-tree arity {a} depth {b}"),
+            Topo::Dragonfly(_) => format!("dragonfly {a} groups x {b}"),
+        };
+        format!("{shape} ({} nodes)", self.num_nodes())
+    }
+
+    /// Feeds the topology into a stable-hash encoder in the caller's scope,
+    /// for result-store keys. The two shape parameters use the uniform names
     /// `dim_a`/`dim_b`; the `kind` key disambiguates their meaning.
     pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder) {
-        let (a, b) = match *self {
-            TopoSpec::Mesh { width, height } | TopoSpec::Torus { width, height } => (width, height),
-            TopoSpec::FatTree { arity, levels } => (arity, levels),
-            TopoSpec::Dragonfly { groups, group_size } => (groups, group_size),
-        };
+        let (a, b) = self.dims();
         enc.put("kind", self.kind());
         enc.put("dim_a", a);
         enc.put("dim_b", b);
+    }
+
+    /// Number of compute nodes.
+    pub fn num_nodes(&self) -> usize {
+        dispatch!(self, t => t.num_nodes())
+    }
+
+    /// Number of unidirectional links, densely numbered from 0.
+    pub fn num_links(&self) -> usize {
+        dispatch!(self, t => t.num_links())
+    }
+
+    /// Hop count of the route between compute nodes `a` and `b` (0 for
+    /// `a == b`).
+    pub fn hops(&self, a: usize, b: usize) -> usize {
+        dispatch!(self, t => t.hops(a, b))
+    }
+
+    /// Average hop count over all ordered pairs of distinct nodes.
+    pub fn mean_hops(&self) -> f64 {
+        dispatch!(self, t => t.mean_hops())
+    }
+
+    /// Route length between two endpoints; see [`Mesh::route_len`] for the
+    /// panic contract.
+    pub fn route_len(&self, src: Endpoint, dst: Endpoint) -> usize {
+        dispatch!(self, t => t.route_len(src, dst))
+    }
+
+    /// The `hop`'th link id on the `src -> dst` route, computed on the fly.
+    pub fn route_hop(&self, src: Endpoint, dst: Endpoint, hop: usize) -> usize {
+        dispatch!(self, t => t.route_hop(src, dst, hop))
+    }
+
+    /// Appends the full `src -> dst` route to `out` as dense link ids,
+    /// hop-for-hop identical to calling [`Topo::route_hop`] for each hop.
+    /// The network materializes each packet's route once at injection (into
+    /// a pooled buffer) so the per-hop hot path is an array read. This
+    /// matches on the shape once per route, not once per hop.
+    pub fn route_into(&self, src: Endpoint, dst: Endpoint, out: &mut Vec<u32>) {
+        dispatch!(self, t => {
+            let len = t.route_len(src, dst);
+            out.reserve(len);
+            for hop in 0..len {
+                out.push(t.route_hop(src, dst, hop) as u32);
+            }
+        })
+    }
+
+    /// Human-readable label for link `id` (trace exports, heatmaps).
+    pub fn link_label(&self, id: usize) -> String {
+        dispatch!(self, t => t.link_label(id))
+    }
+
+    /// Abstract `(from, to)` vertex ids of link `id`, for route-continuity
+    /// verification. Vertices are opaque: compute nodes map to
+    /// [`Topo::node_vertex`]; internal switches (fat-tree) get their own ids.
+    pub fn link_ends(&self, id: usize) -> (u64, u64) {
+        dispatch!(self, t => t.link_ends(id))
+    }
+
+    /// The vertex id at which compute node `node` attaches.
+    pub fn node_vertex(&self, node: usize) -> u64 {
+        dispatch!(self, t => t.node_vertex(node))
+    }
+
+    /// Whether link `id` crosses the bisection cut.
+    pub fn crosses_bisection(&self, id: usize) -> bool {
+        dispatch!(self, t => t.crosses_bisection(id))
+    }
+
+    /// Number of unidirectional channels crossing the bisection cut (both
+    /// directions), used for bandwidth calibration.
+    pub fn bisection_channels(&self) -> usize {
+        dispatch!(self, t => t.bisection_channels())
+    }
+
+    /// Number of cross-traffic stream pairs the topology supports.
+    pub fn io_streams(&self) -> u16 {
+        dispatch!(self, t => t.io_streams())
     }
 }
 
@@ -1868,7 +1644,7 @@ mod topo_tests {
 
     /// Walks every hop of the `a -> b` route checking link continuity from
     /// `a`'s vertex to `b`'s, and that the length matches `hops`.
-    fn check_node_route(t: &impl Topology, a: usize, b: usize) {
+    fn check_node_route(t: &Topo, a: usize, b: usize) {
         let (src, dst) = (Endpoint::node(a), Endpoint::node(b));
         let len = t.route_len(src, dst);
         assert_eq!(
@@ -1889,7 +1665,7 @@ mod topo_tests {
 
     /// Every cross-traffic stream must cross the bisection cut exactly once
     /// in each direction.
-    fn check_io_streams(t: &impl Topology) {
+    fn check_io_streams(t: &Topo) {
         assert!(t.io_streams() > 0, "{} has no I/O streams", t.describe());
         for s in 0..t.io_streams() {
             for (src, dst) in [
@@ -1918,19 +1694,21 @@ mod topo_tests {
         }
     }
 
-    /// Links must join distinct vertices, and the bisection link list must
-    /// agree with the channel count. Parallel links between the same vertex
+    /// Links must join distinct vertices, and the links crossing the cut
+    /// must agree with the channel count. Parallel links between the same vertex
     /// pair are legitimate (fat-tree channels, length-2 torus rings), so
     /// uniqueness of vertex pairs is deliberately not required.
-    fn check_links_distinct(t: &impl Topology) {
+    fn check_links_distinct(t: &Topo) {
         for id in 0..t.num_links() {
             let ends = t.link_ends(id);
             assert_ne!(ends.0, ends.1, "link {id} is a self-loop");
         }
         assert_eq!(
-            t.bisection_links().len(),
+            (0..t.num_links())
+                .filter(|&l| t.crosses_bisection(l))
+                .count(),
             t.bisection_channels(),
-            "bisection link list disagrees with channel count for {}",
+            "bisection links disagree with the channel count for {}",
             t.describe()
         );
     }
@@ -1951,7 +1729,7 @@ mod topo_tests {
         pairs
     }
 
-    fn check_topology(t: &impl Topology) {
+    fn check_topology(t: &Topo) {
         check_links_distinct(t);
         check_io_streams(t);
         for (a, b) in sample_pairs(t.num_nodes()) {
@@ -1961,93 +1739,93 @@ mod topo_tests {
 
     #[test]
     fn mesh_topology_contract() {
-        check_topology(&Mesh::new(8, 4));
-        check_topology(&Mesh::new(2, 8)); // tall-narrow
-        check_topology(&Mesh::new(32, 32));
+        check_topology(&Topo::mesh(8, 4));
+        check_topology(&Topo::mesh(2, 8)); // tall-narrow
+        check_topology(&Topo::mesh(32, 32));
     }
 
     #[test]
     fn torus_topology_contract() {
-        check_topology(&Torus::new(8, 4));
-        check_topology(&Torus::new(2, 8)); // tall-narrow
-        check_topology(&Torus::new(32, 32));
-        check_topology(&Torus::new(3, 5)); // odd rings
+        check_topology(&Topo::torus(8, 4));
+        check_topology(&Topo::torus(2, 8)); // tall-narrow
+        check_topology(&Topo::torus(32, 32));
+        check_topology(&Topo::torus(3, 5)); // odd rings
     }
 
     #[test]
     fn fat_tree_topology_contract() {
-        check_topology(&FatTree::new(2, 1));
-        check_topology(&FatTree::new(4, 3));
-        check_topology(&FatTree::new(2, 10)); // 1024 leaves
+        check_topology(&Topo::fat_tree(2, 1));
+        check_topology(&Topo::fat_tree(4, 3));
+        check_topology(&Topo::fat_tree(2, 10)); // 1024 leaves
     }
 
     #[test]
     fn dragonfly_topology_contract() {
-        check_topology(&Dragonfly::new(2, 1));
-        check_topology(&Dragonfly::new(8, 4));
-        check_topology(&Dragonfly::new(32, 32)); // 1024 nodes
+        check_topology(&Topo::dragonfly(2, 1));
+        check_topology(&Topo::dragonfly(8, 4));
+        check_topology(&Topo::dragonfly(32, 32)); // 1024 nodes
     }
 
     #[test]
     fn torus_wraparound_shortens_routes() {
-        let t = Torus::new(8, 4);
+        let t = Topo::torus(8, 4);
         // Opposite ends of a row: 1 wrap hop instead of the mesh's 7.
-        assert_eq!(Topology::hops(&t, 0, 7), 1);
-        assert_eq!(Topology::hops(&t, 7, 0), 1);
+        assert_eq!(t.hops(0, 7), 1);
+        assert_eq!(t.hops(7, 0), 1);
         // Half-way round an even ring ties; the tie breaks East.
         let (steps, east) = Torus::ring_steps(0, 4, 8);
         assert_eq!((steps, east), (4, true));
         // Torus mean hops beat the mesh's.
-        assert!(Topology::mean_hops(&t) < Mesh::new(8, 4).mean_hops());
+        assert!(t.mean_hops() < Mesh::new(8, 4).mean_hops());
         // Exhaustive mean check.
-        let n = Topology::num_nodes(&t);
+        let n = t.num_nodes();
         let total: usize = (0..n)
             .flat_map(|a| (0..n).map(move |b| (a, b)))
             .filter(|&(a, b)| a != b)
-            .map(|(a, b)| Topology::hops(&t, a, b))
+            .map(|(a, b)| t.hops(a, b))
             .sum();
         let want = total as f64 / (n * (n - 1)) as f64;
-        assert!((Topology::mean_hops(&t) - want).abs() < 1e-9);
+        assert!((t.mean_hops() - want).abs() < 1e-9);
     }
 
     #[test]
     fn fat_tree_routes_via_lowest_common_ancestor() {
-        let t = FatTree::new(4, 3); // 64 leaves
-        assert_eq!(Topology::num_nodes(&t), 64);
-        assert_eq!(Topology::hops(&t, 0, 1), 2); // siblings: up 1, down 1
-        assert_eq!(Topology::hops(&t, 0, 5), 4); // cousins
-        assert_eq!(Topology::hops(&t, 0, 63), 6); // cross-root
-        assert_eq!(Topology::hops(&t, 9, 9), 0);
+        let t = Topo::fat_tree(4, 3); // 64 leaves
+        assert_eq!(t.num_nodes(), 64);
+        assert_eq!(t.hops(0, 1), 2); // siblings: up 1, down 1
+        assert_eq!(t.hops(0, 5), 4); // cousins
+        assert_eq!(t.hops(0, 63), 6); // cross-root
+        assert_eq!(t.hops(9, 9), 0);
         // Bisection: only root-level up links cross, one per leaf.
-        assert_eq!(Topology::bisection_channels(&t), 64);
+        assert_eq!(t.bisection_channels(), 64);
         // Exhaustive mean check.
         let n = 64;
         let total: usize = (0..n)
             .flat_map(|a| (0..n).map(move |b| (a, b)))
             .filter(|&(a, b)| a != b)
-            .map(|(a, b)| Topology::hops(&t, a, b))
+            .map(|(a, b)| t.hops(a, b))
             .sum();
         let want = total as f64 / (n * (n - 1)) as f64;
-        assert!((Topology::mean_hops(&t) - want).abs() < 1e-9);
+        assert!((t.mean_hops() - want).abs() < 1e-9);
     }
 
     #[test]
     fn dragonfly_diameter_is_three() {
-        let t = Dragonfly::new(8, 4);
-        let n = Topology::num_nodes(&t);
+        let t = Topo::dragonfly(8, 4);
+        let n = t.num_nodes();
         let mut total = 0usize;
         for a in 0..n {
             for b in 0..n {
                 if a == b {
                     continue;
                 }
-                let h = Topology::hops(&t, a, b);
+                let h = t.hops(a, b);
                 assert!((1..=3).contains(&h), "{a}->{b} took {h} hops");
                 total += h;
             }
         }
         let want = total as f64 / (n * (n - 1)) as f64;
-        assert!((Topology::mean_hops(&t) - want).abs() < 1e-9);
+        assert!((t.mean_hops() - want).abs() < 1e-9);
     }
 
     #[test]
@@ -2055,11 +1833,7 @@ mod topo_tests {
         // Mesh, torus, and fat tree have symmetric hop counts; the
         // dragonfly does not (attach routers are direction-dependent), which
         // is why it is excluded here.
-        for t in [
-            TopoSpec::mesh(8, 4).build(),
-            TopoSpec::torus(8, 4).build(),
-            TopoSpec::fat_tree(4, 3).build(),
-        ] {
+        for t in [Topo::mesh(8, 4), Topo::torus(8, 4), Topo::fat_tree(4, 3)] {
             for (a, b) in sample_pairs(t.num_nodes()) {
                 assert_eq!(t.hops(a, b), t.hops(b, a), "{}: {a}<->{b}", t.describe());
             }
@@ -2071,8 +1845,11 @@ mod topo_tests {
         let m = Mesh::new(2, 8);
         // The true bisection of a 2x8 mesh is the horizontal cut: 2 * width
         // = 4 channels, not the vertical cut's 16.
-        let links = m.bisection_links();
+        let links: Vec<usize> = (0..m.num_links())
+            .filter(|&l| m.crosses_bisection(l))
+            .collect();
         assert_eq!(links.len(), 4);
+        assert_eq!(m.bisection_channels(), 4);
         for &l in &links {
             let (from, dir) = m.link_endpoints(l);
             assert!(
@@ -2084,55 +1861,69 @@ mod topo_tests {
     }
 
     #[test]
-    fn topo_spec_builds_and_describes() {
-        for (spec, nodes, kind) in [
-            (TopoSpec::alewife(), 32, "mesh"),
-            (TopoSpec::torus(16, 16), 256, "torus"),
-            (TopoSpec::fat_tree(4, 5), 1024, "fat-tree"),
-            (TopoSpec::dragonfly(32, 32), 1024, "dragonfly"),
+    fn topo_constructors_describe_their_shape() {
+        for (topo, nodes, kind, shape, long) in [
+            (
+                Topo::alewife(),
+                32,
+                "mesh",
+                "mesh 8x4",
+                "mesh 8x4 (32 nodes)",
+            ),
+            (
+                Topo::torus(16, 16),
+                256,
+                "torus",
+                "torus 16x16",
+                "torus 16x16 (256 nodes)",
+            ),
+            (
+                Topo::fat_tree(4, 5),
+                1024,
+                "fat-tree",
+                "fat-tree 4^5",
+                "fat-tree arity 4 depth 5 (1024 nodes)",
+            ),
+            (
+                Topo::dragonfly(32, 32),
+                1024,
+                "dragonfly",
+                "dragonfly 32x32",
+                "dragonfly 32 groups x 32 (1024 nodes)",
+            ),
         ] {
-            assert_eq!(spec.num_nodes(), nodes);
-            assert_eq!(spec.kind(), kind);
-            let topo = spec.build();
             assert_eq!(topo.num_nodes(), nodes);
             assert_eq!(topo.kind(), kind);
+            assert_eq!(topo.shape(), shape);
+            assert_eq!(topo.describe(), long);
         }
     }
 
     #[test]
     fn with_nodes_finds_valid_shapes() {
-        assert_eq!(TopoSpec::with_nodes("mesh", 32), TopoSpec::mesh(8, 4));
-        assert_eq!(TopoSpec::with_nodes("mesh", 1024), TopoSpec::mesh(32, 32));
-        assert_eq!(TopoSpec::with_nodes("torus", 256), TopoSpec::torus(16, 16));
-        assert_eq!(
-            TopoSpec::with_nodes("fat-tree", 1024),
-            TopoSpec::fat_tree(4, 5)
-        );
-        assert_eq!(
-            TopoSpec::with_nodes("fat-tree", 32),
-            TopoSpec::fat_tree(2, 5)
-        );
-        assert_eq!(
-            TopoSpec::with_nodes("dragonfly", 1024),
-            TopoSpec::dragonfly(32, 32)
-        );
-        for kind in TopoSpec::KINDS {
-            let spec = TopoSpec::with_nodes(kind, 1024);
-            assert_eq!(spec.num_nodes(), 1024, "{kind}");
-            spec.build();
+        assert_eq!(Topo::with_nodes("mesh", 32), Topo::mesh(8, 4));
+        assert_eq!(Topo::with_nodes("mesh", 1024), Topo::mesh(32, 32));
+        assert_eq!(Topo::with_nodes("torus", 256), Topo::torus(16, 16));
+        assert_eq!(Topo::with_nodes("fat-tree", 1024), Topo::fat_tree(4, 5));
+        assert_eq!(Topo::with_nodes("fat-tree", 32), Topo::fat_tree(2, 5));
+        assert_eq!(Topo::with_nodes("dragonfly", 1024), Topo::dragonfly(32, 32));
+        for kind in Topo::KINDS {
+            let topo = Topo::with_nodes(kind, 1024);
+            assert_eq!(topo.num_nodes(), 1024, "{kind}");
+            assert_eq!(topo.kind(), kind);
         }
     }
 
     #[test]
     #[should_panic(expected = "power of 4 or of 2")]
     fn with_nodes_rejects_non_power_fat_tree() {
-        TopoSpec::with_nodes("fat-tree", 48);
+        Topo::with_nodes("fat-tree", 48);
     }
 
     #[test]
     #[should_panic(expected = "unknown topology kind")]
     fn with_nodes_rejects_unknown_kind() {
-        TopoSpec::with_nodes("hypercube", 64);
+        Topo::with_nodes("hypercube", 64);
     }
 
     #[test]
@@ -2144,25 +1935,25 @@ mod topo_tests {
     #[test]
     fn stable_encode_distinguishes_topologies() {
         use commsense_des::StableEncoder;
-        let hash = |spec: &TopoSpec| {
+        let hash = |topo: &Topo| {
             let mut enc = StableEncoder::new();
-            enc.scope("net.topo", |enc| spec.stable_encode(enc));
+            enc.scope("net.topo", |enc| topo.stable_encode(enc));
             enc.finish_hash()
         };
-        let specs = [
-            TopoSpec::mesh(8, 4),
-            TopoSpec::mesh(4, 8),
-            TopoSpec::torus(8, 4),
-            TopoSpec::fat_tree(8, 4),
-            TopoSpec::dragonfly(8, 4),
+        let topos = [
+            Topo::mesh(8, 4),
+            Topo::mesh(4, 8),
+            Topo::torus(8, 4),
+            Topo::fat_tree(8, 4),
+            Topo::dragonfly(8, 4),
         ];
-        let hashes: Vec<_> = specs.iter().map(hash).collect();
+        let hashes: Vec<_> = topos.iter().map(hash).collect();
         for i in 0..hashes.len() {
             for j in (i + 1)..hashes.len() {
-                assert_ne!(hashes[i], hashes[j], "{:?} vs {:?}", specs[i], specs[j]);
+                assert_ne!(hashes[i], hashes[j], "{:?} vs {:?}", topos[i], topos[j]);
             }
         }
-        assert_eq!(hash(&TopoSpec::alewife()), hash(&TopoSpec::mesh(8, 4)));
+        assert_eq!(hash(&Topo::alewife()), hash(&Topo::mesh(8, 4)));
     }
 
     #[test]
@@ -2170,14 +1961,14 @@ mod topo_tests {
         // The satellite audit target: all four topologies at (or near) 1024
         // nodes with full contract checks, exercising index arithmetic well
         // past the 32-node seed.
-        check_topology(&Mesh::new(32, 32));
-        check_topology(&Torus::new(32, 32));
-        check_topology(&FatTree::new(4, 5));
-        check_topology(&Dragonfly::new(32, 32));
+        check_topology(&Topo::mesh(32, 32));
+        check_topology(&Topo::torus(32, 32));
+        check_topology(&Topo::fat_tree(4, 5));
+        check_topology(&Topo::dragonfly(32, 32));
         // And the largest addressable meshes don't overflow link ids.
         let big = Mesh::new(256, 256);
         assert_eq!(big.num_nodes(), 65536);
-        check_node_route(&big, 0, 65535);
+        check_node_route(&Topo::Mesh(big), 0, 65535);
     }
 }
 
@@ -2266,11 +2057,11 @@ mod tests {
     #[test]
     fn bisection_links_count() {
         let m = alewife();
-        let cut = m.bisection_links();
-        assert_eq!(cut.len(), 8, "4 rows x 2 directions");
-        for l in cut {
-            assert!(m.crosses_bisection(l));
-        }
+        let cut = (0..m.num_links())
+            .filter(|&l| m.crosses_bisection(l))
+            .count();
+        assert_eq!(cut, 8, "4 rows x 2 directions");
+        assert_eq!(cut, m.bisection_channels());
     }
 
     #[test]

@@ -3,13 +3,11 @@
 //! must satisfy the routing contract (minimality, continuity, symmetry
 //! where applicable) on random node pairs.
 
-use commsense_mesh::{
-    Dragonfly, Endpoint, FatTree, Mesh, RouteTable, Topo, TopoSpec, Topology, Torus,
-};
+use commsense_mesh::{Dragonfly, Endpoint, FatTree, Mesh, RouteTable, Topo, Torus};
 use proptest::prelude::*;
 
 /// Walks the computed route `src -> dst` and returns its link ids.
-fn computed_route(t: &impl Topology, src: Endpoint, dst: Endpoint) -> Vec<usize> {
+fn computed_route(t: &Topo, src: Endpoint, dst: Endpoint) -> Vec<usize> {
     (0..t.route_len(src, dst))
         .map(|h| t.route_hop(src, dst, h))
         .collect()
@@ -43,6 +41,7 @@ proptest! {
     ) {
         let mesh = Mesh::new(8, 4);
         let table = RouteTable::new(&mesh);
+        let mesh = Topo::Mesh(mesh);
         if src != dst {
             let (s, d) = (Endpoint::node(src), Endpoint::node(dst));
             let oracle: Vec<usize> =
@@ -153,8 +152,7 @@ proptest! {
     #[test]
     fn io_streams_cross_bisection_once(kind in 0usize..4, nodes_pow in 4u32..10) {
         let nodes = 1usize << nodes_pow;
-        let spec = TopoSpec::with_nodes(TopoSpec::KINDS[kind], nodes);
-        let t = spec.build();
+        let t = Topo::with_nodes(Topo::KINDS[kind], nodes);
         for s in 0..t.io_streams() {
             for (src, dst) in [
                 (Endpoint::IoWest(s), Endpoint::IoEast(s)),
@@ -166,6 +164,34 @@ proptest! {
                     .count();
                 prop_assert_eq!(crossings, 1, "{} stream {}", t.describe(), s);
             }
+        }
+    }
+
+    /// `route_into`, the one routing call the network makes per injected
+    /// packet, is hop for hop the per-hop route on every kind: for
+    /// compute-node pairs and both directions of every I/O stream.
+    #[test]
+    fn route_into_matches_route_hop(
+        kind in 0usize..4, nodes_pow in 4u32..10, seed in any::<u64>(),
+    ) {
+        let t = Topo::with_nodes(Topo::KINDS[kind], 1usize << nodes_pow);
+        let n = t.num_nodes();
+        let (a, b) = ((seed as usize) % n, (seed >> 32) as usize % n);
+        let mut pairs = Vec::new();
+        if a != b {
+            pairs.push((Endpoint::node(a), Endpoint::node(b)));
+        }
+        for s in 0..t.io_streams() {
+            pairs.push((Endpoint::IoWest(s), Endpoint::IoEast(s)));
+            pairs.push((Endpoint::IoEast(s), Endpoint::IoWest(s)));
+        }
+        let mut out = vec![u32::MAX];
+        for (src, dst) in pairs {
+            out.truncate(1);
+            t.route_into(src, dst, &mut out);
+            let want: Vec<u32> = computed_route(&t, src, dst).iter().map(|&l| l as u32).collect();
+            prop_assert_eq!(out[0], u32::MAX, "route_into appends, never overwrites");
+            prop_assert_eq!(&out[1..], &want[..], "{} {:?}->{:?}", t.describe(), src, dst);
         }
     }
 }

@@ -499,7 +499,7 @@ impl Extreme {
     pub fn config(self, mech: Mechanism) -> MachineConfig {
         let mut cfg = MachineConfig::tiny().with_mechanism(mech);
         let consuming = |cfg: &MachineConfig| {
-            CrossTrafficConfig::consuming(0.1, cfg.clock(), 64, cfg.net.topo.build().io_streams())
+            CrossTrafficConfig::consuming(0.1, cfg.clock(), 64, cfg.net.topo.io_streams())
         };
         let nodes = cfg.nodes as u16;
         match self {

@@ -124,7 +124,7 @@ fn cross_traffic_actually_crosses_the_bisection() {
         8.0,
         cfg.clock(),
         64,
-        cfg.net.topo.build().io_streams(),
+        cfg.net.topo.io_streams(),
     ));
     let r = run_app(&em3d(), Mechanism::MsgPoll, &cfg);
     assert!(

@@ -179,8 +179,8 @@ fn fig8_bisection_extremes() {
 /// Hostile traffic at the paper's 8 B/cycle consumption, reshaped by
 /// `pattern` across this machine's nodes.
 fn hostile(cfg: &MachineConfig, pattern: TrafficPattern) -> CrossTrafficConfig {
-    CrossTrafficConfig::consuming(8.0, cfg.clock(), 64, cfg.net.topo.build().io_streams())
-        .with_pattern(pattern, cfg.nodes as u16, 7)
+    let cross = CrossTrafficConfig::consuming(8.0, cfg.clock(), 64, cfg.net.topo.io_streams());
+    cross.with_pattern(pattern, cfg.nodes as u16, 7)
 }
 
 /// Incast under the Figure 10 extremes: shared memory still degrades

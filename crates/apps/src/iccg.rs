@@ -15,7 +15,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use commsense_cache::{Heap, LineHandle};
-use commsense_machine::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step};
+use commsense_machine::program::{
+    bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step, Until,
+};
 use commsense_machine::{ConfigError, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 use commsense_workloads::sparse::{IccgParams, IccgSystem};
@@ -91,12 +93,10 @@ pub fn run_prepared(
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SmSt {
-    /// Spin-load the presence counter of the current row.
+    /// Spin on the presence counter of the current row.
     SpinCounter,
-    /// Counter load returned; check it.
-    CounterChecked,
-    /// Back off before re-checking.
-    Backoff,
+    /// The counter reached zero: every contribution has arrived.
+    CounterDone,
     /// Accumulator load returned; publish y and start the out-edge loop.
     RowReady,
     /// First look-ahead write prefetch issued (two rows ahead).
@@ -156,22 +156,18 @@ impl Program for IccgSm {
                         self.st = SmSt::Finishing;
                         return Step::Barrier;
                     }
-                    self.st = SmSt::CounterChecked;
-                    return Step::SpinLoad(self.rows_line.word(self.row(), 1));
+                    self.st = SmSt::CounterDone;
+                    return Step::SpinUntil {
+                        word: self.rows_line.word(self.row(), 1),
+                        backoff: SPIN_BACKOFF,
+                        until: Until::AtMost(0.0),
+                    };
                 }
-                SmSt::CounterChecked => {
-                    if ctx.loaded <= 0.0 {
-                        // All contributions arrived; the accumulator is in
-                        // the same line (typically a cache hit).
-                        self.st = SmSt::RowReady;
-                        return Step::Load(self.rows_line.word(self.row(), 0));
-                    }
-                    self.st = SmSt::Backoff;
-                    return Step::SpinWait(SPIN_BACKOFF);
-                }
-                SmSt::Backoff => {
-                    self.st = SmSt::CounterChecked;
-                    return Step::SpinLoad(self.rows_line.word(self.row(), 1));
+                SmSt::CounterDone => {
+                    // The accumulator is in the same line (typically a
+                    // cache hit).
+                    self.st = SmSt::RowReady;
+                    return Step::Load(self.rows_line.word(self.row(), 0));
                 }
                 SmSt::RowReady => {
                     self.y = ctx.loaded;

@@ -9,7 +9,7 @@
 //! programs by hand.
 
 use commsense_cache::{Heap, Word};
-use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
+use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step, Until};
 use commsense_machine::{Machine, MachineConfig, MachineSpec, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 
@@ -34,7 +34,7 @@ impl Program for Idle {
 enum PingSt {
     Put,
     Spin,
-    Check,
+    Seen,
 }
 
 struct SmPing {
@@ -47,7 +47,7 @@ struct SmPing {
 }
 
 impl Program for SmPing {
-    fn resume(&mut self, ctx: &mut NodeCtx) -> Step {
+    fn resume(&mut self, _ctx: &mut NodeCtx) -> Step {
         loop {
             if self.round > self.rounds {
                 return Step::Done;
@@ -64,19 +64,18 @@ impl Program for SmPing {
                 }
                 PingSt::Spin => {
                     let word = if self.me == 0 { self.pong } else { self.ping };
-                    self.st = PingSt::Check;
-                    return Step::SpinLoad(word);
+                    self.st = PingSt::Seen;
+                    return Step::SpinUntil {
+                        word,
+                        backoff: 8,
+                        until: Until::Equals(self.round as f64),
+                    };
                 }
-                PingSt::Check => {
-                    if ctx.loaded as usize == self.round {
-                        if self.me == 0 {
-                            self.round += 1;
-                        }
-                        self.st = PingSt::Put;
-                        continue;
+                PingSt::Seen => {
+                    if self.me == 0 {
+                        self.round += 1;
                     }
-                    self.st = PingSt::Spin;
-                    return Step::SpinWait(8);
+                    self.st = PingSt::Put;
                 }
             }
         }

@@ -134,6 +134,29 @@ impl Cache {
         state
     }
 
+    /// Records `n` further hits on a resident line in one step: the cache
+    /// is left exactly as `n` calls to [`Cache::access`] would leave it
+    /// (`n` more hits, the access counter `n` ticks on, and the line the
+    /// most recently used of its set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is not resident.
+    pub fn touch_hits(&mut self, line: LineId, n: u64) {
+        self.tick += n;
+        let tick = self.tick;
+        match self
+            .set_slice_mut(line)
+            .iter_mut()
+            .flatten()
+            .find(|e| e.line == line)
+        {
+            Some(e) => e.used = tick,
+            None => panic!("touch_hits on non-resident line {line:?}"),
+        }
+        self.hits += n;
+    }
+
     /// Returns the line's state if resident, without touching statistics
     /// or LRU.
     pub fn lookup(&self, line: LineId) -> Option<LineState> {
@@ -320,6 +343,46 @@ mod tests {
         assert!(c.access(LineId(3)).is_some());
         let victim = c.fill(LineId(19), LineState::Shared);
         assert_eq!(victim, Some((LineId(11), LineState::Shared)));
+    }
+
+    #[test]
+    fn touch_hits_equals_repeated_access() {
+        // Four ways: the touched line is one of four residents, and a
+        // later fill must evict the same LRU victim either way.
+        let setup = || {
+            let mut c = Cache::set_associative(16, 4); // 4 sets x 4 ways
+            for l in [1, 5, 9, 13] {
+                c.fill(LineId(l), LineState::Shared);
+            }
+            c.access(LineId(9));
+            c
+        };
+        let (mut bulk, mut stepped) = (setup(), setup());
+        bulk.touch_hits(LineId(1), 7);
+        for _ in 0..7 {
+            assert!(stepped.access(LineId(1)).is_some());
+        }
+        assert_eq!(bulk.hit_miss(), stepped.hit_miss());
+        assert_eq!(bulk.hit_miss(), (8, 0));
+        for l in [17, 21, 25] {
+            assert_eq!(
+                bulk.fill(LineId(l), LineState::Shared),
+                stepped.fill(LineId(l), LineState::Shared)
+            );
+        }
+        // Lines 5, 13 and 9 went first; the touched line is still resident.
+        assert_eq!(bulk.lookup(LineId(1)), Some(LineState::Shared));
+        assert_eq!(
+            bulk.fill(LineId(29), LineState::Shared),
+            stepped.fill(LineId(29), LineState::Shared)
+        );
+        assert_eq!(bulk.lookup(LineId(1)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-resident")]
+    fn touch_hits_missing_panics() {
+        Cache::new(16).touch_hits(LineId(1), 2);
     }
 
     #[test]

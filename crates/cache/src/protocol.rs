@@ -210,14 +210,11 @@ pub enum ProtoOut {
     },
 }
 
-/// Result of a processor access attempt ([`Protocol::start_access_into`]).
-/// Follow-up actions go to the caller's scratch buffer, not a freshly
-/// allocated `Vec` (the simulator hot path calls this once per memory
-/// access).
+/// Result of an access that missed the cache
+/// ([`Protocol::start_miss_into`]). Follow-up actions go to the caller's
+/// scratch buffer, not a freshly allocated `Vec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
-    /// The line was in the cache with sufficient permission.
-    Hit,
     /// The line was promoted from the prefetch buffer (a local, fast
     /// transfer); the buffer may have gained an oracle writeback of the
     /// evicted victim and replays of deferred intruders.
@@ -485,13 +482,37 @@ impl Protocol {
         self.caches[node].lookup(line).is_some() || self.prefetch[node].lookup(line).is_some()
     }
 
-    /// Attempts a processor access, possibly starting a transaction;
-    /// follow-up actions are appended to `outs`.
+    /// The first half of a processor access: one cache lookup, which
+    /// records a hit or a miss and refreshes LRU on a hit. Returns whether
+    /// the line is resident with enough permission for `kind`; if not, the
+    /// caller continues with [`Protocol::start_miss_into`].
+    pub fn try_hit(&mut self, node: usize, line: LineId, kind: AccessKind) -> bool {
+        match self.caches[node].access(line) {
+            Some(LineState::Modified) => true,
+            Some(LineState::Shared) => !kind.needs_exclusive(),
+            None => false,
+        }
+    }
+
+    /// Records `n` further read hits on a resident line, exactly as `n`
+    /// [`Protocol::try_hit`] calls that hit would (see
+    /// [`Cache::touch_hits`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is not in `node`'s cache.
+    pub fn touch_hits(&mut self, node: usize, line: LineId, n: u64) {
+        self.caches[node].touch_hits(line, n);
+    }
+
+    /// The second half of an access that [`Protocol::try_hit`] did not
+    /// satisfy: promotes the line from the prefetch buffer or starts a
+    /// coherence transaction; follow-up actions are appended to `outs`.
     ///
     /// The caller must ensure at most one outstanding transaction per
     /// `(node, line)` (the machine layer merges demand misses into
     /// outstanding prefetches of the same line).
-    pub fn start_access_into(
+    pub fn start_miss_into(
         &mut self,
         node: usize,
         line: LineId,
@@ -499,12 +520,6 @@ impl Protocol {
         token: TxnToken,
         outs: &mut Vec<ProtoOut>,
     ) -> AccessOutcome {
-        let state = self.caches[node].access(line);
-        match (state, kind.needs_exclusive()) {
-            (Some(_), false) | (Some(LineState::Modified), true) => return AccessOutcome::Hit,
-            _ => {}
-        }
-
         // Try the prefetch buffer.
         if let Some(pk) = self.prefetch[node].lookup(line) {
             let enough = !kind.needs_exclusive() || pk == PrefetchKind::Exclusive;
@@ -1079,6 +1094,20 @@ impl Protocol {
 mod tests {
     use super::*;
 
+    /// Starts an access the way the machine does (the cache lookup, then
+    /// the miss path), appending its follow-up actions to `outs`. `None`
+    /// is a cache hit.
+    fn start_into(
+        p: &mut Protocol,
+        node: usize,
+        line: LineId,
+        kind: AccessKind,
+        token: TxnToken,
+        outs: &mut Vec<ProtoOut>,
+    ) -> Option<AccessOutcome> {
+        (!p.try_hit(node, line, kind)).then(|| p.start_miss_into(node, line, kind, token, outs))
+    }
+
     /// Starts an access, returning its outcome and its follow-up actions.
     fn start(
         p: &mut Protocol,
@@ -1086,9 +1115,9 @@ mod tests {
         line: LineId,
         kind: AccessKind,
         token: TxnToken,
-    ) -> (AccessOutcome, Vec<ProtoOut>) {
+    ) -> (Option<AccessOutcome>, Vec<ProtoOut>) {
         let mut outs = Vec::new();
-        let outcome = p.start_access_into(node, line, kind, token, &mut outs);
+        let outcome = start_into(p, node, line, kind, token, &mut outs);
         (outcome, outs)
     }
 
@@ -1130,7 +1159,7 @@ mod tests {
     }
 
     fn access(p: &mut Protocol, node: usize, line: LineId, kind: AccessKind) {
-        if let (AccessOutcome::Miss, outs) = start(p, node, line, kind, TxnToken(0)) {
+        if let (Some(AccessOutcome::Miss), outs) = start(p, node, line, kind, TxnToken(0)) {
             let g = settle(p, outs, false);
             assert_eq!(g.len(), 1, "one grant per miss");
         }
@@ -1151,7 +1180,7 @@ mod tests {
         read(&mut p, 0, line);
         assert_eq!(
             start(&mut p, 0, line, AccessKind::Read, TxnToken(1)),
-            (AccessOutcome::Hit, vec![])
+            (None, vec![])
         );
         let (m, holders) = p.directory_view(line);
         assert!(!m);
@@ -1172,7 +1201,7 @@ mod tests {
         assert_eq!(
             start(&mut p, 1, line, AccessKind::Read, TxnToken(9)),
             (
-                AccessOutcome::Miss,
+                Some(AccessOutcome::Miss),
                 vec![ProtoOut::Send {
                     from: 1,
                     to: 0,
@@ -1210,7 +1239,7 @@ mod tests {
         assert!(m && holders == vec![1]);
         assert_eq!(
             start(&mut p, 1, line, AccessKind::Write, TxnToken(5)),
-            (AccessOutcome::Hit, vec![])
+            (None, vec![])
         );
     }
 
@@ -1219,7 +1248,7 @@ mod tests {
         let (mut p, h) = proto(4, 4);
         let line = h.line(2);
         let (outcome, outs) = start(&mut p, 0, line, AccessKind::Rmw, TxnToken(0));
-        assert_eq!(outcome, AccessOutcome::Miss);
+        assert_eq!(outcome, Some(AccessOutcome::Miss));
         assert!(matches!(
             outs[0],
             ProtoOut::Send {
@@ -1243,7 +1272,7 @@ mod tests {
         // Old owner lost its copy.
         assert_eq!(
             start(&mut p, 1, line, AccessKind::Read, TxnToken(1)).0,
-            AccessOutcome::Miss
+            Some(AccessOutcome::Miss)
         );
     }
 
@@ -1259,7 +1288,7 @@ mod tests {
         // A write now sweeps 6 sharers through the software handler too
         // (requester is node 7, so 6 invalidations).
         let (outcome, outs) = start(&mut p, 7, line, AccessKind::Write, TxnToken(0));
-        assert_eq!(outcome, AccessOutcome::Miss, "write should miss");
+        assert_eq!(outcome, Some(AccessOutcome::Miss), "write should miss");
         assert!(outs.iter().all(|o| matches!(o, ProtoOut::Send { .. })));
         let mut saw_occupancy = false;
         let mut queue = outs;
@@ -1303,7 +1332,7 @@ mod tests {
         write(&mut p2, 0, a);
         // Filling b evicts dirty a.
         let (outcome, outs) = start(&mut p2, 0, b, AccessKind::Write, TxnToken(0));
-        assert_eq!(outcome, AccessOutcome::Miss);
+        assert_eq!(outcome, Some(AccessOutcome::Miss));
         let mut saw_wb = false;
         let mut queue = outs;
         while let Some(out) = queue.pop() {
@@ -1344,8 +1373,8 @@ mod tests {
         // One scratch buffer, drained after each step.
         let mut outs = Vec::new();
         // Node 1 requests exclusive; home grants (in flight).
-        let outcome = p.start_access_into(1, line, AccessKind::Write, TxnToken(1), &mut outs);
-        assert_eq!(outcome, AccessOutcome::Miss);
+        let outcome = start_into(&mut p, 1, line, AccessKind::Write, TxnToken(1), &mut outs);
+        assert_eq!(outcome, Some(AccessOutcome::Miss));
         let Some(ProtoOut::Send { from, to, msg }) = outs.pop() else {
             panic!()
         };
@@ -1363,8 +1392,8 @@ mod tests {
             .expect("grant sent");
         // Before the grant is delivered, node 2's write is processed at home
         // and its Recall overtakes the grant.
-        let outcome = p.start_access_into(2, line, AccessKind::Write, TxnToken(2), &mut outs);
-        assert_eq!(outcome, AccessOutcome::Miss);
+        let outcome = start_into(&mut p, 2, line, AccessKind::Write, TxnToken(2), &mut outs);
+        assert_eq!(outcome, Some(AccessOutcome::Miss));
         let Some(ProtoOut::Send {
             from: f2,
             to: t2,
@@ -1426,8 +1455,8 @@ mod tests {
                                 // Two readers race; first triggers a Fetch (busy), second queues.
         let mut all = Vec::new();
         for (node, token) in [(2, TxnToken(2)), (3, TxnToken(3))] {
-            let outcome = p.start_access_into(node, line, AccessKind::Read, token, &mut all);
-            assert_eq!(outcome, AccessOutcome::Miss);
+            let outcome = start_into(&mut p, node, line, AccessKind::Read, token, &mut all);
+            assert_eq!(outcome, Some(AccessOutcome::Miss));
         }
         let grants = settle(&mut p, all, false);
         let readers: Vec<usize> = grants.iter().filter(|g| !g.2).map(|g| g.0).collect();
@@ -1445,7 +1474,7 @@ mod tests {
     /// buffer instead of the cache.
     fn prefetch_read(p: &mut Protocol, node: usize, line: LineId, token: TxnToken) {
         let (outcome, outs) = start(p, node, line, AccessKind::Read, token);
-        assert_eq!(outcome, AccessOutcome::Miss);
+        assert_eq!(outcome, Some(AccessOutcome::Miss));
         settle(p, outs, true);
     }
 
@@ -1458,7 +1487,7 @@ mod tests {
         // Demand read promotes from the buffer without a transaction.
         assert_eq!(
             start(&mut p, 0, line, AccessKind::Read, TxnToken(8)).0,
-            AccessOutcome::PrefetchHit
+            Some(AccessOutcome::PrefetchHit)
         );
         assert_eq!(p.prefetch_stats(0).0, 1);
         p.check_invariants([line].into_iter());
@@ -1471,7 +1500,7 @@ mod tests {
         prefetch_read(&mut p, 0, line, TxnToken(7));
         // A write must still upgrade.
         let (outcome, outs) = start(&mut p, 0, line, AccessKind::Write, TxnToken(9));
-        assert_eq!(outcome, AccessOutcome::Miss, "expected upgrade miss");
+        assert_eq!(outcome, Some(AccessOutcome::Miss), "expected upgrade miss");
         assert!(matches!(
             outs.last(),
             Some(ProtoOut::Send {
@@ -1562,7 +1591,7 @@ mod tests {
                 _ => AccessKind::Rmw,
             };
             let (outcome, outs) = start(&mut p, node, line, kind, TxnToken(step));
-            if outcome != AccessOutcome::Hit {
+            if outcome.is_some() {
                 settle(&mut p, outs, false);
             }
             if step % 100 == 0 {

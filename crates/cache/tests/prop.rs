@@ -107,8 +107,10 @@ proptest! {
                 1 => AccessKind::Write,
                 _ => AccessKind::Rmw,
             };
-            let outcome = proto.start_access_into(node, line, kind, TxnToken(t as u64), &mut pool);
-            if outcome == AccessOutcome::Miss {
+            let missed = !proto.try_hit(node, line, kind)
+                && proto.start_miss_into(node, line, kind, TxnToken(t as u64), &mut pool)
+                    == AccessOutcome::Miss;
+            if missed {
                 blocked.insert((node, line.0));
             }
             // Deliver a few random pool entries.

@@ -59,6 +59,6 @@ pub use critpath::{analyze, CritPath, Stage};
 pub use error::{panic_message, ConfigError, SimError};
 pub use machine::{DispatchKindProfile, DispatchProfile, Machine, MachineSpec};
 pub use metrics::{MetricsSeries, Observation, RunState};
-pub use program::{HandlerCtx, NodeCtx, Program, RmwOp, Step};
+pub use program::{HandlerCtx, NodeCtx, Program, RmwOp, Step, Until};
 pub use stats::{Bucket, LatencyHistogram, NodeStats, RunStats};
 pub use trace::{Trace, TraceEvent, TraceKind};

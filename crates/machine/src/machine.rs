@@ -16,7 +16,7 @@ use crate::error::{ConfigError, SimError};
 use crate::invariants::Checker;
 use crate::metrics::{MetricsSeries, Observation, RunState};
 use crate::oracle::{OracleLog, OracleOp};
-use crate::program::{HandlerCtx, NodeCtx, Program, RmwOp, Step};
+use crate::program::{HandlerCtx, NodeCtx, Program, RmwOp, Step, Until};
 use crate::stats::{Bucket, LatencyHistogram, NodeStats, RunStats};
 use crate::trace::{Trace, TraceKind};
 
@@ -321,6 +321,22 @@ struct Nodes {
     /// with their network lifecycle for the trace. Only populated while
     /// tracing (empty otherwise; drains fall back to [`NO_RECORD`]).
     rq_ids: Vec<VecDeque<u32>>,
+    /// The node's [`Step::SpinUntil`] loop in progress, if any. It survives
+    /// a batch end and a miss: the next batch continues the loop before
+    /// the program is resumed.
+    spin: Vec<Option<Spin>>,
+}
+
+/// A [`Step::SpinUntil`] loop in progress on a node.
+#[derive(Debug, Clone, Copy)]
+struct Spin {
+    word: Word,
+    /// Backoff cycles, already clamped to at least one.
+    backoff: u64,
+    until: Until,
+    /// The next sub-step: load the word (`true`) or test the value just
+    /// loaded (`false`).
+    load_next: bool,
 }
 
 /// What a node does after its write buffer drains.
@@ -351,6 +367,7 @@ impl Nodes {
             fence: vec![None; n],
             handler_busy_until: vec![Time::ZERO; n],
             rq_ids: (0..n).map(|_| VecDeque::new()).collect(),
+            spin: vec![None; n],
         }
     }
 }
@@ -1732,17 +1749,19 @@ impl Machine {
                 _ => panic!("duplicate outstanding access to line {line:?} by node {node}"),
             }
         }
+        if self.proto.try_hit(node, line, op.kind()) {
+            self.apply_purpose_op(node, op, purpose);
+            return Some(self.hit_cost(op));
+        }
+        // A miss: only now is a token minted and an output buffer taken.
+        // Token values match minting on every access, because a hit's
+        // token would go straight back onto the LIFO free list.
         let token = self.tokens.mint(purpose);
         let mut outs = self.take_outs();
-        let outcome =
-            self.proto
-                .start_access_into(node, line, op.kind(), TxnToken(token), &mut outs);
+        let outcome = self
+            .proto
+            .start_miss_into(node, line, op.kind(), TxnToken(token), &mut outs);
         let result = match outcome {
-            AccessOutcome::Hit => {
-                self.tokens.remove(token);
-                self.apply_purpose_op(node, op, purpose);
-                Some(self.hit_cost(op))
-            }
             AccessOutcome::PrefetchHit => {
                 self.tokens.remove(token);
                 self.process_aux_outs(&mut outs, t);
@@ -1900,12 +1919,14 @@ impl Machine {
         let mut t = self.now;
         let budget_end = t + self.cycles(BATCH_CYCLES);
         loop {
+            if self.nodes.spin[node].is_some() && !self.spin(node, &mut t, budget_end) {
+                return;
+            }
             let mut ctx = NodeCtx {
                 node,
                 nodes: self.cfg.nodes,
                 loaded: self.nodes.loaded[node],
                 rmw: self.nodes.rmw[node],
-                now_cycles: self.clock.cycles_at(t),
             };
             let step = self.programs[node].resume(&mut ctx);
             match step {
@@ -1930,6 +1951,21 @@ impl Machine {
                     if !self.demand_step_bucketed(node, op, &mut t, Bucket::Sync) {
                         return;
                     }
+                }
+                Step::SpinUntil {
+                    word,
+                    backoff,
+                    until,
+                } => {
+                    // The loop starts with a load, which `spin` runs at the
+                    // top of the next iteration; no time has passed.
+                    self.nodes.spin[node] = Some(Spin {
+                        word,
+                        backoff: backoff.max(1),
+                        until,
+                        load_next: true,
+                    });
+                    continue;
                 }
                 Step::Store(word, val) => {
                     let op = MemOp::Write { word, val };
@@ -1980,38 +2016,34 @@ impl Machine {
                         } else {
                             AccessKind::Read
                         };
+                        // The line is in neither the cache nor the
+                        // prefetch buffer, so the lookup (which counts the
+                        // cache miss) misses and a transaction starts.
+                        let hit = self.proto.try_hit(node, line, kind);
+                        debug_assert!(!hit, "prefetch of a cached line");
                         let token = self.tokens.mint(Purpose::Prefetch {
                             node,
                             merged: None,
                             issued: t,
                         });
                         let mut outs = self.take_outs();
-                        match self.proto.start_access_into(
+                        let outcome = self.proto.start_miss_into(
                             node,
                             line,
                             kind,
                             TxnToken(token),
                             &mut outs,
-                        ) {
-                            AccessOutcome::Hit | AccessOutcome::PrefetchHit => {
-                                // Raced with is_local: treat as useless
-                                // (any buffered outputs are dropped, as
-                                // before — put_outs clears them).
-                                self.tokens.remove(token);
-                                self.useless_prefetches += 1;
-                            }
-                            AccessOutcome::Miss => {
-                                self.outstanding.insert(
-                                    node,
-                                    line.0,
-                                    OutstandingEntry {
-                                        token,
-                                        kind: OutKind::Prefetch,
-                                    },
-                                );
-                                self.process_aux_outs(&mut outs, t);
-                            }
-                        }
+                        );
+                        debug_assert_eq!(outcome, AccessOutcome::Miss);
+                        self.outstanding.insert(
+                            node,
+                            line.0,
+                            OutstandingEntry {
+                                token,
+                                kind: OutKind::Prefetch,
+                            },
+                        );
+                        self.process_aux_outs(&mut outs, t);
                         self.put_outs(outs);
                     }
                 }
@@ -2097,6 +2129,98 @@ impl Machine {
                 return;
             }
         }
+    }
+
+    /// Runs the node's [`Step::SpinUntil`] loop inside the batch: exactly
+    /// the steps `SpinLoad`, test, `SpinWait`, ... with the batch budget
+    /// checked after every load and every backoff. Returns `true` once a
+    /// loaded value passes the test (the loop is over and the program
+    /// resumes), `false` when the batch ends on the budget (a wake is
+    /// scheduled) or on a miss (the node blocked); the loop state
+    /// survives both.
+    ///
+    /// Once a load in this batch has hit the cache, the rest of the batch
+    /// is known: no event runs until the batch ends, so every later poll
+    /// hits the same resident line and reads the same value. Those
+    /// (backoff, load) rounds are applied in one step. The first load of
+    /// every batch stays a real access, because events between batches
+    /// may invalidate or evict the line.
+    fn spin(&mut self, node: usize, t: &mut Time, budget_end: Time) -> bool {
+        let mut s = self.nodes.spin[node].expect("spinning node");
+        let op = MemOp::Read {
+            word: s.word,
+            sync: true,
+        };
+        let backoff = self.cycles(s.backoff);
+        let mut hit = false;
+        loop {
+            if s.load_next {
+                if hit {
+                    self.spin_rest_of_batch(node, s, t, budget_end);
+                    return false;
+                }
+                s.load_next = false;
+                if !self.demand_step_bucketed(node, op, t, Bucket::Sync) {
+                    self.nodes.spin[node] = Some(s);
+                    return false;
+                }
+                // The line is cached now: a plain hit found it there, and
+                // a promotion from the prefetch buffer installed it (no
+                // intruder is deferred behind a line with no grant in
+                // flight). `touch_hits` panics if that ever fails.
+                hit = true;
+            } else {
+                if s.until.holds(self.nodes.loaded[node]) {
+                    self.nodes.spin[node] = None;
+                    return true;
+                }
+                self.charge(node, Bucket::Sync, backoff);
+                *t += backoff;
+                s.load_next = true;
+            }
+            if *t >= budget_end {
+                self.nodes.spin[node] = Some(s);
+                self.schedule_wake(node, *t);
+                return false;
+            }
+        }
+    }
+
+    /// Applies the rest of a batch's spin polls in one step, from a load
+    /// that must hit (see [`Machine::spin`]) to the budget check that ends
+    /// the batch: `n` loads and `m` backoffs, their Sync time, the cache
+    /// state of `n` hits and, with the oracle on, the `n` reads.
+    fn spin_rest_of_batch(&mut self, node: usize, mut s: Spin, t: &mut Time, budget_end: Time) {
+        let hit = self.cycles(self.cfg.costs.cache_hit).as_ps();
+        let backoff = self.cycles(s.backoff).as_ps();
+        let left = (budget_end - *t).as_ps();
+        // `full` whole (load, backoff) rounds end before the budget does;
+        // the next round's load or its backoff reaches it.
+        let full = (left - 1) / (hit + backoff);
+        let n = full + 1;
+        let m = if full * (hit + backoff) + hit >= left {
+            full
+        } else {
+            full + 1
+        };
+        let d = Time::from_ps(n * hit + m * backoff);
+        self.charge(node, Bucket::Sync, d);
+        *t += d;
+        self.proto.touch_hits(node, s.word.line, n);
+        if self.oracle.is_some() {
+            let op = MemOp::Read {
+                word: s.word,
+                sync: true,
+            };
+            for _ in 0..n {
+                let seq = self.next_seq(node);
+                self.apply_user_op(node, op, seq);
+            }
+        }
+        // A batch that ended on a backoff polls first in the next one.
+        s.load_next = m == n;
+        self.nodes.spin[node] = Some(s);
+        self.schedule_wake(node, *t);
     }
 
     /// Executes a demand access inside the batch. Returns `false` if the

@@ -9,7 +9,7 @@ use commsense_mesh::CrossTrafficConfig;
 use commsense_msgpass::{ActiveMessage, HandlerId};
 
 use crate::config::{CheckConfig, LatencyEmulation, MachineConfig, Mechanism};
-use crate::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step};
+use crate::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step, Until};
 
 use super::{Machine, MachineSpec};
 use crate::error::SimError;
@@ -1562,4 +1562,218 @@ fn new_rejects_each_mismatched_shape() {
     );
 
     assert!(err(&cfg, empty_spec(&cfg, idle(4))).is_none());
+}
+
+/// Node 0's program in the spin identity tests: `before`, then a poll loop
+/// on `word`, then `after`. The loop is one [`Step::SpinUntil`], or the
+/// same loop written out with `SpinLoad`, a test, and `SpinWait`.
+struct Spinner {
+    before: Vec<Step>,
+    word: Word,
+    backoff: u64,
+    until: Until,
+    after: Vec<Step>,
+    hand_rolled: bool,
+    pc: usize,
+    /// Hand-rolled only: the last step was the `SpinLoad`.
+    loaded: bool,
+}
+
+impl Program for Spinner {
+    fn resume(&mut self, ctx: &mut NodeCtx) -> Step {
+        let spin_at = self.before.len();
+        if self.pc < spin_at {
+            self.pc += 1;
+            return self.before[self.pc - 1].clone();
+        }
+        if self.pc == spin_at {
+            if !self.hand_rolled {
+                self.pc += 1;
+                return Step::SpinUntil {
+                    word: self.word,
+                    backoff: self.backoff,
+                    until: self.until,
+                };
+            }
+            if !self.loaded {
+                self.loaded = true;
+                return Step::SpinLoad(self.word);
+            }
+            self.loaded = false;
+            if !self.until.holds(ctx.loaded) {
+                return Step::SpinWait(self.backoff);
+            }
+            self.pc += 1;
+        }
+        self.pc += 1;
+        self.after
+            .get(self.pc - spin_at - 2)
+            .cloned()
+            .unwrap_or(Step::Done)
+    }
+
+    fn on_message(&mut self, _h: u16, _a: &[u64], _b: &[u64], _c: &mut HandlerCtx) {}
+}
+
+/// One spin scenario. Node 0 spins on word 1 of line 0 of an 8-line array
+/// (line 0 homed at `home`; lines 0 and 4 share a set in a 4-line cache)
+/// after running `before`; node 1 runs `producer`.
+struct SpinScenario<'a> {
+    home: usize,
+    /// The spun word's initial value.
+    initial: f64,
+    before: &'a [Step],
+    backoff: u64,
+    until: Until,
+    producer: &'a [Step],
+}
+
+/// Runs a [`SpinScenario`] and returns everything it simulated: the
+/// stats, the oracle log length, node 0's final loaded value, and the
+/// master copy.
+fn spin_case(cfg: &MachineConfig, sc: &SpinScenario, hand_rolled: bool) -> String {
+    let SpinScenario {
+        home,
+        initial,
+        before,
+        backoff,
+        until,
+        producer,
+    } = *sc;
+    let mut heap = Heap::new(cfg.nodes);
+    let arr = heap.alloc(8, |i| if i == 0 { home } else { 3 });
+    let word = arr.word(0, 1);
+    let mut values = vec![0.0; heap.total_words()];
+    values[word.flat_index()] = initial;
+    let programs: Vec<Box<dyn Program>> = (0..cfg.nodes)
+        .map(|n| match n {
+            0 => Box::new(Spinner {
+                before: before.to_vec(),
+                word,
+                backoff,
+                until,
+                after: vec![Step::Load(arr.word(0, 0)), Step::Compute(3)],
+                hand_rolled,
+                pc: 0,
+                loaded: false,
+            }) as Box<dyn Program>,
+            1 => Script::new(producer.to_vec()) as Box<dyn Program>,
+            _ => Script::new(vec![]) as Box<dyn Program>,
+        })
+        .collect();
+    let mut m = Machine::new(
+        cfg.clone(),
+        MachineSpec {
+            heap,
+            initial: values,
+            programs,
+        },
+    )
+    .unwrap();
+    let stats = m.run().unwrap();
+    let oracle = m.oracle_log().map(|l| l.events().len());
+    format!(
+        "{stats:?} oracle={oracle:?} loaded={} master={:?}",
+        m.nodes.loaded[0],
+        m.master()
+    )
+}
+
+/// `SpinUntil` is the hand-written poll loop, bit for bit: every stat
+/// (cycles, events, per-node buckets, cache hits and misses, protocol
+/// counters), the oracle log and the final memory agree. The sweep covers
+/// batches that end after a backoff and after a load (backoffs from 0 to
+/// past the batch budget), a first poll that misses (remote home), a line
+/// invalidated by producer stores after several batches, a poll merged
+/// into an outstanding prefetch or promoted from the prefetch buffer, the
+/// spun line evicted by a posted store's fill in a small cache, latency
+/// emulation, and the checker with the oracle on.
+#[test]
+fn spin_until_equals_the_hand_rolled_loop() {
+    let arr_line = |i: u64| commsense_cache::LineId(i);
+    let mut small_cache = MachineConfig::tiny();
+    small_cache.proto.cache_lines = 4;
+    small_cache.write_buffer = 2;
+    let mut two_way = small_cache.clone();
+    two_way.proto.cache_ways = 2;
+    let mut emulated = MachineConfig::tiny();
+    emulated.latency_emulation = Some(LatencyEmulation::uniform(300));
+    let mut checked = MachineConfig::tiny();
+    checked.check = Some(CheckConfig::full());
+    let configs = [
+        ("tiny", MachineConfig::tiny()),
+        ("small cache", small_cache),
+        ("two-way", two_way),
+        ("emulated", emulated),
+        ("checked", checked),
+    ];
+    // Stores 1, 2, 3 to the spun word (line 0, word 1), far apart.
+    let stores: Vec<Step> = (1..=3)
+        .flat_map(|v| {
+            [
+                Step::Compute(900),
+                Step::Store(Word::new(arr_line(0), 1), v as f64),
+            ]
+        })
+        .collect();
+    // Two ICCG-style decrements of the counter in w1.
+    let decrements: Vec<Step> = (0..2)
+        .flat_map(|_| {
+            [
+                Step::Compute(700),
+                Step::Rmw(arr_line(0), RmwOp::SubW0DecW1(0.5)),
+            ]
+        })
+        .collect();
+    let befores: [Vec<Step>; 5] = [
+        vec![],
+        vec![Step::Compute(1)],
+        vec![
+            Step::Prefetch {
+                line: arr_line(0),
+                exclusive: false,
+            },
+            Step::Compute(2),
+        ],
+        vec![
+            Step::Prefetch {
+                line: arr_line(0),
+                exclusive: false,
+            },
+            Step::Compute(400),
+        ],
+        // A posted store to line 4 (same set as line 0 in a 4-line cache):
+        // its fill can land mid-spin and evict the spun line.
+        vec![Step::Store(Word::new(arr_line(4), 0), 7.0)],
+    ];
+    let mut cases = 0;
+    for (label, cfg) in &configs {
+        for home in [0, 1, 3] {
+            for (b, before) in befores.iter().enumerate() {
+                for backoff in [0, 1, 3, 7, 20, 50, 119, 120, 200] {
+                    for (initial, until, producer) in [
+                        (0.0, Until::Equals(3.0), &stores),
+                        (2.0, Until::AtMost(0.0), &decrements),
+                    ] {
+                        let sc = SpinScenario {
+                            home,
+                            initial,
+                            before,
+                            backoff,
+                            until,
+                            producer,
+                        };
+                        let run = |hand_rolled| spin_case(cfg, &sc, hand_rolled);
+                        assert_eq!(
+                            run(true),
+                            run(false),
+                            "{label}, home {home}, before #{b}, backoff {backoff}, {until:?}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 5 * 3 * 5 * 9 * 2);
 }

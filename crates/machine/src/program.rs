@@ -57,10 +57,28 @@ pub enum Step {
     /// [`NodeCtx::loaded`] at the next resume.
     Load(Word),
     /// Load a shared word while spin-waiting: identical semantics to
-    /// [`Step::Load`] but charged to synchronization time.
+    /// [`Step::Load`] but charged to synchronization time. A primitive:
+    /// poll loops use [`Step::SpinUntil`].
     SpinLoad(Word),
-    /// Spin-wait backoff cycles, charged to synchronization time.
+    /// Spin-wait backoff cycles, charged to synchronization time. A
+    /// primitive: poll loops use [`Step::SpinUntil`].
     SpinWait(u64),
+    /// Spin on a shared word until its value satisfies `until`; the value
+    /// that did is available as [`NodeCtx::loaded`] at the next resume.
+    ///
+    /// Exactly the hand-written loop "[`Step::SpinLoad`]`(word)`; if
+    /// `until` holds, stop; else [`Step::SpinWait`]`(backoff)`; repeat",
+    /// run by the machine without resuming the program between polls:
+    /// the same loads, the same synchronization time, the same batch
+    /// boundaries, the same cache and oracle state.
+    SpinUntil {
+        /// The word to poll.
+        word: Word,
+        /// Backoff cycles between polls (zero is clamped to one cycle).
+        backoff: u64,
+        /// The exit test, applied to each loaded value.
+        until: Until,
+    },
     /// Store a value to a shared word.
     Store(Word, f64),
     /// Atomic read-modify-write on a line; results are available as
@@ -87,6 +105,25 @@ pub enum Step {
     Done,
 }
 
+/// The exit test of a [`Step::SpinUntil`] loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Until {
+    /// The word is at most `x` (ICCG's presence counter reaching zero).
+    AtMost(f64),
+    /// The word equals `x` (a ping-pong round's flag).
+    Equals(f64),
+}
+
+impl Until {
+    /// Whether a loaded value ends the spin.
+    pub fn holds(self, v: f64) -> bool {
+        match self {
+            Until::AtMost(x) => v <= x,
+            Until::Equals(x) => v == x,
+        }
+    }
+}
+
 /// Read-only execution context handed to [`Program::resume`].
 #[derive(Debug, Clone, Copy)]
 pub struct NodeCtx {
@@ -94,14 +131,11 @@ pub struct NodeCtx {
     pub node: usize,
     /// Total nodes in the machine.
     pub nodes: usize,
-    /// Value delivered by the last completed [`Step::Load`] /
-    /// [`Step::SpinLoad`].
+    /// Value delivered by the last completed [`Step::Load`],
+    /// [`Step::SpinLoad`] or [`Step::SpinUntil`].
     pub loaded: f64,
     /// `(w0, w1)` after the last completed [`Step::Rmw`].
     pub rmw: (f64, f64),
-    /// Current simulated time in processor cycles (diagnostics only —
-    /// programs must not branch on it if runs are to stay comparable).
-    pub now_cycles: u64,
 }
 
 /// Context handed to [`Program::on_message`] handlers.
@@ -182,6 +216,15 @@ mod tests {
         assert_eq!(RmwOp::SubW0DecW1(2.0).apply(10.0, 3.0), (8.0, 2.0));
         assert_eq!(RmwOp::IncW0.apply(4.0, 0.0), (5.0, 0.0));
         assert_eq!(RmwOp::SetW0(7.0).apply(1.0, 1.0), (7.0, 1.0));
+    }
+
+    #[test]
+    fn until_tests_the_loaded_value() {
+        assert!(Until::AtMost(0.0).holds(0.0));
+        assert!(Until::AtMost(0.0).holds(-1.0));
+        assert!(!Until::AtMost(0.0).holds(1.0));
+        assert!(Until::Equals(3.0).holds(3.0));
+        assert!(!Until::Equals(3.0).holds(2.0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```
 
 use commsense::cache::{Heap, Word};
-use commsense::machine::program::{HandlerCtx, NodeCtx, Program, Step};
+use commsense::machine::program::{HandlerCtx, NodeCtx, Program, Step, Until};
 use commsense::machine::{Machine, MachineSpec};
 use commsense::msgpass::{ActiveMessage, HandlerId};
 use commsense::prelude::*;
@@ -22,10 +22,10 @@ const ROUNDS: usize = 200;
 enum PingSt {
     /// Store this round's value.
     Put,
-    /// Issue the spin load.
+    /// Spin until the other node's word holds this round.
     Spin,
-    /// Inspect the spun value.
-    Check,
+    /// The awaited value arrived.
+    Seen,
 }
 
 struct SmPing {
@@ -37,7 +37,7 @@ struct SmPing {
 }
 
 impl Program for SmPing {
-    fn resume(&mut self, ctx: &mut NodeCtx) -> Step {
+    fn resume(&mut self, _ctx: &mut NodeCtx) -> Step {
         loop {
             if self.round > ROUNDS {
                 return Step::Done;
@@ -57,24 +57,23 @@ impl Program for SmPing {
                     return Step::Store(word, val);
                 }
                 PingSt::Spin => {
+                    // The machine polls the word, backing off 8 cycles
+                    // between loads, and resumes us once it holds.
                     let word = if self.me == 0 { self.pong } else { self.ping };
-                    self.st = PingSt::Check;
-                    return Step::SpinLoad(word);
+                    self.st = PingSt::Seen;
+                    return Step::SpinUntil {
+                        word,
+                        backoff: 8,
+                        until: Until::Equals(self.round as f64),
+                    };
                 }
-                PingSt::Check => {
-                    if ctx.loaded as usize == self.round {
-                        if self.me == 0 {
-                            // Echo observed: next round.
-                            self.round += 1;
-                            self.st = PingSt::Put;
-                        } else {
-                            // Ping observed: echo it.
-                            self.st = PingSt::Put;
-                        }
-                        continue;
+                PingSt::Seen => {
+                    if self.me == 0 {
+                        // Echo observed: next round.
+                        self.round += 1;
                     }
-                    self.st = PingSt::Spin;
-                    return Step::SpinWait(8);
+                    // Node 1: ping observed, echo it.
+                    self.st = PingSt::Put;
                 }
             }
         }

@@ -1,8 +1,6 @@
 //! Property-based tests over the substrates' core invariants.
 
-use commsense::cache::{
-    AccessKind, AccessOutcome, Heap, ProtoConfig, ProtoOut, Protocol, TxnToken,
-};
+use commsense::cache::{AccessKind, Heap, ProtoConfig, ProtoOut, Protocol, TxnToken};
 use commsense::des::Rng;
 use commsense::mesh::{Endpoint, Mesh};
 use commsense::workloads::moldyn::rcb_partition;
@@ -100,9 +98,8 @@ proptest! {
                 1 => AccessKind::Write,
                 _ => AccessKind::Rmw,
             };
-            if proto.start_access_into(node, line, kind, TxnToken(t as u64), &mut outs)
-                != AccessOutcome::Hit
-            {
+            if !proto.try_hit(node, line, kind) {
+                proto.start_miss_into(node, line, kind, TxnToken(t as u64), &mut outs);
                 settle(&mut proto, &mut outs);
             }
         }

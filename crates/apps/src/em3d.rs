@@ -500,6 +500,7 @@ fn run_sm(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
         heap,
         initial,
         programs,
+        mechanism: mech,
     };
     run_machine("EM3D", mech, cfg, spec, |machine| {
         let got_e: Vec<f64> = (0..g.e.len())
@@ -545,6 +546,7 @@ fn run_mp(w: &Em3dPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
         heap: Heap::new(cfg.nodes),
         initial: Vec::new(),
         programs,
+        mechanism: mech,
     };
     run_machine("EM3D", mech, cfg, spec, |machine| {
         // Gather owned values from each program.
@@ -584,7 +586,7 @@ mod tests {
     fn all_mechanisms_verify() {
         let p = Em3dParams::small();
         for mech in Mechanism::ALL {
-            let r = run(&p, mech, &cfg().with_mechanism(mech));
+            let r = run(&p, mech, &cfg());
             assert!(r.verified, "{mech}: max err {}", r.max_abs_err);
             assert!(r.runtime_cycles > 0);
         }
@@ -596,7 +598,7 @@ mod tests {
         let base = cfg();
         let w = prepare(&p, base.nodes);
         for mech in Mechanism::ALL {
-            let c = base.clone().with_mechanism(mech);
+            let c = base.clone();
             let shared = run_prepared(&w, mech, &c).unwrap();
             let fresh = run(&p, mech, &c);
             assert_eq!(shared.runtime_cycles, fresh.runtime_cycles);
@@ -660,16 +662,8 @@ mod tests {
     #[test]
     fn shared_memory_volume_exceeds_message_passing() {
         let p = Em3dParams::small();
-        let sm = run(
-            &p,
-            Mechanism::SharedMem,
-            &cfg().with_mechanism(Mechanism::SharedMem),
-        );
-        let mp = run(
-            &p,
-            Mechanism::MsgPoll,
-            &cfg().with_mechanism(Mechanism::MsgPoll),
-        );
+        let sm = run(&p, Mechanism::SharedMem, &cfg());
+        let mp = run(&p, Mechanism::MsgPoll, &cfg());
         assert!(
             sm.stats.volume.app_total() > mp.stats.volume.app_total(),
             "sm volume {} must exceed mp volume {}",
@@ -681,12 +675,8 @@ mod tests {
     #[test]
     fn bulk_saves_headers_over_fine_grained() {
         let p = Em3dParams::small();
-        let fine = run(
-            &p,
-            Mechanism::MsgInterrupt,
-            &cfg().with_mechanism(Mechanism::MsgInterrupt),
-        );
-        let bulk = run(&p, Mechanism::Bulk, &cfg().with_mechanism(Mechanism::Bulk));
+        let fine = run(&p, Mechanism::MsgInterrupt, &cfg());
+        let bulk = run(&p, Mechanism::Bulk, &cfg());
         assert!(
             bulk.stats.volume.headers < fine.stats.volume.headers,
             "bulk headers {} vs fine {}",
@@ -699,11 +689,7 @@ mod tests {
     #[test]
     fn message_counts_match_plan() {
         let p = Em3dParams::small();
-        let r = run(
-            &p,
-            Mechanism::MsgInterrupt,
-            &cfg().with_mechanism(Mechanism::MsgInterrupt),
-        );
+        let r = run(&p, Mechanism::MsgInterrupt, &cfg());
         // 2 phases x iterations rounds of ghost chunks (plus barrier tree
         // messages, which are not counted in messages_sent? They are — so
         // just check it's nonzero and scales with iterations).

@@ -454,6 +454,7 @@ fn run_sm(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
         heap,
         initial,
         programs,
+        mechanism: mech,
     };
     run_machine("ICCG", mech, cfg, spec, |machine| {
         let got: Vec<f64> = (0..sys.len())
@@ -500,6 +501,7 @@ fn run_mp(w: &IccgPrepared, mech: Mechanism, cfg: &MachineConfig) -> Result<RunR
         heap: Heap::new(cfg.nodes),
         initial: Vec::new(),
         programs,
+        mechanism: mech,
     };
     run_machine("ICCG", mech, cfg, spec, |machine| {
         let mut got = vec![0.0; n];
@@ -534,7 +536,7 @@ mod tests {
     fn all_mechanisms_verify() {
         let p = IccgParams::small();
         for mech in Mechanism::ALL {
-            let r = run(&p, mech, &cfg().with_mechanism(mech));
+            let r = run(&p, mech, &cfg());
             assert!(r.verified, "{mech}: max err {}", r.max_abs_err);
         }
     }
@@ -545,16 +547,8 @@ mod tests {
         // (§4.3.3): many fine-grained messages make interrupt overhead and
         // the resulting uneven progress expensive.
         let p = IccgParams::small();
-        let int = run(
-            &p,
-            Mechanism::MsgInterrupt,
-            &cfg().with_mechanism(Mechanism::MsgInterrupt),
-        );
-        let poll = run(
-            &p,
-            Mechanism::MsgPoll,
-            &cfg().with_mechanism(Mechanism::MsgPoll),
-        );
+        let int = run(&p, Mechanism::MsgInterrupt, &cfg());
+        let poll = run(&p, Mechanism::MsgPoll, &cfg());
         assert!(
             poll.runtime_cycles < int.runtime_cycles,
             "poll {} must beat interrupts {}",
@@ -566,12 +560,8 @@ mod tests {
     #[test]
     fn bulk_aggregates_messages() {
         let p = IccgParams::small();
-        let bulk = run(&p, Mechanism::Bulk, &cfg().with_mechanism(Mechanism::Bulk));
-        let fine = run(
-            &p,
-            Mechanism::MsgInterrupt,
-            &cfg().with_mechanism(Mechanism::MsgInterrupt),
-        );
+        let bulk = run(&p, Mechanism::Bulk, &cfg());
+        let fine = run(&p, Mechanism::MsgInterrupt, &cfg());
         assert!(bulk.stats.messages_sent < fine.stats.messages_sent);
     }
 
@@ -592,11 +582,7 @@ mod tests {
         let run_system = |sys, mech, cfg: &MachineConfig| {
             run_prepared(&prepare_system(sys, cfg.nodes), mech, cfg).unwrap()
         };
-        let r = run_system(
-            Arc::clone(&sys),
-            Mechanism::MsgPoll,
-            &cfg().with_mechanism(Mechanism::MsgPoll),
-        );
+        let r = run_system(Arc::clone(&sys), Mechanism::MsgPoll, &cfg());
         assert!(r.verified, "max err {}", r.max_abs_err);
         let r2 = run_system(sys, Mechanism::SharedMem, &cfg());
         assert!(r2.verified, "max err {}", r2.max_abs_err);
@@ -608,16 +594,8 @@ mod tests {
         // useless, and add overhead, thus slowing down the prefetching
         // version".
         let p = IccgParams::small();
-        let sm = run(
-            &p,
-            Mechanism::SharedMem,
-            &cfg().with_mechanism(Mechanism::SharedMem),
-        );
-        let pf = run(
-            &p,
-            Mechanism::SharedMemPrefetch,
-            &cfg().with_mechanism(Mechanism::SharedMemPrefetch),
-        );
+        let sm = run(&p, Mechanism::SharedMem, &cfg());
+        let pf = run(&p, Mechanism::SharedMemPrefetch, &cfg());
         // At paper scale the gain is ~3% (the paper measured a slight
         // slowdown); the small test profile has a higher remote-data
         // fraction, so allow a modest gain but no dramatic win.

@@ -326,19 +326,8 @@ impl RunResult {
     }
 }
 
-/// Ensures the configuration's receive mode and barrier style match the
-/// mechanism, cloning only when a caller passed a mismatched config.
-fn for_mechanism(cfg: &MachineConfig, mech: Mechanism) -> std::borrow::Cow<'_, MachineConfig> {
-    if cfg.receive == mech.receive_mode() && cfg.barrier == mech.barrier_style() {
-        std::borrow::Cow::Borrowed(cfg)
-    } else {
-        std::borrow::Cow::Owned(cfg.clone().with_mechanism(mech))
-    }
-}
-
 /// Runs an application under a mechanism on the given machine
-/// configuration (receive mode and barrier style are overridden to match
-/// the mechanism) and verifies its output against the sequential
+/// configuration and verifies its output against the sequential
 /// reference.
 ///
 /// This is a thin wrapper that prepares the workload and runs it once; use
@@ -348,8 +337,7 @@ pub fn run_app(spec: &AppSpec, mech: Mechanism, cfg: &MachineConfig) -> RunResul
     run_prepared(&spec.prepare(cfg.nodes), mech, cfg)
 }
 
-/// Runs a prepared workload under a mechanism (receive mode and barrier
-/// style are overridden to match the mechanism). The preparation is
+/// Runs a prepared workload under a mechanism. The preparation is
 /// read-only, so concurrent calls may share one [`PreparedWorkload`].
 ///
 /// # Panics
@@ -369,12 +357,11 @@ pub fn try_run_prepared(
     mech: Mechanism,
     cfg: &MachineConfig,
 ) -> Result<RunResult, SimError> {
-    let cfg = for_mechanism(cfg, mech);
     let started = std::time::Instant::now();
     let mut result = match w {
-        PreparedWorkload::Em3d(w) => em3d::run_prepared(w, mech, &cfg),
-        PreparedWorkload::Mesh(w) => w.run(mech, &cfg),
-        PreparedWorkload::Iccg(w) => iccg::run_prepared(w, mech, &cfg),
+        PreparedWorkload::Em3d(w) => em3d::run_prepared(w, mech, cfg),
+        PreparedWorkload::Mesh(w) => w.run(mech, cfg),
+        PreparedWorkload::Iccg(w) => iccg::run_prepared(w, mech, cfg),
     }?;
     result.wall = started.elapsed();
     Ok(result)

@@ -697,6 +697,7 @@ fn run_sm(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> Result<Run
         heap,
         initial,
         programs,
+        mechanism: mech,
     };
     run_machine(m.app, mech, cfg, spec, |machine| {
         let got: Vec<f64> = (0..m.len())
@@ -738,6 +739,7 @@ fn run_mp(w: &PreparedModel, mech: Mechanism, cfg: &MachineConfig) -> Result<Run
         heap: Heap::new(cfg.nodes),
         initial: Vec::new(),
         programs,
+        mechanism: mech,
     };
     run_machine(m.app, mech, cfg, spec, |machine| {
         let mut got = vec![0.0; m.len()];

@@ -10,7 +10,7 @@
 
 use commsense_cache::{Heap, Word};
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step, Until};
-use commsense_machine::{Machine, MachineConfig, MachineSpec, SimError};
+use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, SimError};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 
 /// Which flavor of round trip [`ping_pong`] measures.
@@ -142,12 +142,17 @@ pub fn ping_pong(cfg: &MachineConfig, rounds: usize, kind: PingKind) -> f64 {
         })
         .collect();
     let initial = vec![0.0; heap.total_words()];
+    let mechanism = match kind {
+        PingKind::SharedMem => Mechanism::SharedMem,
+        PingKind::Messages => Mechanism::MsgInterrupt,
+    };
     let cycles = Machine::new(
         cfg.clone(),
         MachineSpec {
             heap,
             initial,
             programs,
+            mechanism,
         },
     )
     .map_err(SimError::from)
@@ -173,12 +178,12 @@ impl Program for BarrierOnly {
 }
 
 /// Measures the per-episode cost (cycles) of `episodes` machine-wide
-/// barriers under the config's barrier style.
+/// barriers in the barrier style of `mechanism`.
 ///
 /// # Panics
 ///
 /// Panics if `episodes == 0`.
-pub fn barrier_episode(cfg: &MachineConfig, episodes: usize) -> f64 {
+pub fn barrier_episode(cfg: &MachineConfig, mechanism: Mechanism, episodes: usize) -> f64 {
     assert!(episodes > 0, "need episodes");
     let programs: Vec<Box<dyn Program>> = (0..cfg.nodes)
         .map(|_| {
@@ -194,6 +199,7 @@ pub fn barrier_episode(cfg: &MachineConfig, episodes: usize) -> f64 {
             heap,
             initial: Vec::new(),
             programs,
+            mechanism,
         },
     )
     .map_err(SimError::from)
@@ -245,6 +251,7 @@ pub fn hotspot_rmw(cfg: &MachineConfig, ops: usize) -> f64 {
             heap,
             initial,
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap_or_else(|e| SimError::from(e).raise());
@@ -275,8 +282,8 @@ mod tests {
 
     #[test]
     fn barrier_episodes_cost_hundreds_of_cycles() {
-        let sm = barrier_episode(&cfg().with_mechanism(Mechanism::SharedMem), 20);
-        let mp = barrier_episode(&cfg().with_mechanism(Mechanism::MsgPoll), 20);
+        let sm = barrier_episode(&cfg(), Mechanism::SharedMem, 20);
+        let mp = barrier_episode(&cfg(), Mechanism::MsgPoll, 20);
         assert!((200.0..3_000.0).contains(&sm), "sm barrier {sm:.0}");
         assert!((200.0..3_000.0).contains(&mp), "mp barrier {mp:.0}");
     }

@@ -72,7 +72,7 @@ mod tests {
     fn all_mechanisms_verify() {
         let p = MoldynParams::small();
         for mech in Mechanism::ALL {
-            let r = run(&p, mech, &MachineConfig::alewife().with_mechanism(mech));
+            let r = run(&p, mech, &MachineConfig::alewife());
             assert!(r.verified, "{mech}: max err {}", r.max_abs_err);
         }
     }
@@ -84,7 +84,7 @@ mod tests {
         let p = MoldynParams::small();
         let times: Vec<u64> = Mechanism::ALL
             .iter()
-            .map(|&m| run(&p, m, &MachineConfig::alewife().with_mechanism(m)).runtime_cycles)
+            .map(|&m| run(&p, m, &MachineConfig::alewife()).runtime_cycles)
             .collect();
         let min = *times.iter().min().unwrap() as f64;
         let max = *times.iter().max().unwrap() as f64;

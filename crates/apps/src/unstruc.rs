@@ -78,7 +78,7 @@ mod tests {
     fn all_mechanisms_verify() {
         let p = UnstrucParams::small();
         for mech in Mechanism::ALL {
-            let r = run(&p, mech, &MachineConfig::alewife().with_mechanism(mech));
+            let r = run(&p, mech, &MachineConfig::alewife());
             assert!(r.verified, "{mech}: max err {}", r.max_abs_err);
         }
     }

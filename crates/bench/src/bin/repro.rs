@@ -614,7 +614,7 @@ fn run_observe(a: &ObserveArgs) {
     let p = &a.probe;
     let spec = resolve_spec(p);
     let mech = resolve_mech(p.mech.as_deref().unwrap_or("mp-poll"));
-    let mut cfg = base_cfg(p.check).with_mechanism(mech);
+    let mut cfg = base_cfg(p.check);
     if let Some(c) = a.cross {
         cfg.cross_traffic = Some(commsense_mesh::CrossTrafficConfig::consuming(
             c,
@@ -624,7 +624,7 @@ fn run_observe(a: &ObserveArgs) {
         ));
     }
     if let Some(l) = p.latency {
-        cfg.latency_emulation = Some(commsense_machine::LatencyEmulation::uniform(l));
+        cfg = cfg.with_latency_emulation(mech, l);
     }
 
     println!(
@@ -694,13 +694,12 @@ fn run_analyze(a: &AnalyzeArgs) {
     // Per mechanism: the instrumented base-latency runtime and critical path.
     let mut analyzed = Vec::new();
     for &mech in &mechs {
-        let mut cfg = base_cfg(p.check).with_mechanism(mech);
         // Emulation at the base latency makes traversal counting exact:
         // every latency-clamped remote stall on the path lasts >= L, and
         // everything else stays far below it on the ideal protocol
         // network. The mp mechanisms see (nearly) no such stalls, so
         // their predicted curves come out flat — as the paper plots them.
-        cfg.latency_emulation = Some(commsense_machine::LatencyEmulation::uniform(base_lat));
+        let cfg = base_cfg(p.check).with_latency_emulation(mech, base_lat);
         let (req, result) = observed_run(spec.clone(), mech, cfg, p.epoch.unwrap_or(1_000));
         let obs = observation(&result);
         let cp = commsense_machine::analyze(obs, &req.cfg);

@@ -120,6 +120,7 @@ pub fn miss_penalties(cfg: &MachineConfig) -> Vec<MissPenalty> {
                     heap,
                     initial,
                     programs,
+                    mechanism: Mechanism::SharedMem,
                 };
                 Machine::new(cfg.clone(), spec)
                     .map_err(SimError::from)
@@ -187,7 +188,7 @@ pub fn ablate_topology(cfg: &MachineConfig) -> Ablation {
     let mut points = Vec::new();
     for (w, h) in [(16u16, 2u16), (8, 4), (4, 8)] {
         for mech in [Mechanism::SharedMem, Mechanism::MsgPoll] {
-            let mut cfg = cfg.clone().with_mechanism(mech);
+            let mut cfg = cfg.clone();
             cfg.net.topo = commsense_mesh::Topo::mesh(w, h);
             let bpc = cfg.net.bisection_bytes_per_cycle(cfg.clock());
             points.push((
@@ -204,7 +205,7 @@ pub fn ablate_topology(cfg: &MachineConfig) -> Ablation {
 /// advantage dominates (ICCG, the most message-bound application).
 pub fn ablate_interrupt_cost(cfg: &MachineConfig) -> Ablation {
     let points = [20u64, 40, 74, 120, 200].map(|c| {
-        let mut cfg = cfg.clone().with_mechanism(Mechanism::MsgInterrupt);
+        let mut cfg = cfg.clone();
         cfg.msg.interrupt_base = c;
         (
             format!("interrupt {c} cycles"),
@@ -218,7 +219,7 @@ pub fn ablate_interrupt_cost(cfg: &MachineConfig) -> Ablation {
 /// Prefetch (transaction) buffer depth under prefetching EM3D.
 pub fn ablate_prefetch_buffer(cfg: &MachineConfig) -> Ablation {
     let points = [1usize, 2, 4, 16].map(|n| {
-        let mut cfg = cfg.clone().with_mechanism(Mechanism::SharedMemPrefetch);
+        let mut cfg = cfg.clone();
         cfg.proto.prefetch_entries = n;
         (
             format!("{n} prefetch entries"),
@@ -250,14 +251,13 @@ pub fn ablate_associativity(cfg: &MachineConfig) -> Ablation {
 /// emulated latency — the §2 latency-tolerance technique the paper
 /// contrasts with SC.
 pub fn ablate_write_buffer(cfg: &MachineConfig) -> Ablation {
-    use commsense_machine::LatencyEmulation;
     let mut points = Vec::new();
     for lat in [0u64, 200] {
         for wb in [0usize, 4] {
-            let mut cfg = cfg.clone().with_mechanism(Mechanism::SharedMem);
+            let mut cfg = cfg.clone();
             cfg.write_buffer = wb;
             if lat > 0 {
-                cfg.latency_emulation = Some(LatencyEmulation::uniform(lat));
+                cfg = cfg.with_latency_emulation(Mechanism::SharedMem, lat);
             }
             let model = if wb == 0 { "SC" } else { "RC(4)" };
             let net = if lat == 0 {

@@ -17,7 +17,7 @@
 
 use commsense_apps::{run_prepared, AppSpec};
 use commsense_bench::{suite, Scale};
-use commsense_machine::{Bucket, LatencyEmulation, MachineConfig, Mechanism};
+use commsense_machine::{Bucket, MachineConfig, Mechanism};
 
 /// One pinned run: (label, runtime cycles, events, summed Sync ps,
 /// cache hits, cache misses).
@@ -38,7 +38,7 @@ fn iccg_spin_runs_are_bit_identical() {
         .expect("bench suite has ICCG");
     let alewife = MachineConfig::alewife();
     let mut emulated = alewife.clone();
-    emulated.latency_emulation = Some(LatencyEmulation::uniform(800));
+    emulated.latency_emulation = Some(800);
     let prepared = spec.prepare(alewife.nodes);
     let runs = [
         (Mechanism::SharedMem, &alewife),

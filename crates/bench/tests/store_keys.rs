@@ -104,7 +104,11 @@ fn digest(reqs: &[RunRequest]) -> u128 {
 
 /// Re-record the digests only when `MODEL_VERSION` or the fields a key
 /// hashes change on purpose: any other drift would strand every store
-/// filled before it.
+/// filled before it. The `hostile` and `scale` digests were last
+/// re-recorded when latency-emulated shared-memory requests stopped
+/// naming the cross traffic, variant and topology they never use
+/// (`MachineConfig::with_latency_emulation`); `repro all`'s keys did not
+/// move.
 #[test]
 fn store_keys_match_the_recorded_digest() {
     let all = all_small();
@@ -117,9 +121,9 @@ fn store_keys_match_the_recorded_digest() {
     ];
     let want: [u128; 4] = [
         0x31726bce8f0b31b3125154db68d53f1a,
-        0x88f712f376e92d862e85637d8387c550,
-        0x23bf64c6c05f27378f41347f8f300a98,
-        0xda40d1e603dbcd45d7ab171bf7fd8625,
+        0x38ac915750b48715ad06451177f036ad,
+        0x66d2ea1d6bebcfce1363a698d26cfd32,
+        0xe0bd6041cccf08c96ed37e67f1426f50,
     ];
     assert_eq!(
         got.map(|d| format!("{d:032x}")),

@@ -145,7 +145,7 @@ impl WorkloadCache {
 /// store), or a failure that exhausted its retries.
 // The variants are deliberately unboxed: outcome vectors are short-lived
 // (one slot per request, immediately folded into sweeps) and the `Done`
-// payload is moved out by value in `run_cached`.
+// payload is moved out by value in `Runner::run`.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum RunOutcome {
@@ -251,13 +251,6 @@ impl Runner {
 
     /// Runs every request, sharing workload preparations through a private
     /// cache. Results are in request order.
-    pub fn run(&self, requests: &[RunRequest]) -> Vec<RunResult> {
-        self.run_cached(requests, &mut WorkloadCache::new())
-    }
-
-    /// Runs every request, sharing workload preparations through `cache`
-    /// (use one cache across several plans to prepare each workload only
-    /// once for a whole session). Results are in request order.
     ///
     /// # Panics
     ///
@@ -265,8 +258,8 @@ impl Runner {
     /// all-or-nothing interface. Use [`Runner::run_outcomes`] (or
     /// [`ExperimentPlan::run_reported`]) to complete a sweep around
     /// failed points instead.
-    pub fn run_cached(&self, requests: &[RunRequest], cache: &mut WorkloadCache) -> Vec<RunResult> {
-        self.run_outcomes(requests, cache)
+    pub fn run(&self, requests: &[RunRequest]) -> Vec<RunResult> {
+        self.run_outcomes(requests, &mut WorkloadCache::new())
             .into_iter()
             .map(|o| match o {
                 RunOutcome::Done { result, .. } => result,
@@ -701,7 +694,7 @@ mod tests {
     #[test]
     fn assemble_replicates_shared_requests() {
         let spec = tiny_spec();
-        let cfg = MachineConfig::alewife().with_mechanism(Mechanism::MsgPoll);
+        let cfg = MachineConfig::alewife();
         let mut plan = ExperimentPlan::new(spec.name());
         let idx = plan.add_request(RunRequest {
             spec: spec.clone(),

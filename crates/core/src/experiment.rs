@@ -32,7 +32,7 @@
 //! ```
 
 use commsense_apps::{AppSpec, RunResult};
-use commsense_machine::{LatencyEmulation, MachineConfig, Mechanism};
+use commsense_machine::{MachineConfig, Mechanism};
 use commsense_mesh::CrossTrafficConfig;
 
 use crate::engine::{ExperimentPlan, RunRequest};
@@ -109,7 +109,7 @@ pub fn base_comparison_requests(spec: &AppSpec, cfg: &MachineConfig) -> Vec<RunR
         .map(|&mech| RunRequest {
             spec: spec.clone(),
             mechanism: mech,
-            cfg: cfg.clone().with_mechanism(mech),
+            cfg: cfg.clone(),
         })
         .collect()
 }
@@ -132,7 +132,7 @@ pub fn bisection_plan(
     let mut plan = ExperimentPlan::new(spec.name());
     for &mech in mechanisms {
         for &c in consumed_bytes_per_cycle {
-            let mut cfg = cfg.clone().with_mechanism(mech);
+            let mut cfg = cfg.clone();
             if c > 0.0 {
                 cfg.cross_traffic = Some(CrossTrafficConfig::consuming(
                     c,
@@ -164,7 +164,7 @@ pub fn msg_len_plan(
     let mut plan = ExperimentPlan::new(spec.name());
     for &mech in mechanisms {
         for &len in msg_lens {
-            let mut cfg = cfg.clone().with_mechanism(mech);
+            let mut cfg = cfg.clone();
             cfg.cross_traffic = Some(CrossTrafficConfig::consuming(
                 consumed_bytes_per_cycle,
                 cfg.clock(),
@@ -195,7 +195,7 @@ pub fn clock_plan(
     let mut plan = ExperimentPlan::new(spec.name());
     for &mech in mechanisms {
         for &mhz in mhz_values {
-            let cfg = cfg.clone().with_mechanism(mech).with_cpu_mhz(mhz);
+            let cfg = cfg.clone().with_cpu_mhz(mhz);
             let x = one_way_latency_cycles(&cfg, 24);
             let idx = plan.add_request(RunRequest {
                 spec: spec.clone(),
@@ -224,8 +224,7 @@ pub fn ctx_switch_plan(
     for &mech in mechanisms {
         if mech.is_shared_memory() {
             for &lat in latencies {
-                let mut cfg = cfg.clone().with_mechanism(mech);
-                cfg.latency_emulation = Some(LatencyEmulation::uniform(lat));
+                let cfg = cfg.clone().with_latency_emulation(mech, lat);
                 let idx = plan.add_request(RunRequest {
                     spec: spec.clone(),
                     mechanism: mech,
@@ -237,7 +236,7 @@ pub fn ctx_switch_plan(
             let idx = plan.add_request(RunRequest {
                 spec: spec.clone(),
                 mechanism: mech,
-                cfg: cfg.clone().with_mechanism(mech),
+                cfg: cfg.clone(),
             });
             for &lat in latencies {
                 plan.add_point(mech, lat as f64, idx);

@@ -91,14 +91,11 @@ pub fn manifest_json_with_analysis(
                 .field("cpu_mhz", cfg.cpu_mhz)
                 .field("net_ps_per_byte", cfg.net.ps_per_byte)
                 .field("net_router_delay_ps", cfg.net.router_delay_ps)
-                .field("receive", format!("{:?}", cfg.receive))
-                .field("barrier", format!("{:?}", cfg.barrier))
+                .field("receive", format!("{:?}", req.mechanism.receive_mode()))
+                .field("barrier", format!("{:?}", req.mechanism.barrier_style()))
                 .field("write_buffer", cfg.write_buffer)
                 .field("cross_traffic", cfg.cross_traffic.is_some())
-                .field(
-                    "latency_emulation_cycles",
-                    cfg.latency_emulation.map(|emu| emu.remote_miss_cycles),
-                );
+                .field("latency_emulation_cycles", cfg.latency_emulation);
             match cfg.observe {
                 Some(obs) => o.object("observe", |o| {
                     o.field("epoch_cycles", obs.epoch_cycles)

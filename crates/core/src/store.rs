@@ -149,19 +149,16 @@ impl ResultStore {
     }
 
     /// The deterministic 128-bit key of a request: the hash of its
-    /// canonical encoding plus the [`MODEL_VERSION`] salt. The config's
-    /// receive mode and barrier style are normalized to the request's
-    /// mechanism first, exactly as execution does, so a request hashes by
-    /// what would actually run.
+    /// canonical encoding plus the [`MODEL_VERSION`] salt. The config
+    /// holds only inputs that reach the run, and the mechanism sets the
+    /// receive mode and barrier style, so a request hashes by what would
+    /// actually run.
     pub fn request_key(req: &RunRequest) -> u128 {
         let mut enc = StableEncoder::new();
         enc.put("store.model_version", MODEL_VERSION);
         enc.put("mechanism", req.mechanism.label());
         req.spec.stable_encode(&mut enc);
-        req.cfg
-            .clone()
-            .with_mechanism(req.mechanism)
-            .stable_encode(&mut enc);
+        req.cfg.stable_encode(req.mechanism, &mut enc);
         enc.finish_hash()
     }
 

@@ -82,7 +82,7 @@ pub fn survey(
             mechanisms.iter().map(|&mech| RunRequest {
                 spec: spec.clone(),
                 mechanism: mech,
-                cfg: cfg.clone().with_mechanism(mech),
+                cfg: cfg.clone(),
             })
         })
         .collect();

@@ -21,7 +21,7 @@ fn poisoned_plan(cfg: &MachineConfig) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("EM3D");
     for &mech in &[Mechanism::SharedMem, Mechanism::MsgPoll] {
         for (j, &x) in [14.0f64, 16.0, 20.0].iter().enumerate() {
-            let mut cfg = cfg.clone().with_mechanism(mech);
+            let mut cfg = cfg.clone();
             cfg.cpu_mhz = x;
             cfg.inject_panic = mech == Mechanism::MsgPoll && j == 1;
             let request = plan.add_request(RunRequest {

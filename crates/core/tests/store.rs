@@ -36,7 +36,7 @@ fn em3d_request(cfg: &MachineConfig, mech: Mechanism) -> RunRequest {
     RunRequest {
         spec: AppSpec::Em3d(em),
         mechanism: mech,
-        cfg: cfg.clone().with_mechanism(mech),
+        cfg: cfg.clone(),
     }
 }
 
@@ -67,12 +67,11 @@ fn single_record_path(store: &ResultStore) -> std::path::PathBuf {
 fn real_results_round_trip_bit_identically() {
     let store = temp_store("roundtrip");
     let cfg = MachineConfig::alewife();
-    let mut cache = WorkloadCache::new();
     let reqs: Vec<RunRequest> = Mechanism::ALL
         .iter()
         .map(|&m| em3d_request(&cfg, m))
         .collect();
-    let results = Runner::serial().run_cached(&reqs, &mut cache);
+    let results = Runner::serial().run(&reqs);
     for (req, r) in reqs.iter().zip(&results) {
         store.save(req, r).expect("save record");
         let back = store.load(req).expect("load saved record");
@@ -97,8 +96,7 @@ fn real_results_round_trip_bit_identically() {
 #[test]
 fn record_size_is_independent_of_wall_time() {
     let req = em3d_request(&MachineConfig::alewife(), Mechanism::MsgPoll);
-    let mut result =
-        Runner::serial().run_cached(std::slice::from_ref(&req), &mut WorkloadCache::new());
+    let mut result = Runner::serial().run(std::slice::from_ref(&req));
     let mut result = result.pop().expect("one result");
     let mut written = Vec::new();
     for nanos in [1, u64::MAX] {
@@ -216,7 +214,7 @@ fn any_single_byte_flip_is_detected_and_recomputed() {
     let req = em3d_request(&cfg, Mechanism::SharedMem);
     let mut cache = WorkloadCache::new();
     let expected = Runner::serial()
-        .run_cached(std::slice::from_ref(&req), &mut cache)
+        .run(std::slice::from_ref(&req))
         .pop()
         .unwrap();
     store.save(&req, &expected).expect("save record");
@@ -272,9 +270,8 @@ fn interleaved_writers_never_tear_a_read() {
     let store = Arc::new(temp_store("torn"));
     let cfg = MachineConfig::alewife();
     let req = em3d_request(&cfg, Mechanism::MsgPoll);
-    let mut cache = WorkloadCache::new();
     let expected = Runner::serial()
-        .run_cached(std::slice::from_ref(&req), &mut cache)
+        .run(std::slice::from_ref(&req))
         .pop()
         .unwrap();
     store.save(&req, &expected).expect("initial save");
@@ -372,12 +369,11 @@ fn record_path_of(store: &ResultStore, req: &RunRequest) -> std::path::PathBuf {
 fn gc_max_bytes_evicts_least_recently_used_first() {
     let store = temp_store("lru");
     let cfg = MachineConfig::alewife();
-    let mut cache = WorkloadCache::new();
     let reqs: Vec<RunRequest> = Mechanism::ALL
         .iter()
         .map(|&m| em3d_request(&cfg, m))
         .collect();
-    let results = Runner::serial().run_cached(&reqs, &mut cache);
+    let results = Runner::serial().run(&reqs);
     for (req, r) in reqs.iter().zip(&results) {
         store.save(req, r).expect("save record");
     }
@@ -444,12 +440,11 @@ fn gc_max_bytes_sees_the_hits_of_a_dropped_handle() {
     let first = temp_store("lru-handles");
     let root = first.root().to_path_buf();
     let cfg = MachineConfig::alewife();
-    let mut cache = WorkloadCache::new();
     let reqs: Vec<RunRequest> = Mechanism::ALL[..3]
         .iter()
         .map(|&m| em3d_request(&cfg, m))
         .collect();
-    let results = Runner::serial().run_cached(&reqs, &mut cache);
+    let results = Runner::serial().run(&reqs);
     for (req, r) in reqs.iter().zip(&results) {
         first.save(req, r).expect("save record");
     }
@@ -501,7 +496,7 @@ fn warm_replay_prepares_no_workload() {
             mechs.map(|m| RunRequest {
                 spec: spec.clone(),
                 mechanism: m,
-                cfg: cfg.clone().with_mechanism(m),
+                cfg: cfg.clone(),
             })
         })
         .collect();
@@ -541,12 +536,11 @@ fn warm_replay_prepares_no_workload() {
 fn concurrent_readers_writers_and_gc_never_tear() {
     let store = Arc::new(temp_store("gc-stress"));
     let cfg = MachineConfig::alewife();
-    let mut cache = WorkloadCache::new();
     let reqs: Vec<RunRequest> = [Mechanism::SharedMem, Mechanism::MsgPoll, Mechanism::Bulk]
         .iter()
         .map(|&m| em3d_request(&cfg, m))
         .collect();
-    let results = Runner::serial().run_cached(&reqs, &mut cache);
+    let results = Runner::serial().run(&reqs);
     let expected: Vec<String> = results.iter().map(|r| format!("{r:?}")).collect();
     for (req, r) in reqs.iter().zip(&results) {
         store.save(req, r).expect("seed record");
@@ -605,9 +599,8 @@ fn verify_and_gc_report_and_prune() {
     let store = temp_store("scan");
     let cfg = MachineConfig::alewife();
     let req = em3d_request(&cfg, Mechanism::Bulk);
-    let mut cache = WorkloadCache::new();
     let r = Runner::serial()
-        .run_cached(std::slice::from_ref(&req), &mut cache)
+        .run(std::slice::from_ref(&req))
         .pop()
         .unwrap();
     store.save(&req, &r).expect("save");

@@ -146,30 +146,6 @@ pub enum BarrierStyle {
     MessageTree,
 }
 
-/// Uniform remote-miss latency emulation (the paper's context-switch
-/// experiment, §5.3 / Figure 10): protocol messages travel an ideal
-/// (contention-free, near-zero-latency) network, and every remote demand
-/// miss instead costs a fixed number of processor cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyEmulation {
-    /// Cycles charged per remote demand miss (the emulated round trip).
-    pub remote_miss_cycles: u64,
-    /// Cycles charged per prefetch completion. The paper notes prefetch is
-    /// "not precisely modeled" under this emulation; we charge the full
-    /// emulated latency so prefetches must be issued far enough ahead.
-    pub prefetch_cycles: u64,
-}
-
-impl LatencyEmulation {
-    /// Emulates a uniform `cycles`-per-remote-miss machine.
-    pub fn uniform(cycles: u64) -> Self {
-        LatencyEmulation {
-            remote_miss_cycles: cycles,
-            prefetch_cycles: cycles,
-        }
-    }
-}
-
 /// Processor-side cost constants of the shared-memory system, in cycles.
 ///
 /// Calibrated against the Figure 3 cost table: local clean miss 11 cycles,
@@ -330,35 +306,24 @@ impl Default for ObserveConfig {
 /// cfg.check = Some(CheckConfig::default());
 /// assert!(!cfg.check.unwrap().oracle);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CheckConfig {
     /// Record the applied memory-access stream and verify it against the
     /// sequential-consistency oracle when the run finishes. Off by default:
     /// the log grows with every access, which is fine for litmus programs
     /// but heavy for full application runs.
     pub oracle: bool,
-    /// Maximum number of network packets tracked individually for the
-    /// conservation check (shared with the observability recorder; packets
-    /// beyond this are counted but not id-checked).
-    pub max_packets: usize,
-}
-
-impl Default for CheckConfig {
-    fn default() -> Self {
-        CheckConfig {
-            oracle: false,
-            max_packets: 1 << 20,
-        }
-    }
 }
 
 impl CheckConfig {
+    /// Maximum number of network packets tracked individually for the
+    /// conservation check (shared with the observability recorder; packets
+    /// beyond this are counted but not id-checked).
+    pub const MAX_PACKETS: usize = 1 << 20;
+
     /// The full harness: invariants, conservation, and the SC oracle.
     pub fn full() -> Self {
-        CheckConfig {
-            oracle: true,
-            ..CheckConfig::default()
-        }
+        CheckConfig { oracle: true }
     }
 }
 
@@ -381,14 +346,17 @@ pub struct MachineConfig {
     /// Protocol personality: baseline or criticality-aware request
     /// prioritization over the network's priority virtual channel.
     pub variant: ProtoVariant,
-    /// How user messages are received.
-    pub receive: ReceiveMode,
-    /// Barrier implementation.
-    pub barrier: BarrierStyle,
     /// Optional background cross-traffic (bisection emulation, Figure 8).
     pub cross_traffic: Option<CrossTrafficConfig>,
-    /// Optional uniform-latency emulation (Figure 10).
-    pub latency_emulation: Option<LatencyEmulation>,
+    /// Optional uniform remote-miss latency emulation (the paper's
+    /// context-switch experiment, §5.3 / Figure 10): protocol messages
+    /// travel an ideal (contention-free, near-zero-latency) network, and
+    /// every remote demand miss instead costs this many processor cycles.
+    /// Prefetch completions pay the same cycles: the paper notes prefetch
+    /// is "not precisely modeled" under this emulation, so we charge the
+    /// full emulated latency and prefetches must be issued far enough
+    /// ahead. Set it with [`MachineConfig::with_latency_emulation`].
+    pub latency_emulation: Option<u64>,
     /// Store-buffer depth for relaxed (release-consistent) writes: 0 means
     /// sequential consistency (stores stall, the Alewife model of the
     /// paper); `n > 0` lets up to `n` store misses stay outstanding, with
@@ -429,8 +397,6 @@ impl MachineConfig {
             msg: MsgCosts::alewife(),
             proto: ProtoConfig::default(),
             variant: ProtoVariant::Baseline,
-            receive: ReceiveMode::Interrupt,
-            barrier: BarrierStyle::SharedMemory,
             cross_traffic: None,
             latency_emulation: None,
             write_buffer: 0,
@@ -460,11 +426,26 @@ impl MachineConfig {
         cfg
     }
 
-    /// Applies the receive mode and barrier style implied by `mech`
-    /// (builder style).
-    pub fn with_mechanism(mut self, mech: Mechanism) -> Self {
-        self.receive = mech.receive_mode();
-        self.barrier = mech.barrier_style();
+    /// Turns on uniform latency emulation at `cycles` per remote miss for
+    /// a run under `mech` (builder style).
+    ///
+    /// A shared-memory run also drops the network it never uses. Under
+    /// emulation `Machine::dispatch_proto` delivers every protocol message
+    /// after `costs.emu_ideal_msg` cycles without entering the network,
+    /// and a shared-memory program sends nothing else. So cross traffic
+    /// only loads links that no message of the run crosses, the variant
+    /// only picks the channel of packets that are never sent, and the
+    /// topology only routes them. All three are reset to the canonical
+    /// machine of the same node count (no cross traffic, the baseline
+    /// variant, a mesh), so that every request that simulates the same
+    /// run has the same store key. Message-passing runs keep all three.
+    pub fn with_latency_emulation(mut self, mech: Mechanism, cycles: u64) -> Self {
+        self.latency_emulation = Some(cycles);
+        if mech.is_shared_memory() {
+            self.cross_traffic = None;
+            self.variant = ProtoVariant::Baseline;
+            self.net.topo = Topo::with_nodes("mesh", self.nodes);
+        }
         self
     }
 
@@ -480,8 +461,9 @@ impl MachineConfig {
     }
 
     /// Canonical field encoding of everything that can change simulated
-    /// cycles, for content-addressed result caching (see
-    /// `commsense_des::stable`).
+    /// cycles of a run under `mech`, for content-addressed result caching
+    /// (see `commsense_des::stable`). The mechanism's receive mode and
+    /// barrier style are written as `cfg.receive` and `cfg.barrier`.
     ///
     /// Deliberately excluded: `observe`, `check`, and `profile_dispatch`.
     /// All three are pure bookkeeping — they never schedule events, so
@@ -490,11 +472,11 @@ impl MachineConfig {
     /// them would make an observed, checked, or profiled run miss the
     /// store for no reason. `inject_panic` *is* included: a faulting
     /// request must never alias a healthy one.
-    pub fn stable_encode(&self, enc: &mut commsense_des::StableEncoder) {
+    pub fn stable_encode(&self, mech: Mechanism, enc: &mut commsense_des::StableEncoder) {
         enc.put("cfg.nodes", self.nodes);
         enc.put_f64("cfg.cpu_mhz", self.cpu_mhz);
-        enc.put("cfg.receive", format_args!("{:?}", self.receive));
-        enc.put("cfg.barrier", format_args!("{:?}", self.barrier));
+        enc.put("cfg.receive", format_args!("{:?}", mech.receive_mode()));
+        enc.put("cfg.barrier", format_args!("{:?}", mech.barrier_style()));
         enc.put("cfg.write_buffer", self.write_buffer);
         enc.put("cfg.inject_panic", self.inject_panic);
         // Encoded only when non-baseline so every pre-variant config keeps
@@ -514,14 +496,11 @@ impl MachineConfig {
             }
             None => enc.put("cfg.cross_traffic", "none"),
         }
-        match &self.latency_emulation {
-            Some(emu) => {
+        match self.latency_emulation {
+            Some(cycles) => {
                 enc.put("cfg.latency_emulation", "some");
-                enc.put(
-                    "cfg.latency_emulation.remote_miss_cycles",
-                    emu.remote_miss_cycles,
-                );
-                enc.put("cfg.latency_emulation.prefetch_cycles", emu.prefetch_cycles);
+                enc.put("cfg.latency_emulation.remote_miss_cycles", cycles);
+                enc.put("cfg.latency_emulation.prefetch_cycles", cycles);
             }
             None => enc.put("cfg.latency_emulation", "none"),
         }
@@ -593,13 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn with_mechanism_sets_modes() {
-        let cfg = MachineConfig::alewife().with_mechanism(Mechanism::MsgPoll);
-        assert_eq!(cfg.receive, ReceiveMode::Poll);
-        assert_eq!(cfg.barrier, BarrierStyle::MessageTree);
-    }
-
-    #[test]
     fn validate_catches_mismatch() {
         let mut cfg = MachineConfig::alewife();
         cfg.nodes = 16;
@@ -643,16 +615,8 @@ mod tests {
     fn check_defaults_are_sane() {
         let c = CheckConfig::default();
         assert!(!c.oracle);
-        assert!(c.max_packets > 0);
         assert!(CheckConfig::full().oracle);
         assert_eq!(MachineConfig::alewife().check, None);
-    }
-
-    #[test]
-    fn latency_emulation_uniform() {
-        let emu = LatencyEmulation::uniform(100);
-        assert_eq!(emu.remote_miss_cycles, 100);
-        assert_eq!(emu.prefetch_cycles, 100);
     }
 
     #[test]
@@ -664,8 +628,12 @@ mod tests {
     }
 
     fn cfg_hash(cfg: &MachineConfig) -> u128 {
+        mech_hash(cfg, Mechanism::SharedMem)
+    }
+
+    fn mech_hash(cfg: &MachineConfig, mech: Mechanism) -> u128 {
         let mut enc = commsense_des::StableEncoder::new();
-        cfg.stable_encode(&mut enc);
+        cfg.stable_encode(mech, &mut enc);
         enc.finish_hash()
     }
 
@@ -691,7 +659,7 @@ mod tests {
         c.inject_panic = true;
         assert_ne!(cfg_hash(&c), h);
         let mut c = base.clone();
-        c.latency_emulation = Some(LatencyEmulation::uniform(100));
+        c.latency_emulation = Some(100);
         assert_ne!(cfg_hash(&c), h);
         let mut c = base.clone();
         c.proto.hw_ptrs = 64;
@@ -708,8 +676,83 @@ mod tests {
         let mut c = base.clone();
         c.net.topo = Topo::mesh(4, 8);
         assert_ne!(cfg_hash(&c), h);
-        let with_mech = base.clone().with_mechanism(Mechanism::MsgPoll);
-        assert_ne!(cfg_hash(&with_mech), h);
+    }
+
+    #[test]
+    fn stable_encode_separates_mechanisms_with_different_modes() {
+        let cfg = MachineConfig::alewife();
+        // sm and sm+pf share both modes, and the store key adds the
+        // mechanism label on top; every other pair differs in a mode.
+        let h = |m| mech_hash(&cfg, m);
+        assert_eq!(h(Mechanism::SharedMem), h(Mechanism::SharedMemPrefetch));
+        assert_ne!(h(Mechanism::SharedMem), h(Mechanism::MsgInterrupt));
+        assert_ne!(h(Mechanism::MsgInterrupt), h(Mechanism::MsgPoll));
+        assert_eq!(h(Mechanism::MsgInterrupt), h(Mechanism::Bulk));
+        assert_ne!(h(Mechanism::MsgPoll), h(Mechanism::Bulk));
+    }
+
+    /// A config that names every network knob latency emulation makes
+    /// unreachable for shared memory: cross traffic, the variant and a
+    /// non-mesh topology.
+    fn hostile_torus() -> MachineConfig {
+        let mut cfg = MachineConfig::scaled("torus", 64);
+        cfg.variant = ProtoVariant::CriticalityAware;
+        cfg.cross_traffic = Some(CrossTrafficConfig::consuming(
+            8.0,
+            cfg.clock(),
+            64,
+            cfg.net.topo.io_streams(),
+        ));
+        cfg
+    }
+
+    #[test]
+    fn emulated_shared_memory_drops_the_network_it_never_uses() {
+        let canonical = MachineConfig::scaled("mesh", 64);
+        for mech in [Mechanism::SharedMem, Mechanism::SharedMemPrefetch] {
+            let emulated = hostile_torus().with_latency_emulation(mech, 200);
+            assert_eq!(emulated.latency_emulation, Some(200));
+            assert!(emulated.cross_traffic.is_none());
+            assert_eq!(emulated.variant, ProtoVariant::Baseline);
+            assert_eq!(emulated.net.topo, canonical.net.topo);
+            let plain = canonical.clone().with_latency_emulation(mech, 200);
+            assert_eq!(mech_hash(&emulated, mech), mech_hash(&plain, mech));
+        }
+        // The Figure 10 machine of `repro all` is already canonical.
+        let alewife = MachineConfig::alewife();
+        let emulated = alewife
+            .clone()
+            .with_latency_emulation(Mechanism::SharedMem, 30);
+        assert_eq!(emulated.net.topo, alewife.net.topo);
+        let mut direct = alewife;
+        direct.latency_emulation = Some(30);
+        assert_eq!(cfg_hash(&emulated), cfg_hash(&direct));
+    }
+
+    #[test]
+    fn the_network_still_keys_message_passing_and_unemulated_runs() {
+        let canonical = MachineConfig::scaled("mesh", 64);
+        // Message passing uses the network even under emulation.
+        for mech in [Mechanism::MsgInterrupt, Mechanism::MsgPoll, Mechanism::Bulk] {
+            let emulated = hostile_torus().with_latency_emulation(mech, 200);
+            assert!(emulated.cross_traffic.is_some());
+            assert_eq!(emulated.variant, ProtoVariant::CriticalityAware);
+            let plain = canonical.clone().with_latency_emulation(mech, 200);
+            assert_ne!(mech_hash(&emulated, mech), mech_hash(&plain, mech));
+        }
+        // Without emulation shared memory crosses the network too: each
+        // knob alone still changes the key.
+        let h = cfg_hash(&canonical);
+        let hostile = hostile_torus();
+        let mut c = canonical.clone();
+        c.cross_traffic = hostile.cross_traffic.clone();
+        assert_ne!(cfg_hash(&c), h);
+        let mut c = canonical.clone();
+        c.variant = hostile.variant;
+        assert_ne!(cfg_hash(&c), h);
+        let mut c = canonical.clone();
+        c.net.topo = hostile.net.topo;
+        assert_ne!(cfg_hash(&c), h);
     }
 
     #[test]

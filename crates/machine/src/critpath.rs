@@ -444,9 +444,7 @@ pub fn analyze(obs: &Observation, cfg: &MachineConfig) -> CritPath {
         d.wire_ps += hop.wire_time().as_ps();
     }
 
-    let remote_stall_cycles = cfg
-        .latency_emulation
-        .map_or(FALLBACK_REMOTE_CYCLES, |emu| emu.remote_miss_cycles);
+    let remote_stall_cycles = cfg.latency_emulation.unwrap_or(FALLBACK_REMOTE_CYCLES);
 
     let mut walker = Walker {
         timelines: &timelines,
@@ -521,7 +519,6 @@ pub fn analyze(obs: &Observation, cfg: &MachineConfig) -> CritPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LatencyEmulation;
     use crate::metrics::MetricsSeries;
     use crate::trace::Trace;
     use commsense_mesh::{Endpoint, HopRecord, NetRecording, PacketClass, PacketRecord};
@@ -771,7 +768,7 @@ mod tests {
         rec(&mut tr, 290, 0, TraceKind::Done);
 
         let mut config = cfg();
-        config.latency_emulation = Some(LatencyEmulation::uniform(100));
+        config.latency_emulation = Some(100);
         let cp = analyze(&obs(1, tr, NetRecording::default()), &config);
         assert!(cp.complete);
         assert_eq!(cp.total_cycles(), 290);
@@ -824,7 +821,7 @@ mod tests {
             rec(&mut tr, now, 0, TraceKind::Done);
 
             let mut config = cfg();
-            config.latency_emulation = Some(LatencyEmulation::uniform(100));
+            config.latency_emulation = Some(100);
             let cp = analyze(&obs(1, tr, NetRecording::default()), &config);
             prop_assert!(cp.complete);
             prop_assert_eq!(cp.attributed_ps, cp.total_ps);

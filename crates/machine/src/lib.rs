@@ -52,8 +52,7 @@ pub mod stats;
 pub mod trace;
 
 pub use config::{
-    CheckConfig, CostModel, LatencyEmulation, MachineConfig, Mechanism, ObserveConfig,
-    ProtoVariant, ReceiveMode,
+    CheckConfig, CostModel, MachineConfig, Mechanism, ObserveConfig, ProtoVariant, ReceiveMode,
 };
 pub use critpath::{analyze, CritPath, Stage};
 pub use error::{panic_message, ConfigError, SimError};

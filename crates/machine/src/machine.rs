@@ -11,7 +11,9 @@ use commsense_mesh::{
 };
 use commsense_msgpass::{ActiveMessage, BarrierTree, HandlerId, RemoteQueue};
 
-use crate::config::{BarrierStyle, MachineConfig, ProtoVariant, ReceiveMode};
+use crate::config::{
+    BarrierStyle, CheckConfig, MachineConfig, Mechanism, ProtoVariant, ReceiveMode,
+};
 use crate::error::{ConfigError, SimError};
 use crate::invariants::Checker;
 use crate::metrics::{MetricsSeries, Observation, RunState};
@@ -30,7 +32,8 @@ const SYS_BAR_RELEASE: u16 = HandlerId::SYSTEM_BASE + 1;
 const BATCH_CYCLES: u64 = 120;
 
 /// Everything an application hands to the machine: the shared heap it
-/// allocated, initial master-memory contents, and one program per node.
+/// allocated, initial master-memory contents, one program per node, and
+/// the mechanism the programs communicate by.
 pub struct MachineSpec {
     /// Shared-memory layout (may be empty for pure message-passing apps).
     pub heap: Heap,
@@ -38,6 +41,9 @@ pub struct MachineSpec {
     pub initial: Vec<f64>,
     /// One program per node.
     pub programs: Vec<Box<dyn Program>>,
+    /// The communication mechanism: it sets how user messages are
+    /// received and which barrier `Step::Barrier` runs.
+    pub mechanism: Mechanism,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -504,7 +510,7 @@ impl Ev {
 /// ```
 /// use commsense_cache::{Heap, Word};
 /// use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
-/// use commsense_machine::{Machine, MachineConfig, MachineSpec};
+/// use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism};
 ///
 /// struct OneShot(Vec<Step>, usize);
 /// impl Program for OneShot {
@@ -528,7 +534,8 @@ impl Ev {
 ///     }, 0)) as Box<dyn Program>)
 ///     .collect();
 /// let initial = vec![0.0; heap.total_words()];
-/// let mut machine = Machine::new(cfg, MachineSpec { heap, initial, programs })?;
+/// let mechanism = Mechanism::SharedMem;
+/// let mut machine = Machine::new(cfg, MachineSpec { heap, initial, programs, mechanism })?;
 /// let stats = machine.run()?;
 /// assert!(stats.runtime_cycles > 0);
 /// assert_eq!(machine.master_word(w), 6.5);
@@ -537,6 +544,10 @@ impl Ev {
 pub struct Machine {
     cfg: MachineConfig,
     clock: Clock,
+    /// How user messages are received, from the spec's mechanism.
+    receive: ReceiveMode,
+    /// Which barrier `Step::Barrier` runs, from the spec's mechanism.
+    barrier_style: BarrierStyle,
     queue: EventQueue<Ev>,
     now: Time,
     net: Network,
@@ -664,6 +675,7 @@ impl Machine {
             mut heap,
             mut initial,
             programs,
+            mechanism,
         } = spec;
         if initial.len() != heap.total_words() {
             return Err(ConfigError::InitialValues {
@@ -706,6 +718,8 @@ impl Machine {
         let mut m = Machine {
             cfg,
             clock,
+            receive: mechanism.receive_mode(),
+            barrier_style: mechanism.barrier_style(),
             queue: EventQueue::new(),
             now: Time::ZERO,
             net,
@@ -776,14 +790,10 @@ impl Machine {
             }
         }
         // Observation and checking share the network recorder; size it for
-        // whichever needs more.
-        let record_packets = match (m.cfg.observe, m.cfg.check) {
-            (Some(o), Some(c)) => Some(o.max_packets.max(c.max_packets)),
-            (Some(o), None) => Some(o.max_packets),
-            (None, Some(c)) => Some(c.max_packets),
-            (None, None) => None,
-        };
-        if let Some(cap) = record_packets {
+        // whichever needs more (`None` orders below every `Some`).
+        let observed = m.cfg.observe.map(|o| o.max_packets);
+        let checked = m.cfg.check.map(|_| CheckConfig::MAX_PACKETS);
+        if let Some(cap) = observed.max(checked) {
             m.net.enable_recording(cap);
         }
         for node in 0..n {
@@ -1084,12 +1094,6 @@ impl Machine {
     /// The protocol engine (for invariant checks in tests).
     pub fn protocol(&self) -> &Protocol {
         &self.proto
-    }
-
-    /// Enables execution tracing with the given event capacity (call
-    /// before [`Machine::run`]).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
     }
 
     /// The recorded trace, if tracing was enabled.
@@ -1444,7 +1448,7 @@ impl Machine {
         let slot = (pkt.tag & !TAG_AM) as u32;
         let am = self.ams[slot as usize].take().expect("live active message");
         self.free_ams.push(slot);
-        let polled = self.cfg.receive == ReceiveMode::Poll && !am.handler.is_system();
+        let polled = self.receive == ReceiveMode::Poll && !am.handler.is_system();
         let drain = self
             .cfg
             .msg
@@ -1814,7 +1818,7 @@ impl Machine {
             }
             Purpose::Prefetch { issued, .. } => {
                 let fill_at = match self.cfg.latency_emulation {
-                    Some(emu) => (issued + self.cycles(emu.prefetch_cycles)).max(t),
+                    Some(cycles) => (issued + self.cycles(cycles)).max(t),
                     None => t,
                 };
                 if fill_at > t {
@@ -1881,12 +1885,12 @@ impl Machine {
     fn demand_resume_time(&mut self, node: usize, line: LineId, t: Time) -> Time {
         let fill = t + self.cycles(self.cfg.costs.grant_fill);
         match self.cfg.latency_emulation {
-            Some(emu) if self.proto.home(line) != node => {
+            Some(cycles) if self.proto.home(line) != node => {
                 let since = match self.nodes.status[node] {
                     Status::BlockedMem { since, .. } => since,
                     _ => t,
                 };
-                fill.max(since + self.cycles(emu.remote_miss_cycles))
+                fill.max(since + self.cycles(cycles))
             }
             _ => fill,
         }
@@ -2347,7 +2351,7 @@ impl Machine {
             return;
         }
         let parity = (self.barrier.node_epoch[node] % 2) as usize;
-        match self.cfg.barrier {
+        match self.barrier_style {
             BarrierStyle::SharedMemory => {
                 let counter = self.barrier.lines[parity][node][0];
                 self.sys_access(

@@ -8,7 +8,7 @@ use commsense_des::Time;
 use commsense_mesh::CrossTrafficConfig;
 use commsense_msgpass::{ActiveMessage, HandlerId};
 
-use crate::config::{CheckConfig, LatencyEmulation, MachineConfig, Mechanism};
+use crate::config::{CheckConfig, MachineConfig, Mechanism, ObserveConfig};
 use crate::program::{bits_f64, f64_bits, HandlerCtx, NodeCtx, Program, RmwOp, Step, Until};
 
 use super::{Machine, MachineSpec};
@@ -46,11 +46,16 @@ impl Program for Script {
     }
 }
 
-fn empty_spec(cfg: &MachineConfig, programs: Vec<Box<dyn Program>>) -> MachineSpec {
+fn empty_spec(
+    cfg: &MachineConfig,
+    mechanism: Mechanism,
+    programs: Vec<Box<dyn Program>>,
+) -> MachineSpec {
     MachineSpec {
         heap: Heap::new(cfg.nodes),
         initial: Vec::new(),
         programs,
+        mechanism,
     }
 }
 
@@ -60,7 +65,7 @@ fn compute_only_runtime() {
     let programs: Vec<Box<dyn Program>> = (0..4)
         .map(|_| Script::new(vec![Step::Compute(100)]) as Box<dyn Program>)
         .collect();
-    let spec = empty_spec(&cfg, programs);
+    let spec = empty_spec(&cfg, Mechanism::SharedMem, programs);
     let mut m = Machine::new(cfg.clone(), spec).unwrap();
     let stats = m.run().unwrap();
     assert_eq!(stats.runtime_cycles, 100);
@@ -95,6 +100,7 @@ fn buckets_sum_to_finish_time() {
             heap,
             initial: vec![0.0; 16],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -132,6 +138,7 @@ fn local_miss_penalty_near_alewife() {
             heap,
             initial: vec![0.0; 8],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -165,6 +172,7 @@ fn remote_miss_penalty_near_alewife() {
             heap,
             initial: vec![0.0; 8],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -198,6 +206,7 @@ fn store_then_load_transfers_value() {
             heap,
             initial: vec![0.0; 4],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -210,7 +219,7 @@ fn store_then_load_transfers_value() {
 
 #[test]
 fn active_message_delivery_interrupt_mode() {
-    let cfg = MachineConfig::tiny().with_mechanism(Mechanism::MsgInterrupt);
+    let cfg = MachineConfig::tiny();
     let am = ActiveMessage::new(1, HandlerId(7), vec![f64_bits(2.5), 9]);
     let programs: Vec<Box<dyn Program>> = (0..4)
         .map(|n| match n {
@@ -219,7 +228,7 @@ fn active_message_delivery_interrupt_mode() {
             _ => Script::new(vec![]),
         } as Box<dyn Program>)
         .collect();
-    let spec = empty_spec(&cfg, programs);
+    let spec = empty_spec(&cfg, Mechanism::MsgInterrupt, programs);
     let mut m = Machine::new(cfg, spec).unwrap();
     let stats = m.run().unwrap();
     assert_eq!(stats.messages_sent, 1);
@@ -233,7 +242,7 @@ fn active_message_delivery_interrupt_mode() {
 
 #[test]
 fn poll_mode_defers_until_poll() {
-    let cfg = MachineConfig::tiny().with_mechanism(Mechanism::MsgPoll);
+    let cfg = MachineConfig::tiny();
     let am = ActiveMessage::new(1, HandlerId(3), vec![1]);
     let programs: Vec<Box<dyn Program>> = (0..4)
         .map(|n| match n {
@@ -243,7 +252,7 @@ fn poll_mode_defers_until_poll() {
             _ => Script::new(vec![]),
         } as Box<dyn Program>)
         .collect();
-    let spec = empty_spec(&cfg, programs);
+    let spec = empty_spec(&cfg, Mechanism::MsgPoll, programs);
     let mut m = Machine::new(cfg.clone(), spec).unwrap();
     let stats = m.run().unwrap();
     let progs = m.into_programs();
@@ -272,7 +281,7 @@ fn handlers_can_reply() {
             }
         }
     }
-    let cfg = MachineConfig::tiny().with_mechanism(Mechanism::MsgInterrupt);
+    let cfg = MachineConfig::tiny();
     let programs: Vec<Box<dyn Program>> = (0..4)
         .map(|n| match n {
             0 => Script::new(vec![
@@ -283,7 +292,7 @@ fn handlers_can_reply() {
             _ => Script::new(vec![]) as Box<dyn Program>,
         })
         .collect();
-    let spec = empty_spec(&cfg, programs);
+    let spec = empty_spec(&cfg, Mechanism::MsgInterrupt, programs);
     let mut m = Machine::new(cfg, spec).unwrap();
     m.run().unwrap();
     let progs = m.into_programs();
@@ -294,15 +303,16 @@ fn handlers_can_reply() {
 
 #[test]
 fn barrier_synchronizes_shared_memory_style() {
-    barrier_synchronizes(MachineConfig::tiny().with_mechanism(Mechanism::SharedMem));
+    barrier_synchronizes(Mechanism::SharedMem);
 }
 
 #[test]
 fn barrier_synchronizes_message_tree_style() {
-    barrier_synchronizes(MachineConfig::tiny().with_mechanism(Mechanism::MsgPoll));
+    barrier_synchronizes(Mechanism::MsgPoll);
 }
 
-fn barrier_synchronizes(cfg: MachineConfig) {
+fn barrier_synchronizes(mech: Mechanism) {
+    let cfg = MachineConfig::tiny();
     // Node n computes n*1000 cycles then barriers; afterwards each stores a
     // flag observed... we verify via sync times: fast nodes wait for slow.
     let programs: Vec<Box<dyn Program>> = (0..4)
@@ -310,7 +320,7 @@ fn barrier_synchronizes(cfg: MachineConfig) {
             Script::new(vec![Step::Compute(1 + 1000 * n as u64), Step::Barrier]) as Box<dyn Program>
         })
         .collect();
-    let spec = empty_spec(&cfg, programs);
+    let spec = empty_spec(&cfg, mech, programs);
     let mut m = Machine::new(cfg.clone(), spec).unwrap();
     let stats = m.run().unwrap();
     // All nodes finish at/after the slowest node's compute.
@@ -329,7 +339,7 @@ fn barrier_synchronizes(cfg: MachineConfig) {
 #[test]
 fn repeated_barriers_do_not_deadlock() {
     for mech in [Mechanism::SharedMem, Mechanism::MsgInterrupt] {
-        let cfg = MachineConfig::tiny().with_mechanism(mech);
+        let cfg = MachineConfig::tiny();
         let programs: Vec<Box<dyn Program>> = (0..4)
             .map(|n| {
                 let mut steps = Vec::new();
@@ -340,7 +350,7 @@ fn repeated_barriers_do_not_deadlock() {
                 Script::new(steps) as Box<dyn Program>
             })
             .collect();
-        let spec = empty_spec(&cfg, programs);
+        let spec = empty_spec(&cfg, mech, programs);
         let mut m = Machine::new(cfg, spec).unwrap();
         m.run().unwrap();
     }
@@ -368,6 +378,7 @@ fn rmw_is_atomic_under_contention() {
             heap,
             initial: vec![0.0; 2],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -408,6 +419,7 @@ fn prefetch_hides_remote_latency() {
                 heap,
                 initial: vec![0.0; 8],
                 programs,
+                mechanism: Mechanism::SharedMem,
             },
         )
         .unwrap();
@@ -445,6 +457,7 @@ fn useless_prefetch_only_costs_issue() {
             heap,
             initial: vec![0.0; 4],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -455,7 +468,7 @@ fn useless_prefetch_only_costs_issue() {
 #[test]
 fn deterministic_across_runs() {
     let run = || {
-        let cfg = MachineConfig::tiny().with_mechanism(Mechanism::MsgInterrupt);
+        let cfg = MachineConfig::tiny();
         let programs: Vec<Box<dyn Program>> = (0..4)
             .map(|n| {
                 Script::new(vec![
@@ -470,7 +483,7 @@ fn deterministic_across_runs() {
                 ]) as Box<dyn Program>
             })
             .collect();
-        let spec = empty_spec(&cfg, programs);
+        let spec = empty_spec(&cfg, Mechanism::MsgInterrupt, programs);
         let mut m = Machine::new(cfg, spec).unwrap();
         let s = m.run().unwrap();
         (s.runtime_cycles, s.events, s.messages_sent)
@@ -484,9 +497,9 @@ fn observation_does_not_change_simulated_cycles() {
     // simulation produces (cycle counts, event counts, per-node buckets)
     // has to be bit-identical with recording on and off.
     let run = |observe: bool| {
-        let mut cfg = MachineConfig::tiny().with_mechanism(Mechanism::MsgPoll);
+        let mut cfg = MachineConfig::tiny();
         if observe {
-            cfg.observe = Some(crate::config::ObserveConfig {
+            cfg.observe = Some(ObserveConfig {
                 epoch_cycles: 50,
                 trace_capacity: 1 << 16,
                 max_packets: 1 << 16,
@@ -508,7 +521,7 @@ fn observation_does_not_change_simulated_cycles() {
                 ]) as Box<dyn Program>
             })
             .collect();
-        let spec = empty_spec(&cfg, programs);
+        let spec = empty_spec(&cfg, Mechanism::MsgPoll, programs);
         let mut m = Machine::new(cfg, spec).unwrap();
         let s = m.run().unwrap();
         format!(
@@ -521,8 +534,8 @@ fn observation_does_not_change_simulated_cycles() {
 
 #[test]
 fn observation_collects_series_trace_and_packets() {
-    let mut cfg = MachineConfig::tiny().with_mechanism(Mechanism::MsgInterrupt);
-    cfg.observe = Some(crate::config::ObserveConfig {
+    let mut cfg = MachineConfig::tiny();
+    cfg.observe = Some(ObserveConfig {
         epoch_cycles: 20,
         trace_capacity: 4096,
         max_packets: 4096,
@@ -542,7 +555,7 @@ fn observation_collects_series_trace_and_packets() {
             ]) as Box<dyn Program>
         })
         .collect();
-    let spec = empty_spec(&cfg, programs);
+    let spec = empty_spec(&cfg, Mechanism::MsgInterrupt, programs);
     let mut m = Machine::new(cfg, spec).unwrap();
     m.run().unwrap();
     let obs = m.take_observation().expect("observation enabled");
@@ -630,7 +643,7 @@ fn checked_run(
             Script::new(steps) as Box<dyn Program>
         })
         .collect();
-    let mut cfg = MachineConfig::tiny().with_mechanism(mech);
+    let mut cfg = MachineConfig::tiny();
     cfg.write_buffer = wb;
     cfg.check = check;
     let mut m = Machine::new(
@@ -639,6 +652,7 @@ fn checked_run(
             heap,
             initial: vec![0.0; 18],
             programs,
+            mechanism: mech,
         },
     )
     .unwrap();
@@ -723,6 +737,7 @@ fn oracle_log_records_the_applied_stream() {
             heap,
             initial: vec![0.0; 4],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -798,6 +813,7 @@ fn cross_traffic_slows_shared_memory() {
                 heap,
                 initial: vec![0.0; 512],
                 programs,
+                mechanism: Mechanism::SharedMem,
             },
         )
         .unwrap();
@@ -837,6 +853,7 @@ fn slower_clock_reduces_relative_network_cost() {
                 heap,
                 initial: vec![0.0; 32],
                 programs,
+                mechanism: Mechanism::SharedMem,
             },
         )
         .unwrap();
@@ -852,7 +869,7 @@ fn slower_clock_reduces_relative_network_cost() {
 
 #[test]
 fn latency_emulation_scales_remote_misses() {
-    let run = |emu: Option<LatencyEmulation>| {
+    let run = |emu: Option<u64>| {
         let mut heap = Heap::new(4);
         let arr = heap.alloc(16, |_| 3);
         let programs: Vec<Box<dyn Program>> = (0..4)
@@ -875,13 +892,14 @@ fn latency_emulation_scales_remote_misses() {
                 heap,
                 initial: vec![0.0; 32],
                 programs,
+                mechanism: Mechanism::SharedMem,
             },
         )
         .unwrap();
         m.run().unwrap().runtime_cycles
     };
-    let base = run(Some(LatencyEmulation::uniform(50)));
-    let slow = run(Some(LatencyEmulation::uniform(500)));
+    let base = run(Some(50));
+    let slow = run(Some(500));
     // 16 remote misses at +450 cycles each.
     assert!(
         slow > base + 16 * 400,
@@ -893,7 +911,7 @@ fn latency_emulation_scales_remote_misses() {
 fn ni_backpressure_stalls_sender() {
     // Flood the network interface with large back-to-back bulk messages:
     // the sender must accumulate Memory+NI wait time.
-    let cfg = MachineConfig::tiny().with_mechanism(Mechanism::Bulk);
+    let cfg = MachineConfig::tiny();
     let programs: Vec<Box<dyn Program>> = (0..4)
         .map(|n| {
             if n == 0 {
@@ -906,7 +924,7 @@ fn ni_backpressure_stalls_sender() {
             }
         })
         .collect();
-    let spec = empty_spec(&cfg, programs);
+    let spec = empty_spec(&cfg, Mechanism::Bulk, programs);
     let mut m = Machine::new(cfg, spec).unwrap();
     let stats = m.run().unwrap();
     assert!(
@@ -927,7 +945,7 @@ fn deadlock_is_detected() {
             }
         })
         .collect();
-    let spec = empty_spec(&cfg, programs);
+    let spec = empty_spec(&cfg, Mechanism::SharedMem, programs);
     let mut m = Machine::new(cfg, spec).unwrap();
     let err = m.run().unwrap_err();
     let SimError::Deadlock { blocked, .. } = &err else {
@@ -965,6 +983,7 @@ fn volume_accounting_separates_classes() {
             heap,
             initial: vec![0.0; 4],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -1006,6 +1025,7 @@ fn write_buffer_overlaps_store_latency() {
                 heap,
                 initial: vec![0.0; 32],
                 programs,
+                mechanism: Mechanism::SharedMem,
             },
         )
         .unwrap();
@@ -1050,6 +1070,7 @@ fn write_buffer_fence_at_barrier() {
             heap,
             initial: vec![0.0; 4],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -1087,6 +1108,7 @@ fn write_buffer_read_after_posted_write_merges() {
             heap,
             initial: vec![0.0; 4],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -1122,6 +1144,7 @@ fn write_buffer_full_stalls() {
             heap,
             initial: vec![0.0; 16],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -1157,6 +1180,7 @@ fn spin_loads_charge_sync_not_memory() {
             heap,
             initial: vec![0.0; 4],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -1210,6 +1234,7 @@ fn congestion_grows_superlinearly() {
                 heap,
                 initial: vec![0.0; 512],
                 programs,
+                mechanism: Mechanism::SharedMem,
             },
         )
         .unwrap();
@@ -1241,17 +1266,21 @@ fn trace_records_scheduling_events() {
             _ => Script::new(vec![Step::Barrier]),
         } as Box<dyn Program>)
         .collect();
-    let cfg = MachineConfig::tiny().with_mechanism(Mechanism::MsgInterrupt);
+    let mut cfg = MachineConfig::tiny();
+    cfg.observe = Some(ObserveConfig {
+        trace_capacity: 10_000,
+        ..ObserveConfig::default()
+    });
     let mut m = Machine::new(
         cfg,
         MachineSpec {
             heap,
             initial: vec![0.0; 4],
             programs,
+            mechanism: Mechanism::MsgInterrupt,
         },
     )
     .unwrap();
-    m.enable_trace(10_000);
     m.run().unwrap();
     let trace = m.trace().expect("enabled");
     assert!(!trace.truncated());
@@ -1293,6 +1322,7 @@ fn miss_latency_histogram_captures_remote_misses() {
             heap,
             initial: vec![0.0; 16],
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -1330,13 +1360,14 @@ fn latency_emulation_delays_prefetch_fills() {
             })
             .collect();
         let mut cfg = MachineConfig::tiny();
-        cfg.latency_emulation = Some(LatencyEmulation::uniform(emu_cycles));
+        cfg.latency_emulation = Some(emu_cycles);
         let mut m = Machine::new(
             cfg,
             MachineSpec {
                 heap,
                 initial: vec![0.0; 8],
                 programs,
+                mechanism: Mechanism::SharedMem,
             },
         )
         .unwrap();
@@ -1355,7 +1386,7 @@ fn ejection_backpressure_under_message_burst() {
     // 31 nodes flood node 0 under interrupts: drain occupancy must
     // serialize deliveries, so total time far exceeds one message's cost.
     let cfg = {
-        let mut c = MachineConfig::alewife().with_mechanism(Mechanism::MsgInterrupt);
+        let mut c = MachineConfig::alewife();
         c.nodes = 32;
         c
     };
@@ -1387,7 +1418,7 @@ fn ejection_backpressure_under_message_burst() {
             }
         })
         .collect();
-    let spec = empty_spec(&cfg, programs);
+    let spec = empty_spec(&cfg, Mechanism::MsgInterrupt, programs);
     let mut m = Machine::new(cfg, spec).unwrap();
     let stats = m.run().unwrap();
     // 124 messages x ~(interrupt+dispatch) serialized at node 0's receive
@@ -1451,6 +1482,7 @@ fn batching_identity_spec(cfg: &MachineConfig, mech: Mechanism) -> MachineSpec {
         heap,
         initial,
         programs,
+        mechanism: mech,
     }
 }
 
@@ -1463,7 +1495,7 @@ fn batching_identity_spec(cfg: &MachineConfig, mech: Mechanism) -> MachineSpec {
 #[test]
 fn batched_and_unbatched_runs_are_identical() {
     for mech in Mechanism::ALL {
-        let cfg = MachineConfig::tiny().with_mechanism(mech);
+        let cfg = MachineConfig::tiny();
         let mut profiled_cfg = cfg.clone();
         profiled_cfg.profile_dispatch = true;
         let mut batched = Machine::new(cfg.clone(), batching_identity_spec(&cfg, mech)).unwrap();
@@ -1516,7 +1548,10 @@ fn new_rejects_each_mismatched_shape() {
     let mut wrong_nodes = cfg.clone();
     wrong_nodes.nodes = 8;
     assert_eq!(
-        err(&wrong_nodes, empty_spec(&wrong_nodes, idle(8))),
+        err(
+            &wrong_nodes,
+            empty_spec(&wrong_nodes, Mechanism::SharedMem, idle(8))
+        ),
         Some(ConfigError::TopologyNodes {
             nodes: 8,
             topology: "mesh 2x2".into(),
@@ -1531,6 +1566,7 @@ fn new_rejects_each_mismatched_shape() {
         heap,
         initial: vec![0.0; words + 1],
         programs: idle(4),
+        mechanism: Mechanism::SharedMem,
     };
     assert_eq!(
         err(&cfg, spec),
@@ -1541,7 +1577,7 @@ fn new_rejects_each_mismatched_shape() {
     );
 
     assert_eq!(
-        err(&cfg, empty_spec(&cfg, idle(3))),
+        err(&cfg, empty_spec(&cfg, Mechanism::SharedMem, idle(3))),
         Some(ConfigError::Programs {
             programs: 3,
             nodes: 4,
@@ -1552,6 +1588,7 @@ fn new_rejects_each_mismatched_shape() {
         heap: Heap::new(2),
         initial: Vec::new(),
         programs: idle(4),
+        mechanism: Mechanism::SharedMem,
     };
     assert_eq!(
         err(&cfg, spec),
@@ -1561,7 +1598,7 @@ fn new_rejects_each_mismatched_shape() {
         })
     );
 
-    assert!(err(&cfg, empty_spec(&cfg, idle(4))).is_none());
+    assert!(err(&cfg, empty_spec(&cfg, Mechanism::SharedMem, idle(4))).is_none());
 }
 
 /// Node 0's program in the spin identity tests: `before`, then a poll loop
@@ -1667,6 +1704,7 @@ fn spin_case(cfg: &MachineConfig, sc: &SpinScenario, hand_rolled: bool) -> Strin
             heap,
             initial: values,
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .unwrap();
@@ -1697,7 +1735,7 @@ fn spin_until_equals_the_hand_rolled_loop() {
     let mut two_way = small_cache.clone();
     two_way.proto.cache_ways = 2;
     let mut emulated = MachineConfig::tiny();
-    emulated.latency_emulation = Some(LatencyEmulation::uniform(300));
+    emulated.latency_emulation = Some(300);
     let mut checked = MachineConfig::tiny();
     checked.check = Some(CheckConfig::full());
     let configs = [

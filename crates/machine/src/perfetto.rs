@@ -150,7 +150,7 @@ fn metadata(events: &mut Arr<'_>, pid: u32, tid: Option<u32>, what: &str, name: 
 ///
 /// ```
 /// use commsense_machine::perfetto::export_trace;
-/// # use commsense_machine::{Machine, MachineConfig, MachineSpec, ObserveConfig};
+/// # use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, ObserveConfig};
 /// # use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
 /// # use commsense_cache::Heap;
 /// # struct Idle;
@@ -163,7 +163,9 @@ fn metadata(events: &mut Arr<'_>, pid: u32, tid: Option<u32>, what: &str, name: 
 /// let heap = Heap::new(cfg.nodes);
 /// let programs: Vec<Box<dyn Program>> =
 ///     (0..cfg.nodes).map(|_| Box::new(Idle) as Box<dyn Program>).collect();
-/// let mut m = Machine::new(cfg, MachineSpec { heap, initial: vec![], programs }).unwrap();
+/// let mechanism = Mechanism::SharedMem;
+/// let spec = MachineSpec { heap, initial: vec![], programs, mechanism };
+/// let mut m = Machine::new(cfg, spec).unwrap();
 /// m.run().unwrap();
 /// let obs = m.take_observation().unwrap();
 /// let json = export_trace(&obs);

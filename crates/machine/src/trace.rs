@@ -4,7 +4,8 @@
 //! summary.
 //!
 //! Tracing is off by default (zero overhead beyond an `Option` check);
-//! enable it with [`crate::Machine::enable_trace`] before running.
+//! enable it with [`crate::MachineConfig::observe`], whose
+//! [`crate::ObserveConfig::trace_capacity`] bounds the log.
 
 use commsense_des::{Clock, Time};
 

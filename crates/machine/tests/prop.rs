@@ -4,7 +4,7 @@
 
 use commsense_cache::{Heap, Word};
 use commsense_machine::program::{HandlerCtx, NodeCtx, Program, Step};
-use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism};
+use commsense_machine::{Machine, MachineConfig, MachineSpec, Mechanism, ObserveConfig};
 use commsense_msgpass::{ActiveMessage, HandlerId};
 use proptest::prelude::*;
 
@@ -58,8 +58,13 @@ proptest! {
         write_buffer in 0usize..3,
     ) {
         let mech = Mechanism::ALL[mech_idx];
-        let mut cfg = MachineConfig::tiny().with_mechanism(mech);
+        let mut cfg = MachineConfig::tiny();
         cfg.write_buffer = write_buffer * 2;
+        // The trace explains a failing case below.
+        cfg.observe = Some(ObserveConfig {
+            trace_capacity: 100_000,
+            ..ObserveConfig::default()
+        });
         let lines = 32;
         let mut heap = Heap::new(cfg.nodes);
         let arr = heap.alloc(lines, |i| i % 4);
@@ -106,8 +111,8 @@ proptest! {
             })
             .collect();
         let initial = vec![0.0; heap.total_words()];
-        let mut m = Machine::new(cfg.clone(), MachineSpec { heap, initial, programs }).unwrap();
-        m.enable_trace(100_000);
+        let spec = MachineSpec { heap, initial, programs, mechanism: mech };
+        let mut m = Machine::new(cfg.clone(), spec).unwrap();
         let stats = m.run().expect("must terminate without deadlock");
         let clock = cfg.clock();
         // Accounting: no node accounts more than the run lasted.

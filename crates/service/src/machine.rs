@@ -454,7 +454,7 @@ mod tests {
             let mut p = Em3dParams::small();
             p.iterations = 1;
             let spec = AppSpec::Em3d(p);
-            let cfg = MachineConfig::alewife().with_mechanism(Mechanism::SharedMem);
+            let cfg = MachineConfig::alewife();
             let req = RunRequest {
                 spec,
                 mechanism: Mechanism::SharedMem,

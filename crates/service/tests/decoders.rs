@@ -170,7 +170,7 @@ fn manifest_validation_survives_every_byte_mutation() {
     let req = RunRequest {
         spec: AppSpec::Em3d(p),
         mechanism: Mechanism::MsgPoll,
-        cfg: MachineConfig::tiny().with_mechanism(Mechanism::MsgPoll),
+        cfg: MachineConfig::tiny(),
     };
     let result = run_prepared(&req.spec.prepare(req.cfg.nodes), req.mechanism, &req.cfg);
     let manifest = manifest_json(&req, Some(18.0), &result);

@@ -24,7 +24,7 @@ fn sim_ok() -> Box<RunOutcome> {
         let mut p = Em3dParams::small();
         p.iterations = 1;
         let spec = AppSpec::Em3d(p);
-        let cfg = MachineConfig::alewife().with_mechanism(Mechanism::SharedMem);
+        let cfg = MachineConfig::alewife();
         let req = RunRequest {
             spec,
             mechanism: Mechanism::SharedMem,

@@ -30,8 +30,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use commsense_cache::Heap;
 use commsense_des::Rng;
 use commsense_machine::{
-    panic_message, CheckConfig, HandlerCtx, LatencyEmulation, Machine, MachineConfig, MachineSpec,
-    Mechanism, NodeCtx, Program, ProtoVariant, RmwOp, SimError, Step,
+    panic_message, CheckConfig, HandlerCtx, Machine, MachineConfig, MachineSpec, Mechanism,
+    NodeCtx, Program, ProtoVariant, RmwOp, SimError, Step,
 };
 use commsense_mesh::{CrossTrafficConfig, TrafficPattern};
 use commsense_msgpass::{ActiveMessage, HandlerId};
@@ -276,8 +276,9 @@ impl Litmus {
 
     /// Builds the runnable machine spec: a heap with the litmus lines
     /// homed round-robin, distinct initial word values, and one replay
-    /// program per node following the send-before-wait discipline.
-    pub fn materialize(&self) -> MachineSpec {
+    /// program per node following the send-before-wait discipline, run
+    /// under `mechanism`.
+    pub fn materialize(&self, mechanism: Mechanism) -> MachineSpec {
         let mut heap = Heap::new(self.nodes);
         let shared = heap.alloc(self.lines, |i| i % self.nodes);
         let initial: Vec<f64> = (0..heap.total_words())
@@ -342,6 +343,7 @@ impl Litmus {
             heap,
             initial,
             programs,
+            mechanism,
         }
     }
 }
@@ -497,7 +499,7 @@ impl Extreme {
     /// The machine configuration for this extreme under `mech` (checking
     /// not yet enabled; the runner adds it).
     pub fn config(self, mech: Mechanism) -> MachineConfig {
-        let mut cfg = MachineConfig::tiny().with_mechanism(mech);
+        let mut cfg = MachineConfig::tiny();
         let consuming = |cfg: &MachineConfig| {
             CrossTrafficConfig::consuming(0.1, cfg.clock(), 64, cfg.net.topo.io_streams())
         };
@@ -506,7 +508,7 @@ impl Extreme {
             Extreme::Base => {}
             Extreme::TinyCache => cfg.proto.cache_lines = 8,
             Extreme::CrossTraffic => cfg.cross_traffic = Some(consuming(&cfg)),
-            Extreme::HighLatency => cfg.latency_emulation = Some(LatencyEmulation::uniform(400)),
+            Extreme::HighLatency => cfg = cfg.with_latency_emulation(mech, 400),
             Extreme::Relaxed => cfg.write_buffer = 4,
             Extreme::Critical => {
                 cfg.variant = ProtoVariant::CriticalityAware;
@@ -638,7 +640,7 @@ pub fn run_litmus_with(
     let mut cfg = extreme.config(mech);
     assert_eq!(lit.nodes, cfg.nodes, "litmus node count must match machine");
     cfg.check = Some(CheckConfig::full());
-    let spec = lit.materialize();
+    let spec = lit.materialize(mech);
     let run = catch_unwind(AssertUnwindSafe(move || {
         let mut m = Machine::new(cfg, spec)?;
         match fault {

@@ -144,6 +144,7 @@ fn run_sm(cfg: &MachineConfig) -> u64 {
             heap,
             initial,
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .expect("machine matches its config")
@@ -170,6 +171,7 @@ fn run_mp(cfg: &MachineConfig) -> u64 {
             heap,
             initial: Vec::new(),
             programs,
+            mechanism: Mechanism::MsgInterrupt,
         },
     )
     .expect("machine matches its config")

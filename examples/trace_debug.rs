@@ -7,7 +7,7 @@
 
 use commsense::cache::Heap;
 use commsense::machine::program::{HandlerCtx, NodeCtx, Program, Step};
-use commsense::machine::{Machine, MachineSpec, TraceKind};
+use commsense::machine::{Machine, MachineSpec, ObserveConfig, TraceKind};
 use commsense::msgpass::{ActiveMessage, HandlerId};
 use commsense::prelude::*;
 
@@ -55,7 +55,11 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
-    let cfg = MachineConfig::alewife();
+    let mut cfg = MachineConfig::alewife();
+    cfg.observe = Some(ObserveConfig {
+        trace_capacity: 100_000,
+        ..ObserveConfig::default()
+    });
     let mut heap = Heap::new(cfg.nodes);
     let lines = heap.alloc(cfg.nodes, |i| i);
     let programs: Vec<Box<dyn Program>> = (0..cfg.nodes)
@@ -77,10 +81,10 @@ fn main() {
             heap,
             initial,
             programs,
+            mechanism: Mechanism::SharedMem,
         },
     )
     .expect("machine matches its config");
-    machine.enable_trace(100_000);
     let stats = machine.run().expect("the ring exchange finishes");
 
     println!(

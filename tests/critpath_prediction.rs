@@ -11,14 +11,13 @@ use commsense::apps::{run_app, AppSpec};
 use commsense::core::engine::{Runner, WorkloadCache};
 use commsense::core::experiment::ctx_switch_plan;
 use commsense::core::model::fit_latency;
-use commsense::machine::{analyze, LatencyEmulation, MachineConfig, Mechanism, ObserveConfig};
+use commsense::machine::{analyze, MachineConfig, Mechanism, ObserveConfig};
 
 const BASE_LAT: u64 = 30;
 
 /// One instrumented run at the base emulated latency, analyzed.
 fn predicted(spec: &AppSpec, mech: Mechanism) -> f64 {
-    let mut cfg = MachineConfig::alewife().with_mechanism(mech);
-    cfg.latency_emulation = Some(LatencyEmulation::uniform(BASE_LAT));
+    let mut cfg = MachineConfig::alewife().with_latency_emulation(mech, BASE_LAT);
     cfg.observe = Some(ObserveConfig::default());
     let result = run_app(spec, mech, &cfg);
     assert!(result.verified, "{} instrumented run failed", mech.label());

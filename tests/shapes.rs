@@ -49,10 +49,9 @@ use Mechanism::{Bulk, MsgInterrupt, MsgPoll, SharedMem, SharedMemPrefetch};
 fn fig4_base_machine_orderings() {
     let cfg = MachineConfig::alewife();
     let runner = Runner::serial();
-    let mut cache = WorkloadCache::new();
     let mut polling_gain = Vec::new();
     for spec in AppSpec::small_suite() {
-        let results = runner.run_cached(&base_comparison_requests(&spec, &cfg), &mut cache);
+        let results = runner.run(&base_comparison_requests(&spec, &cfg));
         let app = spec.name();
         let (sm, mp_int, mp_poll, bulk) = (
             runtime(&results, SharedMem),
